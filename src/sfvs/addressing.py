@@ -34,8 +34,6 @@ __all__ = [
     "parse_vertex",
     "parse_word",
     "prefix_triangle",
-    "prefix_word",
-    "relabel_p3",
     "word_separator",
 ]
 
@@ -144,12 +142,6 @@ class _Apex:
 APEX = _Apex()
 
 
-def prefix_word(i: int, word: Word) -> Word:
-    if i < 0:
-        raise ValueError(f"symbol must be nonnegative, got {i}")
-    return (i, *word)
-
-
 def prefix_triangle(i: int, v):
     """Embed a contracted-family vertex one level down into subtriangle i.
 
@@ -169,22 +161,6 @@ def prefix_triangle(i: int, v):
         return Contracted((), tuple(sorted((i, v.k))))
     if isinstance(v, Contracted):
         return Contracted((i, *v.prefix), v.pair)
-    raise TypeError(f"expected a corner or contracted vertex, got {v!r}")
-
-
-def relabel_p3(v) -> str:
-    """Three-symbol shorthand: Contracted(s, {i,j}) -> word s.(3-i-j),
-    Hat(k) -> "^k".  Only defined when every symbol is in {0, 1, 2}."""
-    if isinstance(v, Hat):
-        if not 0 <= v.k < 3:
-            raise ValueError(f"symbol {v.k} out of range for the 3-symbol relabeling")
-        return f"^{v.k}"
-    if isinstance(v, Contracted):
-        i, j = v.pair
-        for k in (*v.prefix, i, j):
-            if not 0 <= k < 3:
-                raise ValueError(f"symbol {k} out of range for the 3-symbol relabeling")
-        return format_word((*v.prefix, 3 - i - j), 3)
     raise TypeError(f"expected a corner or contracted vertex, got {v!r}")
 
 

@@ -216,30 +216,6 @@ def _reduce(mg: Multigraph, forbidden, chosen) -> bool:
     return True
 
 
-def _is_forest_mg(mg: Multigraph) -> bool:
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for v in mg.live_vertices():
-        parent[v] = v
-    for v in mg.live_vertices():
-        for u, mult in mg.adj[v].items():
-            if u == v or mult >= 2:
-                return False
-            if u > v:
-                continue
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-    return True
-
-
 def _feasible(mg: Multigraph, removed) -> bool:
     parent = {}
 
@@ -298,7 +274,7 @@ def _greedy_fvs(mg: Multigraph) -> list:
                     work.remove_vertex(v)
                     changed = True
         live = work.live_vertices()
-        if not live or _is_forest_mg(work):
+        if not live or _feasible(work, ()):
             break
         v = max(live, key=lambda x: (work.degree(x), -x))
         chosen.append(v)
@@ -327,17 +303,7 @@ def _pack_cliques(mg: Multigraph):
     for v in mg.live_vertices():
         if v in used:
             continue
-        cand = [u for u in mg.adj[v] if u != v and u not in used]
-        clique = [v]
-        while cand:
-            best_u = None
-            best_score = -1
-            for u in cand:
-                score = sum(1 for x in cand if x != u and x in mg.adj[u])
-                if score > best_score:
-                    best_u, best_score = u, score
-            clique.append(best_u)
-            cand = [u for u in cand if u != best_u and u in mg.adj[best_u]]
+        clique = _grow_clique(mg, v, used)
         if len(clique) >= 3:
             bound += len(clique) - 2
             used.update(clique)
@@ -411,10 +377,10 @@ def _branch_vertex(mg: Multigraph, candidates):
     return max(pool, key=lambda v: (mg.degree(v), -v))
 
 
-def _grow_clique(mg: Multigraph, v) -> list:
+def _grow_clique(mg: Multigraph, v, used=()) -> list:
     """Greedy maximal clique through v, preferring well-connected
-    extensions."""
-    cand = [u for u in mg.adj[v] if u != v]
+    extensions and avoiding the vertices in used."""
+    cand = [u for u in mg.adj[v] if u != v and u not in used]
     clique = [v]
     while cand:
         best_u = None

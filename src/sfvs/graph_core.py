@@ -350,9 +350,6 @@ class Multigraph:
             d += 2 * mult if u == v else mult
         return d
 
-    def has_loop(self, v: int) -> bool:
-        return v in self.adj[v]
-
     def live_vertices(self):
         return [v for v in range(len(self.alive)) if self.alive[v]]
 

@@ -28,9 +28,11 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
+from typing import Callable
 
-from .exact_fvs import resolve_budget, tau_bnb, tau_bruteforce
+from .addressing import FAMILIES
+from .exact_fvs import tau_bnb, tau_bruteforce
 from .generators import (
     expected_order,
     expected_size,
@@ -44,7 +46,6 @@ from .pairable_forest import (
     forest_plus,
     forest_plusplus,
     forest_sierpinski,
-    fvs_sierpinski,
 )
 from .triangle_forest import (
     conjecture_gap,
@@ -66,7 +67,6 @@ __all__ = [
     "run_suite",
 ]
 
-SUITES = ("counts", "thm2.4", "cor2.7", "cor2.8", "thm3.2", "thm4.1", "conjecture")
 SCHEMA_VERSION = 1
 
 _BUILDERS = {
@@ -75,7 +75,6 @@ _BUILDERS = {
     "pp": sierpinski_plusplus,
     "hat": triangle,
 }
-_FAMILY_ORDER = ("s", "plus", "pp", "hat")
 _GLYPH = {"match": "✓", "bound-only": "∙", "mismatch": "✗"}
 
 
@@ -138,52 +137,49 @@ def _assert_forest(g, labels, context: str):
         )
 
 
-def _solve(g, budget, seed):
-    cert = tau_bnb(g, budget=budget, seed=seed)
-    return cert.tau if cert.optimal else None
+def _forest(family, p, n, g):
+    """The construction-backed induced forest of a family instance, as a
+    set of labels of its graph g.  Raises ValueError where the instance
+    has no construction."""
+    if family == "s":
+        return forest_sierpinski(p, n)
+    if family == "plus":
+        return forest_plus(p, n)
+    if family == "pp":
+        return forest_plusplus(p, n)
+    if p == 2:
+        return set(g.vertices())
+    if p == 3:
+        return set(g.vertices()) - fvs_triangle3(n)
+    return forest_triangle(p, n, graph=g)
 
 
-def _counts_rows(family, p, n, exact, budget):
+# Row functions share one signature: (suite, family, p, n, exact, budget).
+
+
+def _counts_rows(suite, family, p, n, exact, budget):
     g = _BUILDERS[family](p, n)
     return [
-        _row("counts", family, p, n, "order", expected_order(family, p, n), g.order, None, False),
-        _row("counts", family, p, n, "size", expected_size(family, p, n), g.size, None, False),
+        _row(suite, family, p, n, "order", expected_order(family, p, n), g.order, None, False),
+        _row(suite, family, p, n, "size", expected_size(family, p, n), g.size, None, False),
     ]
 
 
-def _tau_formula_rows(suite, family, p, n, exact, budget):
-    if family == "s":
-        g = sierpinski(p, n)
-        forest = forest_sierpinski(p, n)
-        predicted = p ** (n - 1) * (p - 2)
-    elif family == "plus":
-        g = sierpinski_plus(p, n)
-        forest = forest_plus(p, n)
-        predicted = 1 if p == 2 else p ** (n - 1) * (p - 2)
-    else:
-        g = sierpinski_plusplus(p, n)
-        forest = forest_plusplus(p, n)
-        predicted = 1 if p == 2 else p ** (n - 2) * (p - 2) * (p + 1)
+def _tau_rows(suite, family, p, n, exact, budget):
+    """Constructed tau is the order minus the certified forest; an exact
+    solve starts from the forest's complement."""
+    g = _BUILDERS[family](p, n)
+    forest = _forest(family, p, n, g)
     _assert_forest(g, forest, f"{family} p={p} n={n}")
-    constructed = g.order - len(forest)
     exact_val = None
     if exact:
-        seed = sorted(set(g.vertices()) - set(forest))
-        exact_val = _solve(g, budget, seed)
-    return [_row(suite, family, p, n, "tau", predicted, constructed, exact_val, exact)]
+        cert = tau_bnb(g, budget=budget, seed=sorted(set(g.vertices()) - forest))
+        exact_val = cert.tau if cert.optimal else None
+    predicted = _SUITE_TABLE[suite].tau(p, n)
+    return [_row(suite, family, p, n, "tau", predicted, g.order - len(forest), exact_val, exact)]
 
 
-def _triangle3_rows(p, n, exact, budget):
-    g = triangle(3, n)
-    cut = fvs_triangle3(n)
-    forest = set(g.vertices()) - set(cut)
-    _assert_forest(g, forest, f"hat p=3 n={n}")
-    predicted = (3 ** n + 1) // 2
-    exact_val = _solve(g, budget, sorted(cut)) if exact else None
-    return [_row("thm3.2", "hat", 3, n, "tau", predicted, len(cut), exact_val, exact)]
-
-
-def _linear_forest_rows(p, n, exact, budget):
+def _linear_forest_rows(suite, family, p, n, exact, budget):
     g = triangle(p, n)
     try:
         forest = forest_triangle(p, n, graph=g)
@@ -192,8 +188,8 @@ def _linear_forest_rows(p, n, exact, budget):
     closed = forest_order_bound(p, n)
     recurrence = forest_order_recurrence(p, n)
     rows = [
-        _row("thm4.1", "hat", p, n, "order", closed, len(forest), None, False),
-        _row("thm4.1", "hat", p, n, "recurrence", closed, recurrence, None, False),
+        _row(suite, family, p, n, "order", closed, len(forest), None, False),
+        _row(suite, family, p, n, "recurrence", closed, recurrence, None, False),
     ]
     rep = structure_report(p, n, graph=g)
     expected_paths = sum(count for _, count in rep.expected_paths)
@@ -201,73 +197,71 @@ def _linear_forest_rows(p, n, exact, budget):
     status = "match" if rep.ok else "mismatch"
     rows.append(
         replace(
-            _row("thm4.1", "hat", p, n, "structure", expected_paths, actual_paths, None, False),
+            _row(suite, family, p, n, "structure", expected_paths, actual_paths, None, False),
             status=status,
         )
     )
     return rows
 
 
-def _conjecture_rows(p, n, exact, budget):
+def _conjecture_rows(suite, family, p, n, exact, budget):
     gap = conjecture_gap(p, n, solve=exact, budget=budget)
     exact_val = None
     if gap.tau_exact is not None:
         exact_val = gap.order - gap.tau_exact
     predicted = forest_order_bound(p, n) if n >= 3 else forest_order_recurrence(p, n)
-    return [
-        _row("conjecture", "hat", p, n, "forest", predicted, gap.forest_lower, exact_val, True)
-    ]
+    return [_row(suite, family, p, n, "forest", predicted, gap.forest_lower, exact_val, True)]
 
 
-def _expand(suite: str, ps, ns):
-    """Validate the parameter grid and return (family, p, n) tasks."""
-    tasks = []
-    for p in ps:
-        for n in ns:
-            if suite == "counts":
-                if p < 2 or n < 1:
-                    raise ValueError(f"counts needs p >= 2 and n >= 1, got ({p},{n})")
-                tasks.extend((fam, p, n) for fam in _FAMILY_ORDER)
-            elif suite == "thm2.4":
-                if p < 2 or n < 1:
-                    raise ValueError(f"thm2.4 needs p >= 2 and n >= 1, got ({p},{n})")
-                tasks.append(("s", p, n))
-            elif suite in ("cor2.7", "cor2.8"):
-                if p < 2 or n < 1 or (p >= 3 and n < 2):
-                    raise ValueError(
-                        f"{suite} needs n >= 2 for p >= 3 (n >= 1 at p=2), got ({p},{n})"
-                    )
-                tasks.append(("plus" if suite == "cor2.7" else "pp", p, n))
-            elif suite == "thm3.2":
-                if p != 3 or n < 0:
-                    raise ValueError(f"thm3.2 is defined for p=3, n >= 0, got ({p},{n})")
-                tasks.append(("hat", p, n))
-            elif suite == "thm4.1":
-                if p < 4 or n < 3:
-                    raise ValueError(f"thm4.1 needs p >= 4 and n >= 3, got ({p},{n})")
-                tasks.append(("hat", p, n))
-            elif suite == "conjecture":
-                if p < 4 or n < 2:
-                    raise ValueError(f"conjecture needs p >= 4 and n >= 2, got ({p},{n})")
-                tasks.append(("hat", p, n))
-            else:
-                raise ValueError(f"unknown suite {suite!r}")
-    return sorted(set(tasks), key=lambda t: (t[1], t[2], _FAMILY_ORDER.index(t[0])))
+@dataclass(frozen=True)
+class _Suite:
+    """One suite: the families it covers, the (p, n) it is defined for
+    with the error text outside them, the function that makes its rows
+    for one instance, and its predicted feedback number where it has one."""
+
+    families: tuple
+    domain: tuple  # (valid(p, n) -> bool, error text)
+    rows: Callable
+    tau: Callable[[int, int], int] | None = None
+
+
+_WORD_DOMAIN = (lambda p, n: p >= 2 and n >= 1, "needs p >= 2 and n >= 1")
+_COR_DOMAIN = (
+    lambda p, n: p >= 2 and n >= 1 and (p == 2 or n >= 2),
+    "needs n >= 2 for p >= 3 (n >= 1 at p=2)",
+)
+
+_SUITE_TABLE = {
+    "counts": _Suite(FAMILIES, _WORD_DOMAIN, _counts_rows),
+    "thm2.4": _Suite(("s",), _WORD_DOMAIN, _tau_rows, lambda p, n: p ** (n - 1) * (p - 2)),
+    "cor2.7": _Suite(
+        ("plus",), _COR_DOMAIN, _tau_rows, lambda p, n: 1 if p == 2 else p ** (n - 1) * (p - 2)
+    ),
+    "cor2.8": _Suite(
+        ("pp",),
+        _COR_DOMAIN,
+        _tau_rows,
+        lambda p, n: 1 if p == 2 else p ** (n - 2) * (p - 2) * (p + 1),
+    ),
+    "thm3.2": _Suite(
+        ("hat",),
+        (lambda p, n: p == 3 and n >= 0, "is defined for p=3, n >= 0"),
+        _tau_rows,
+        lambda p, n: (3**n + 1) // 2,
+    ),
+    "thm4.1": _Suite(
+        ("hat",), (lambda p, n: p >= 4 and n >= 3, "needs p >= 4 and n >= 3"), _linear_forest_rows
+    ),
+    "conjecture": _Suite(
+        ("hat",), (lambda p, n: p >= 4 and n >= 2, "needs p >= 4 and n >= 2"), _conjecture_rows
+    ),
+}
+SUITES = tuple(_SUITE_TABLE)
 
 
 def _run_instance(task):
-    suite, family, p, n, exact, budget = task
     start = time.perf_counter()
-    if suite == "counts":
-        rows = _counts_rows(family, p, n, exact, budget)
-    elif suite in ("thm2.4", "cor2.7", "cor2.8"):
-        rows = _tau_formula_rows(suite, family, p, n, exact, budget)
-    elif suite == "thm3.2":
-        rows = _triangle3_rows(p, n, exact, budget)
-    elif suite == "thm4.1":
-        rows = _linear_forest_rows(p, n, exact, budget)
-    else:
-        rows = _conjecture_rows(p, n, exact, budget)
+    rows = _SUITE_TABLE[task[0]].rows(*task)
     ms = int((time.perf_counter() - start) * 1000)
     return [replace(r, runtime_ms=ms) for r in rows]
 
@@ -279,18 +273,23 @@ def run_suite(suite, ps, ns, exact=False, budget=None, jobs=1):
     processes ran.  Raises VerificationError when a construction fails
     its certificate and ValueError for unusable parameters.
     """
-    tasks = [
-        (suite, family, p, n, exact, budget) for family, p, n in _expand(suite, ps, ns)
-    ]
-    reports = []
+    if suite not in _SUITE_TABLE:
+        raise ValueError(f"unknown suite {suite!r}")
+    spec = _SUITE_TABLE[suite]
+    valid, domain = spec.domain
+    tasks = set()
+    for p in ps:
+        for n in ns:
+            if not valid(p, n):
+                raise ValueError(f"{suite} {domain}, got ({p},{n})")
+            tasks.update((suite, family, p, n, exact, budget) for family in spec.families)
+    tasks = sorted(tasks, key=lambda t: (t[2], t[3], FAMILIES.index(t[1])))
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for rows in pool.map(_run_instance, tasks):
-                reports.extend(rows)
+            results = list(pool.map(_run_instance, tasks))
     else:
-        for task in tasks:
-            reports.extend(_run_instance(task))
-    return reports
+        results = map(_run_instance, tasks)
+    return [row for rows in results for row in rows]
 
 
 def render_json(reports) -> str:
@@ -304,21 +303,8 @@ def render_table(reports) -> str:
     header = ("", "suite", "family", "p", "n", "check", "predicted", "constructed", "exact", "status", "ms")
     rows = [header]
     for r in reports:
-        rows.append(
-            (
-                _GLYPH[r.status],
-                r.suite,
-                r.family,
-                str(r.p),
-                str(r.n),
-                r.check,
-                "-" if r.predicted is None else str(r.predicted),
-                "-" if r.constructed is None else str(r.constructed),
-                "-" if r.exact is None else str(r.exact),
-                r.status,
-                str(r.runtime_ms),
-            )
-        )
+        # the columns after the glyph are the report fields in order
+        rows.append((_GLYPH[r.status], *("-" if v is None else str(v) for v in astuple(r))))
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     lines = [
         "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
@@ -353,28 +339,6 @@ def _write_out(text: str, out: str | None):
             fh.write(text)
 
 
-def _seed_labels(family, p, n):
-    """The construction-backed deletion set for a family instance, when
-    one exists."""
-    try:
-        if family == "s":
-            return sorted(fvs_sierpinski(p, n))
-        g = _BUILDERS[family](p, n)
-        if family == "plus":
-            forest = forest_plus(p, n)
-        elif family == "pp":
-            forest = forest_plusplus(p, n)
-        elif p == 3:
-            return sorted(fvs_triangle3(n))
-        elif p == 2:
-            return []
-        else:
-            forest = forest_triangle(p, n, graph=g)
-        return sorted(set(g.vertices()) - set(forest))
-    except ValueError:
-        return None
-
-
 def _cmd_generate(args) -> int:
     g = _BUILDERS[args.family](args.p, args.n)
     text = export_dot(g) if args.format == "dot" else export_edgelist(g)
@@ -388,31 +352,11 @@ def _cmd_forest(args) -> int:
         if family != "hat":
             raise ValueError("--structure only applies to the hat family")
         rep = structure_report(p, n)
-        payload = {
-            "p": p,
-            "n": n,
-            "total": rep.total,
-            "expected_paths": [list(pair) for pair in rep.expected_paths],
-            "actual_paths": [list(pair) for pair in rep.actual_paths],
-            "problems": list(rep.problems),
-            "ok": rep.ok,
-        }
+        payload = {**asdict(rep), "ok": rep.ok}
         _write_out(json.dumps(payload, indent=2) + "\n", args.out)
         return 0 if rep.ok else 1
     g = _BUILDERS[family](p, n)
-    if family == "s":
-        forest = forest_sierpinski(p, n)
-    elif family == "plus":
-        forest = forest_plus(p, n)
-    elif family == "pp":
-        forest = forest_plusplus(p, n)
-    elif p == 3:
-        forest = sorted(set(g.vertices()) - set(fvs_triangle3(n)))
-    elif p == 2:
-        forest = g.vertices()
-    else:
-        forest = forest_triangle(p, n, graph=g)
-    forest = sorted(forest)
+    forest = sorted(_forest(family, p, n, g))
     _assert_forest(g, forest, f"{family} p={p} n={n}")
     lines = list(forest)
     lines.append(f"size={len(forest)} complement={g.order - len(forest)} acyclic=true")
@@ -421,17 +365,31 @@ def _cmd_forest(args) -> int:
 
 
 def _cmd_tau(args) -> int:
-    g = _BUILDERS[args.family](args.p, args.n)
+    family, p, n = args.family, args.p, args.n
+    g = _BUILDERS[family](p, n)
     if args.method == "brute":
         cert = tau_bruteforce(g)
     else:
-        seed = None if args.seed == "none" else _seed_labels(args.family, args.p, args.n)
+        seed = None
+        if args.seed == "auto":
+            try:
+                seed = sorted(set(g.vertices()) - _forest(family, p, n, g))
+            except ValueError:
+                pass  # no construction for this instance: search unseeded
         cert = tau_bnb(g, budget=args.budget, seed=seed)
     flag = "true" if cert.optimal else "false"
     _write_out(
         f"tau={cert.tau} optimal={flag} witness={','.join(cert.witness)}\n", args.out
     )
     return 0
+
+
+def _emit(reports, args) -> int:
+    """Write the reports in the requested format; the exit code is 1 when
+    any row is a mismatch."""
+    text = render_json(reports) if args.format == "json" else render_table(reports)
+    _write_out(text, args.out)
+    return 1 if any(r.status == "mismatch" for r in reports) else 0
 
 
 def _cmd_verify(args) -> int:
@@ -443,9 +401,20 @@ def _cmd_verify(args) -> int:
         budget=args.budget,
         jobs=args.jobs,
     )
-    text = render_json(reports) if args.format == "json" else render_table(reports)
-    _write_out(text, args.out)
-    return 1 if any(r.status == "mismatch" for r in reports) else 0
+    return _emit(reports, args)
+
+
+def _well_formed(r: VerificationReport) -> bool:
+    """Known keys, and ints (bool excluded) where the schema has them;
+    predicted, constructed and exact may also be null."""
+    return (
+        all(isinstance(v, str) for v in (r.suite, r.family, r.check, r.status))
+        and r.suite in SUITES
+        and r.family in FAMILIES
+        and r.status in _GLYPH
+        and all(type(v) is int for v in (r.p, r.n, r.runtime_ms))
+        and all(v is None or type(v) is int for v in (r.predicted, r.constructed, r.exact))
+    )
 
 
 def _load_reports(path: str):
@@ -454,16 +423,16 @@ def _load_reports(path: str):
     if not isinstance(payload, dict) or payload.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"{path}: expected a schema {SCHEMA_VERSION} report file")
     try:
-        return [VerificationReport(**entry) for entry in payload["reports"]]
+        reports = [VerificationReport(**entry) for entry in payload["reports"]]
     except (KeyError, TypeError):
-        raise ValueError(f"{path}: malformed report entries") from None
+        reports = None
+    if reports is None or not all(map(_well_formed, reports)):
+        raise ValueError(f"{path}: malformed report entries")
+    return reports
 
 
 def _cmd_report(args) -> int:
-    reports = _load_reports(args.path)
-    text = render_json(reports) if args.format == "json" else render_table(reports)
-    _write_out(text, args.out)
-    return 1 if any(r.status == "mismatch" for r in reports) else 0
+    return _emit(_load_reports(args.path), args)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -474,10 +443,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def family_params(sp, n_type=int):
-        sp.add_argument("--family", choices=_FAMILY_ORDER, required=True)
+    def family_params(sp):
+        sp.add_argument("--family", choices=FAMILIES, required=True)
         sp.add_argument("-p", type=int, required=True, help="number of symbols")
-        sp.add_argument("-n", type=n_type, required=True, help="recursion level")
+        sp.add_argument("-n", type=int, required=True, help="recursion level")
 
     gen = sub.add_parser("generate", help="emit a graph as an edge list or DOT")
     family_params(gen)
@@ -532,10 +501,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except VerificationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, GraphError, OSError) as e:
+    except (VerificationError, ValueError, GraphError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

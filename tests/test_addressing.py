@@ -14,8 +14,6 @@ from sfvs.addressing import (
     parse_vertex,
     parse_word,
     prefix_triangle,
-    prefix_word,
-    relabel_p3,
     word_separator,
 )
 
@@ -156,11 +154,6 @@ def test_parse_vertex_unknown_family():
         parse_vertex("0", "nope", 3, 1)
 
 
-def test_prefix_word():
-    assert prefix_word(2, (0, 1)) == (2, 0, 1)
-    assert prefix_word(0, ()) == (0,)
-
-
 def test_prefix_triangle_corner_rules():
     assert prefix_triangle(1, Hat(1)) == Hat(1)
     assert prefix_triangle(1, Hat(0)) == Contracted((), (0, 1))
@@ -168,13 +161,3 @@ def test_prefix_triangle_corner_rules():
     assert prefix_triangle(2, Contracted((0,), (1, 2))) == Contracted((2, 0), (1, 2))
     with pytest.raises(TypeError):
         prefix_triangle(0, (0, 1))
-
-
-def test_relabel_p3():
-    assert relabel_p3(Hat(2)) == "^2"
-    assert relabel_p3(Contracted((), (1, 2))) == "0"
-    assert relabel_p3(Contracted((2, 0), (0, 1))) == "202"
-    with pytest.raises(ValueError):
-        relabel_p3(Contracted((), (1, 3)))
-    with pytest.raises(TypeError):
-        relabel_p3("^2")

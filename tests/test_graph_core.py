@@ -170,7 +170,7 @@ def test_multigraph_round_trip_and_degrees():
     assert mg.edge_count() == 4
 
     mg.add_edge(2, 2)
-    assert mg.has_loop(2)
+    assert 2 in mg.adj[2]
     assert mg.degree(2) == 4
 
     mg.remove_vertex(1)

@@ -16,6 +16,7 @@ from sfvs.verify_cli import (
     render_table,
     run_suite,
 )
+from sfvs.triangle_forest import forest_order_recurrence
 
 
 def strip_runtime(reports):
@@ -264,6 +265,44 @@ def test_cli_forest_structure_rejects_other_families(capsys):
     assert "hat" in capsys.readouterr().err
 
 
+# one (family, p) per branch of the construction-backed forest, all at n = 2,
+# with the feedback number its suite predicts (None where tau is open)
+FOREST_CASES = [
+    ("s", 4, 4 * (4 - 2)),  # thm2.4: p^(n-1) (p-2)
+    ("plus", 4, 4 * (4 - 2)),  # cor2.7: same value
+    ("pp", 4, (4 - 2) * (4 + 1)),  # cor2.8: p^(n-2) (p-2) (p+1)
+    ("hat", 2, 0),  # the p = 2 quotient is a path
+    ("hat", 3, (3**2 + 1) // 2),  # thm3.2: (3^n + 1) / 2
+    ("hat", 5, None),  # p >= 4: the linear forest, whose order follows the recurrence
+]
+
+
+@pytest.mark.parametrize("family,p,tau", FOREST_CASES)
+def test_cli_forest_every_construction(capsys, family, p, tau):
+    assert main(["forest", "--family", family, "-p", str(p), "-n", "2"]) == 0
+    *labels, summary = capsys.readouterr().out.strip().splitlines()
+    fields = dict(item.split("=") for item in summary.split())
+    assert fields["acyclic"] == "true"
+    assert int(fields["size"]) == len(set(labels)) == len(labels)
+    if tau is None:
+        assert int(fields["size"]) == forest_order_recurrence(p, 2)
+    else:
+        assert int(fields["complement"]) == tau
+
+
+# hat(4,2) takes the same p >= 4 branch as hat(5,2), which the solver does not
+# close in minutes
+@pytest.mark.parametrize("family,p", [(family, min(p, 4)) for family, p, _ in FOREST_CASES])
+def test_cli_tau_seeded_matches_unseeded(capsys, family, p):
+    results = []
+    for seed in ("auto", "none"):
+        assert main(["tau", "--family", family, "-p", str(p), "-n", "2", "--seed", seed]) == 0
+        tau, optimal, _ = capsys.readouterr().out.split()
+        assert optimal == "optimal=true"
+        results.append(tau)
+    assert results[0] == results[1]
+
+
 def test_cli_tau(capsys):
     assert main(["tau", "--family", "hat", "-p", "4", "-n", "1"]) == 0
     assert capsys.readouterr().out.startswith("tau=4 optimal=true witness=")
@@ -333,6 +372,31 @@ def test_cli_report_rejects_malformed_entries(tmp_path, capsys):
     )
     assert main(["report", str(path)]) == 2
     assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("status", "weird"),
+        ("status", ["match"]),
+        ("suite", "thm9.9"),
+        ("family", "q"),
+        ("check", 3),
+        ("p", "3"),
+        ("n", 2.0),
+        ("runtime_ms", None),
+        ("predicted", True),
+        ("exact", "9"),
+    ],
+)
+def test_cli_report_rejects_invalid_fields(tmp_path, capsys, field, value, fmt):
+    path = tmp_path / "odd.json"
+    path.write_text(render_json([sample_report(**{field: value})]), encoding="utf-8")
+    assert main(["report", str(path), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: malformed report entries\n"
 
 
 def test_cli_report_missing_file(capsys):

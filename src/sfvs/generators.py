@@ -11,8 +11,9 @@ All four are defined over the alphabet P = {0, ..., p-1}:
   * triangle(p, n)            the quotient of level n+1 under contraction
                               of all its non-clique edges
 
-triangle_explicit builds the quotient from closed-form edge families
-instead of contracting, and can cross-check itself against triangle.
+triangle is built in closed form, without the level n+1 parent.
+nonclique_edges lists the matching that the definition contracts, so
+graph_core.contract_edges on sierpinski(p, n+1) gives the reference graph.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .addressing import (
     format_vertex,
     word_separator,
 )
-from .graph_core import GraphError, LabeledGraph, build_graph, contract_edges, relabel
+from .graph_core import GraphError, LabeledGraph, build_graph
 
 __all__ = [
     "expected_order",
@@ -37,7 +38,6 @@ __all__ = [
     "sierpinski_plus",
     "sierpinski_plusplus",
     "triangle",
-    "triangle_explicit",
 ]
 
 
@@ -144,103 +144,46 @@ def nonclique_edges(p: int, m: int):
 
 
 def triangle(p: int, n: int) -> LabeledGraph:
-    """Quotient of the level n+1 base graph: contract every non-clique
-    edge, then rename the surviving extremes i^(n+1) to corners "^i"."""
-    _check_params(p, n, 0)
-    if p < 2:
-        raise ValueError(f"the quotient family needs at least 2 symbols, got {p}")
-    g = sierpinski(p, n + 1)
-    matching = nonclique_edges(p, n + 1)
-    names = {frozenset((u, v)): name for u, v, name in matching}
-    h = contract_edges(g, ((u, v) for u, v, _ in matching), lambda u, v: names[frozenset((u, v))])
-    del g
-    sep = word_separator(p)
-    corners = {sep.join([str(i)] * (n + 1)): f"^{i}" for i in range(p)}
-    return relabel(h, lambda v: corners.get(v, v))
+    """Quotient of the level n+1 base graph under contraction of every
+    non-clique edge, with the surviving extremes i^(n+1) named as corners
+    "^i".
 
-
-def _explicit_edges(p: int, n: int):
-    """Closed-form edge families of the quotient graph, as vertex objects."""
-    rng = range(p)
-
-    def words(length):
-        return itertools.product(rng, repeat=length)
-
-    if n == 0:
-        for a, b in itertools.combinations(rng, 2):
-            yield Hat(a), Hat(b)
-        return
-
-    # corner k hangs off the depth n-1 vertices over the prefix k^(n-1)
-    for k in rng:
-        kp = (k,) * (n - 1)
-        for j in rng:
-            if j != k:
-                yield Hat(k), Contracted(kp, (min(j, k), max(j, k)))
-
-    # triples at the deepest level sharing a prefix and a symbol
-    for s in words(n - 1):
-        for i in rng:
-            others = [j for j in rng if j != i]
-            for a, b in itertools.combinations(others, 2):
-                yield (
-                    Contracted(s, (min(i, a), max(i, a))),
-                    Contracted(s, (min(i, b), max(i, b))),
-                )
-
-    # each shallower vertex {i,k} over s reaches the deepest level through
-    # the run s.k.i.i...i; j = k is allowed
-    for v in range(1, n):
-        tail_len = n - 1 - v
-        for s in words(v - 1):
-            for i in rng:
-                for k in rng:
-                    if k == i:
-                        continue
-                    deep_prefix = s + (k,) + (i,) * tail_len
-                    for j in rng:
-                        if j == i:
-                            continue
-                        yield (
-                            Contracted(deep_prefix, (min(i, j), max(i, j))),
-                            Contracted(s, (min(i, k), max(i, k))),
-                        )
-
-
-def triangle_explicit(p: int, n: int, cross_check: bool = True) -> LabeledGraph:
-    """The quotient graph built directly from closed-form edge families,
-    without constructing the level n+1 parent.
-
-    With cross_check the contraction-based construction is also built and
-    any edge discrepancy raises GraphError.
+    Built in closed form, without the p^(n+1)-vertex parent: the
+    contraction keeps every level-1 clique u.P of the parent, and these
+    p^n cliques carry all the edges.  Over u = s.i the clique joins the
+    p - 1 deepest vertices s:{i,j} and the image of s.i.i, which is a
+    corner or a shallower vertex.
     """
     _check_params(p, n, 0)
     if p < 2:
         raise ValueError(f"the quotient family needs at least 2 symbols, got {p}")
-    vertices = [format_vertex(Hat(k), p) for k in range(p)]
+    rng = range(p)
+    # corner k is keyed k, the contracted vertex prefix:{i,j} (s, i, j), i < j
+    label = {k: format_vertex(Hat(k), p) for k in rng}
     for length in range(n):
-        for s in itertools.product(range(p), repeat=length):
-            for pair in itertools.combinations(range(p), 2):
-                vertices.append(format_vertex(Contracted(s, pair), p))
-    edges = set()
-    for u, v in _explicit_edges(p, n):
-        lu, lv = format_vertex(u, p), format_vertex(v, p)
-        edges.add((min(lu, lv), max(lu, lv)))
-    if len(edges) != expected_size("hat", p, n):
+        for s in itertools.product(rng, repeat=length):
+            for i, j in itertools.combinations(rng, 2):
+                label[s, i, j] = format_vertex(Contracted(s, (i, j)), p)
+
+    def image(w):
+        # the vertex a parent word w = t.k.x...x collapses to: t:{k,x}, or
+        # the corner ^x when w is constant
+        x, r = w[-1], len(w) - 1
+        while r and w[r - 1] == x:
+            r -= 1
+        if r == 0:
+            return label[x]
+        k = w[r - 1]
+        return label[w[: r - 1], min(k, x), max(k, x)]
+
+    cliques = ([image(u + (x,)) for x in rng] for u in itertools.product(rng, repeat=n))
+    edges = (e for clique in cliques for e in itertools.combinations(clique, 2))
+    g = build_graph(label.values(), edges)
+    if g.size != expected_size("hat", p, n):
         raise GraphError(
-            f"explicit edge families produced {len(edges)} edges, "
+            f"closed-form edges of the quotient number {g.size}, "
             f"expected {expected_size('hat', p, n)}"
         )
-    g = build_graph(vertices, edges)
-    if cross_check:
-        h = triangle(p, n)
-        if g != h:
-            ge, he = set(g.edges()), set(h.edges())
-            raise GraphError(
-                "explicit and contracted constructions disagree: "
-                f"{sorted(ge - he)[:5]} only explicit, "
-                f"{sorted(he - ge)[:5]} only contracted"
-            )
     return g
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -68,6 +69,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+# no verb or suite builds more vertices; hat(9,5), the largest in use, has 265,725
+MAX_ORDER = 1_000_000
 
 _BUILDERS = {
     "s": sierpinski,
@@ -135,6 +138,16 @@ def _assert_forest(g, labels, context: str):
             f"{context}: constructed set is not a forest, cycle {' '.join(cycle)}",
             cycle,
         )
+
+
+def _check_order(family, p, n):
+    """Refuse, before any build, an instance above MAX_ORDER vertices.  For
+    p >= 2 every family has 2^n or more, so a large n needs no p**n."""
+    if p >= 2 and n >= 0:
+        order = expected_order(family, p, n) if n <= MAX_ORDER.bit_length() else None
+        if order is None or order > MAX_ORDER:
+            shown = f"more than {MAX_ORDER:,}" if order is None else f"{order:,}"
+            raise ValueError(f"{family} p={p} n={n} has {shown} vertices, the limit is {MAX_ORDER:,}")
 
 
 def _forest(family, p, n, g):
@@ -269,12 +282,14 @@ def _run_instance(task):
 def run_suite(suite, ps, ns, exact=False, budget=None, jobs=1):
     """Run one verification suite over the (p, n) grid.
 
-    Rows come back sorted by (p, n, family) no matter how many worker
-    processes ran.  Raises VerificationError when a construction fails
-    its certificate and ValueError for unusable parameters.
+    Rows come back sorted by (p, n, family); at most min(jobs, instances,
+    CPUs) worker processes run.  Raises ValueError for unusable parameters
+    before any build, and VerificationError when a certificate fails.
     """
     if suite not in _SUITE_TABLE:
         raise ValueError(f"unknown suite {suite!r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     spec = _SUITE_TABLE[suite]
     valid, domain = spec.domain
     tasks = set()
@@ -282,10 +297,13 @@ def run_suite(suite, ps, ns, exact=False, budget=None, jobs=1):
         for n in ns:
             if not valid(p, n):
                 raise ValueError(f"{suite} {domain}, got ({p},{n})")
-            tasks.update((suite, family, p, n, exact, budget) for family in spec.families)
+            for family in spec.families:
+                _check_order(family, p, n)
+                tasks.add((suite, family, p, n, exact, budget))
     tasks = sorted(tasks, key=lambda t: (t[2], t[3], FAMILIES.index(t[1])))
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_instance, tasks))
     else:
         results = map(_run_instance, tasks)
@@ -351,6 +369,8 @@ def _cmd_forest(args) -> int:
     if args.structure:
         if family != "hat":
             raise ValueError("--structure only applies to the hat family")
+        if p < 4 or n < 2:
+            raise ValueError(f"--structure needs p >= 4 and n >= 2, got ({p},{n})")
         rep = structure_report(p, n)
         payload = {**asdict(rep), "ok": rep.ok}
         _write_out(json.dumps(payload, indent=2) + "\n", args.out)
@@ -500,6 +520,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if "family" in args:  # generate, forest and tau build one instance
+            _check_order(args.family, args.p, args.n)
         return args.func(args)
     except (VerificationError, ValueError, GraphError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

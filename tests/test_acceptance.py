@@ -17,7 +17,6 @@ from sfvs.generators import (
     sierpinski_plus,
     sierpinski_plusplus,
     triangle,
-    triangle_explicit,
 )
 from sfvs.graph_core import build_graph, find_cycle
 from sfvs.pairable_forest import (
@@ -29,14 +28,7 @@ from sfvs.pairable_forest import (
     pairable_partition,
 )
 from sfvs.triangle_forest import conjecture_gap, fvs_triangle3
-from sfvs.verify_cli import run_suite
-
-_BUILDERS = {
-    "s": sierpinski,
-    "plus": sierpinski_plus,
-    "pp": sierpinski_plusplus,
-    "hat": triangle,
-}
+from sfvs.verify_cli import _BUILDERS, run_suite
 
 
 def announce(capsys, number, problems, detail):
@@ -226,14 +218,12 @@ def test_criterion_07_small_contracted_forest_numbers(capsys):
     )
 
 
-def test_criterion_08_contraction_equals_direct_construction(capsys):
+def test_criterion_08_contraction_equals_direct_construction(capsys, contracted_triangle):
     problems = []
     pairs = 0
     for p in (3, 4, 5):
         for n in range(4):
-            direct = triangle_explicit(p, n, cross_check=False)
-            contracted = triangle(p, n)
-            if direct != contracted:
+            if triangle(p, n) != contracted_triangle(p, n):
                 problems.append(f"({p},{n}) graphs differ")
             pairs += 1
     announce(

@@ -1,5 +1,6 @@
 import pytest
 
+from sfvs import generators
 from sfvs.graph_core import GraphError, is_forest, relabel
 from sfvs.generators import (
     expected_order,
@@ -9,7 +10,6 @@ from sfvs.generators import (
     sierpinski_plus,
     sierpinski_plusplus,
     triangle,
-    triangle_explicit,
 )
 
 
@@ -144,15 +144,16 @@ def test_contracted_family_level_one():
     assert all(g.degree(v) in (2, 4) for v in g.vertices())
 
 
-@pytest.mark.parametrize("p", [3, 4])
+@pytest.mark.parametrize("p", [2, 3, 4, 11])
 @pytest.mark.parametrize("n", [0, 1, 2])
-def test_direct_edge_families_match_contraction(p, n):
-    g = triangle_explicit(p, n)
-    assert g == triangle(p, n)
+def test_direct_edge_families_match_contraction(p, n, contracted_triangle):
+    assert triangle(p, n) == contracted_triangle(p, n)
 
 
-def test_direct_edge_families_cross_check_flag():
-    assert triangle_explicit(3, 2, cross_check=False) == triangle_explicit(3, 2)
+def test_triangle_checks_its_edge_count(monkeypatch):
+    monkeypatch.setattr(generators, "expected_size", lambda family, p, n: 28)
+    with pytest.raises(GraphError, match="number 27, expected 28"):
+        triangle(3, 2)
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,8 @@ import pickle
 
 import pytest
 
+from sfvs import verify_cli
+from sfvs.addressing import FAMILIES
 from sfvs.verify_cli import (
     SCHEMA_VERSION,
     SUITES,
@@ -117,6 +119,98 @@ def test_parallel_runs_match_serial():
     serial = run_suite("counts", [3], [1, 2])
     parallel = run_suite("counts", [3], [1, 2], jobs=2)
     assert strip_runtime(serial) == strip_runtime(parallel)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Stand in for the worker pool on a 4-CPU machine: record each pool's
+    max_workers and map in this process, so no process is started."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify_cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(verify_cli.os, "cpu_count", lambda: 4)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "suite,jobs,sizes",
+    [
+        ("counts", 100_000, [4]),  # 8 instances, capped at the CPU count
+        ("counts", 3, [3]),
+        ("thm2.4", 100_000, [2]),  # capped at the 2 instances
+        ("counts", 1, []),  # one worker runs in this process
+    ],
+)
+def test_jobs_are_capped(pool_sizes, suite, jobs, sizes):
+    rows = run_suite(suite, [3], [1, 2], jobs=jobs)
+    assert pool_sizes == sizes
+    assert strip_runtime(rows) == strip_runtime(run_suite(suite, [3], [1, 2]))
+
+
+def test_jobs_without_a_cpu_count_run_in_process(pool_sizes, monkeypatch):
+    monkeypatch.setattr(verify_cli.os, "cpu_count", lambda: None)
+    run_suite("counts", [3], [1, 2], jobs=8)
+    assert pool_sizes == []
+
+
+def test_cli_verify_caps_and_checks_jobs(pool_sizes, capsys):
+    argv = ["verify", "--suite", "counts", "-p", "3", "-n", "1:2", "--jobs"]
+    assert main(argv + ["100000"]) == 0
+    assert pool_sizes == [4]
+    capsys.readouterr()
+    for bad in ("0", "-3"):
+        assert main(argv + [bad]) == 2
+        assert capsys.readouterr().err == f"error: jobs must be at least 1, got {bad}\n"
+    assert pool_sizes == [4]
+
+
+@pytest.fixture
+def no_builds(monkeypatch):
+    """Make every build reachable from the verbs and suites fail fast."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an instance the size guard should refuse")
+
+    for family in FAMILIES:
+        monkeypatch.setitem(verify_cli._BUILDERS, family, refuse)
+    for name in ("triangle", "structure_report", "conjecture_gap"):
+        monkeypatch.setattr(verify_cli, name, refuse)
+
+
+@pytest.mark.parametrize("verb", [["generate"], ["forest"], ["forest", "--structure"], ["tau"]])
+@pytest.mark.parametrize(
+    "p,n,order", [("10", "7", "50,000,005"), ("2", "1000000000", "more than 1,000,000")]
+)
+def test_cli_refuses_oversized_instances(no_builds, capsys, verb, p, n, order):
+    assert main([verb[0], "--family", "hat", "-p", p, "-n", n, *verb[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: hat p={p} n={n} has {order} vertices, the limit is 1,000,000\n"
+
+
+@pytest.mark.parametrize(
+    "suite,ps,ns,message",
+    [
+        ("counts", [3, 10], [7], "s p=10 n=7 has 10,000,000 vertices"),
+        ("thm4.1", [4], [5, 10**9], "hat p=4 n=1000000000 has more than 1,000,000 vertices"),
+        ("conjecture", [2000], [2], "hat p=2000 n=2 has 4,000,001,000 vertices"),
+    ],
+)
+def test_run_suite_refuses_oversized_instances(no_builds, suite, ps, ns, message):
+    with pytest.raises(ValueError, match=message):
+        run_suite(suite, ps, ns)
 
 
 @pytest.mark.parametrize(
@@ -263,6 +357,15 @@ def test_cli_forest_structure_json(capsys):
 def test_cli_forest_structure_rejects_other_families(capsys):
     assert main(["forest", "--family", "s", "-p", "3", "-n", "2", "--structure"]) == 2
     assert "hat" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 1)])
+def test_cli_forest_structure_rejects_small_instances(capsys, p, n):
+    argv = ["forest", "--family", "hat", "-p", str(p), "-n", str(n), "--structure"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --structure needs p >= 4 and n >= 2, got ({p},{n})\n"
 
 
 # one (family, p) per branch of the construction-backed forest, all at n = 2,

@@ -216,8 +216,12 @@ def _reduce(mg: Multigraph, forbidden, chosen) -> bool:
     return True
 
 
-def _feasible(mg: Multigraph, removed) -> bool:
-    parent = {}
+def _minimalize(mg: Multigraph, chosen) -> list:
+    """Drop redundant vertices from a feasible deletion set, last in
+    first reconsidered.  mg must be simple (Multigraph.from_labeled): a
+    vertex rejoins the forest, kept as one union-find, when its forest
+    neighbours lie in pairwise distinct trees."""
+    parent = list(range(len(mg.adj)))
 
     def find(x):
         while parent[x] != x:
@@ -225,61 +229,43 @@ def _feasible(mg: Multigraph, removed) -> bool:
             x = parent[x]
         return x
 
-    live = [v for v in mg.live_vertices() if v not in removed]
-    for v in live:
-        parent[v] = v
-    for v in live:
-        for u, mult in mg.adj[v].items():
-            if u in removed:
-                continue
-            if u == v or mult >= 2:
-                return False
-            if u > v:
-                continue
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-    return True
-
-
-def _minimalize(mg: Multigraph, chosen) -> list:
-    """Drop redundant vertices from a feasible deletion set, last in
-    first reconsidered."""
-    keep = list(chosen)
-    for v in sorted(set(chosen), reverse=True):
-        trial = [x for x in keep if x != v]
-        if _feasible(mg, set(trial)):
-            keep = trial
-    return keep
+    out = set(chosen)
+    for v, nbrs in enumerate(mg.adj):
+        if v not in out:
+            for u in nbrs:
+                if u < v and u not in out:
+                    parent[find(u)] = find(v)
+    for v in sorted(out, reverse=True):
+        roots = [find(u) for u in mg.adj[v] if u not in out]
+        if len(set(roots)) == len(roots):
+            out.remove(v)
+            for r in roots:
+                parent[r] = v
+    return [v for v in chosen if v in out]
 
 
 def _greedy_fvs(mg: Multigraph) -> list:
-    """Quick feasible solution: peel trivial structure, then repeatedly
-    delete a maximum-degree vertex; minimalized before returning."""
-    work = mg.copy()
+    """Quick feasible solution: peel to the 2-core, delete a maximum-degree
+    vertex (lowest index on ties), repeat; minimalized before returning.
+    mg must be simple (Multigraph.from_labeled), so what is left is a
+    forest exactly when its 2-core is empty."""
+    deg = {v: len(mg.adj[v]) for v in mg.live_vertices()}
+    stack = [v for v, d in deg.items() if d <= 1]
     chosen = []
     while True:
-        changed = True
-        while changed:
-            changed = False
-            for v in work.live_vertices():
-                if not work.alive[v]:
-                    continue
-                if v in work.adj[v]:
-                    chosen.append(v)
-                    work.remove_vertex(v)
-                    changed = True
-                elif work.degree(v) <= 1:
-                    work.remove_vertex(v)
-                    changed = True
-        live = work.live_vertices()
-        if not live or _feasible(work, ()):
-            break
-        v = max(live, key=lambda x: (work.degree(x), -x))
+        while stack:
+            v = stack.pop()
+            del deg[v]
+            for u in mg.adj[v]:
+                if u in deg:
+                    deg[u] -= 1
+                    if deg[u] == 1:
+                        stack.append(u)
+        if not deg:
+            return _minimalize(mg, chosen)
+        v = max(deg, key=lambda x: (deg[x], -x))
         chosen.append(v)
-        work.remove_vertex(v)
-    return _minimalize(mg, chosen)
+        stack.append(v)
 
 
 def _density_bound(order: int, edge_count: int, degs_desc) -> int:

@@ -23,6 +23,7 @@ import itertools
 from .addressing import (
     APEX_LABEL,
     EMPTY_WORD_LABEL,
+    FAMILIES,
     Contracted,
     Hat,
     format_vertex,
@@ -46,6 +47,15 @@ def _check_params(p: int, n: int, n_min: int) -> None:
         raise ValueError(f"alphabet size must be positive, got {p}")
     if n < n_min:
         raise ValueError(f"level must be at least {n_min}, got {n}")
+
+
+def _check_family(family: str, p: int, n: int) -> None:
+    """The parameter checks of the family's builder."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    _check_params(p, n, 1 if family in ("plus", "pp") else 0)
+    if family == "hat" and p < 2:
+        raise ValueError(f"the quotient family needs at least 2 symbols, got {p}")
 
 
 def _word_labels(p: int, n: int):
@@ -80,13 +90,13 @@ def _sierpinski_edges(p: int, n: int):
 
 def sierpinski(p: int, n: int) -> LabeledGraph:
     """The base graph on p^n words."""
-    _check_params(p, n, 0)
+    _check_family("s", p, n)
     return build_graph(_word_labels(p, n), _sierpinski_edges(p, n))
 
 
 def sierpinski_plus(p: int, n: int) -> LabeledGraph:
     """Base graph plus an apex adjacent to the p extreme vertices."""
-    _check_params(p, n, 1)
+    _check_family("plus", p, n)
     sep = word_separator(p)
     extremes = [sep.join([str(i)] * n) for i in range(p)]
     edges = itertools.chain(
@@ -101,7 +111,7 @@ def sierpinski_plusplus(p: int, n: int) -> LabeledGraph:
     The copy's word u is labeled "p:u"; its extreme i^(n-1) is joined to
     the host extreme i^n, so every host extreme gets one new neighbor.
     """
-    _check_params(p, n, 1)
+    _check_family("pp", p, n)
     sep = word_separator(p)
     copy = [f"{p}:{sep.join(t)}" for t in itertools.product([str(k) for k in range(p)], repeat=n - 1)]
     extremes = [
@@ -154,9 +164,7 @@ def triangle(p: int, n: int) -> LabeledGraph:
     p - 1 deepest vertices s:{i,j} and the image of s.i.i, which is a
     corner or a shallower vertex.
     """
-    _check_params(p, n, 0)
-    if p < 2:
-        raise ValueError(f"the quotient family needs at least 2 symbols, got {p}")
+    _check_family("hat", p, n)
     rng = range(p)
     # corner k is keyed k, the contracted vertex prefix:{i,j} (s, i, j), i < j
     label = {k: format_vertex(Hat(k), p) for k in rng}
@@ -188,31 +196,31 @@ def triangle(p: int, n: int) -> LabeledGraph:
 
 
 def expected_order(family: str, p: int, n: int) -> int:
-    """Closed-form vertex count for a family at (p, n)."""
+    """Closed-form vertex count for a family at (p, n); raises ValueError
+    where the family's builder does."""
+    _check_family(family, p, n)
     if family == "s":
         return p**n
     if family == "plus":
         return p**n + 1
     if family == "pp":
         return (p + 1) * p ** (n - 1)
-    if family == "hat":
-        num = p * (p**n + 1)
-        assert num % 2 == 0
-        return num // 2
-    raise ValueError(f"unknown family {family!r}")
+    num = p * (p**n + 1)
+    assert num % 2 == 0
+    return num // 2
 
 
 def expected_size(family: str, p: int, n: int) -> int:
-    """Closed-form edge count for a family at (p, n)."""
+    """Closed-form edge count for a family at (p, n); raises ValueError
+    where the family's builder does."""
+    _check_family(family, p, n)
     if family == "s":
         num = p * (p**n - 1)
     elif family == "plus":
         num = p * (p**n + 1)
     elif family == "pp":
         num = (p + 1) * p**n
-    elif family == "hat":
-        num = (p - 1) * p ** (n + 1)
     else:
-        raise ValueError(f"unknown family {family!r}")
+        num = (p - 1) * p ** (n + 1)
     assert num % 2 == 0
     return num // 2

@@ -298,8 +298,6 @@ def conjecture_gap(
     """
     if p < 4:
         raise ValueError(f"the open cases start at 4 symbols, got {p}")
-    if n < 0:
-        raise ValueError(f"level must be nonnegative, got {n}")
     order = expected_order("hat", p, n)
     graph = None
     forest: set | None = None

@@ -141,10 +141,14 @@ def _assert_forest(g, labels, context: str):
 
 
 def _check_order(family, p, n):
-    """Refuse, before any build, an instance above MAX_ORDER vertices.  For
-    p >= 2 every family has 2^n or more, so a large n needs no p**n."""
+    """Refuse, before any build, an instance above MAX_ORDER vertices, or
+    at p = 1 (order at most 2, build still growing with n) above level 20.
+    For p >= 2 every family has 2^n or more, so a large n needs no p**n."""
+    levels = MAX_ORDER.bit_length()
+    if p == 1 and n > levels:
+        raise ValueError(f"{family} p={p} n={n} is above the level limit of {levels}")
     if p >= 2 and n >= 0:
-        order = expected_order(family, p, n) if n <= MAX_ORDER.bit_length() else None
+        order = expected_order(family, p, n) if n <= levels else None
         if order is None or order > MAX_ORDER:
             shown = f"more than {MAX_ORDER:,}" if order is None else f"{order:,}"
             raise ValueError(f"{family} p={p} n={n} has {shown} vertices, the limit is {MAX_ORDER:,}")
@@ -343,6 +347,8 @@ def _parse_values(text: str):
             lo, hi = int(lo), int(hi)
             if hi < lo:
                 raise ValueError(f"empty range {part!r}")
+            if hi - lo >= MAX_ORDER:
+                raise ValueError(f"range {part!r} has more than {MAX_ORDER:,} values")
             values.update(range(lo, hi + 1))
         else:
             values.add(int(part))

@@ -9,18 +9,21 @@ from sfvs.exact_fvs import (
     BUDGET_ENV_VAR,
     DEFAULT_BUDGET,
     FvsCertificate,
+    _greedy_fvs,
+    _minimalize,
     resolve_budget,
     tau_bnb,
     tau_bruteforce,
     verify_certificate,
 )
 from sfvs.generators import (
+    expected_order,
     sierpinski,
     sierpinski_plus,
     sierpinski_plusplus,
     triangle,
 )
-from sfvs.graph_core import build_graph, find_cycle
+from sfvs.graph_core import Multigraph, build_graph, find_cycle, is_forest
 from sfvs.triangle_forest import forest_triangle
 
 
@@ -245,3 +248,49 @@ def test_bnb_dense_instance():
     cert = tau_bnb(complete_graph(30))
     assert cert.tau == 28
     assert cert.optimal
+
+
+# the incumbent against the rescanning reference in conftest
+
+
+def assert_incumbent_matches_reference(g, reference, rng):
+    """_greedy_fvs and _minimalize (of every vertex and of a shuffled
+    superset of the incumbent) return the reference lists, and each is a
+    feedback vertex set none of whose vertices can be dropped."""
+    mg, labels = Multigraph.from_labeled(g)
+    incumbent = _greedy_fvs(mg)
+    assert incumbent == reference.greedy_fvs(mg)
+    everything = list(range(len(labels)))
+    superset = [v for v in everything if v in incumbent or rng.random() < 0.3]
+    rng.shuffle(superset)
+    results = [incumbent]
+    for chosen in (everything, superset):
+        results.append(_minimalize(mg, chosen))
+        assert results[-1] == reference.minimalize(mg, chosen)
+    for fvs in results:
+        forest = set(labels) - {labels[v] for v in fvs}
+        assert is_forest(g, forest)
+        for v in fvs:
+            assert not is_forest(g, forest | {labels[v]}), labels[v]
+
+
+def test_incumbent_matches_reference_on_random_graphs(reference_incumbent):
+    rng = random.Random(2718)
+    for _ in range(200):
+        order = rng.randint(0, 40)
+        prob = rng.uniform(0.05, 0.7)
+        g = random_graph(rng, order, prob)
+        assert_incumbent_matches_reference(g, reference_incumbent, rng)
+
+
+@pytest.mark.parametrize(
+    "family,builder",
+    [("s", sierpinski), ("plus", sierpinski_plus), ("pp", sierpinski_plusplus), ("hat", triangle)],
+)
+def test_incumbent_matches_reference_on_families(reference_incumbent, family, builder):
+    # every instance of order <= 300 with n >= 2 has p <= 17
+    rng = random.Random(family)
+    for p in range(2, 18):
+        for n in range(0 if family in ("s", "hat") else 1, 9):
+            if expected_order(family, p, n) <= 300:
+                assert_incumbent_matches_reference(builder(p, n), reference_incumbent, rng)

@@ -11,6 +11,7 @@ from sfvs.generators import (
     sierpinski_plusplus,
     triangle,
 )
+from sfvs.verify_cli import _BUILDERS
 
 
 def is_clique(g) -> bool:
@@ -190,3 +191,23 @@ def test_count_formulas_reject_unknown_family():
         expected_order("nope", 3, 2)
     with pytest.raises(ValueError):
         expected_size("nope", 3, 2)
+
+
+@pytest.mark.parametrize(
+    "family,p,n,message",
+    [
+        ("pp", 2, 0, "level must be at least 1"),
+        ("plus", 3, 0, "level must be at least 1"),
+        ("s", 2, -1, "level must be at least 0"),
+        ("hat", 2, -1, "level must be at least 0"),
+        ("hat", 1, 2, "at least 2 symbols"),
+        ("s", 0, 2, "alphabet size must be positive"),
+    ],
+)
+def test_count_formulas_reject_what_the_builders_reject(family, p, n, message):
+    with pytest.raises(ValueError, match=message):
+        _BUILDERS[family](p, n)
+    with pytest.raises(ValueError, match=message):
+        expected_order(family, p, n)
+    with pytest.raises(ValueError, match=message):
+        expected_size(family, p, n)

@@ -238,6 +238,11 @@ def test_conjecture_gap_small_level():
     assert rep.status == "bound-only"
 
 
+def test_conjecture_gap_rejects_negative_level():
+    with pytest.raises(ValueError, match="level must be at least 0, got -1"):
+        conjecture_gap(4, -1)
+
+
 @pytest.mark.parametrize("p,n,tau", [(4, 1, 4), (5, 1, 8)])
 def test_conjecture_gap_solved(p, n, tau):
     rep = conjecture_gap(p, n, solve=True)

@@ -7,6 +7,7 @@ import pytest
 
 from sfvs import verify_cli
 from sfvs.addressing import FAMILIES
+from sfvs.generators import sierpinski
 from sfvs.verify_cli import (
     SCHEMA_VERSION,
     SUITES,
@@ -200,6 +201,20 @@ def test_cli_refuses_oversized_instances(no_builds, capsys, verb, p, n, order):
     assert err == f"error: hat p={p} n={n} has {order} vertices, the limit is 1,000,000\n"
 
 
+@pytest.mark.parametrize("verb", ["generate", "forest", "tau"])
+@pytest.mark.parametrize("family", ["s", "plus", "pp"])
+def test_cli_refuses_runaway_levels_at_one_symbol(no_builds, capsys, verb, family):
+    assert main([verb, "--family", family, "-p", "1", "-n", "1000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {family} p=1 n=1000000000 is above the level limit of 20\n"
+
+
+def test_cli_builds_one_symbol_graphs_up_to_the_level_limit(capsys):
+    assert sierpinski(1, 4).order == 1
+    assert main(["generate", "--family", "s", "-p", "1", "-n", "20"]) == 0
+    assert capsys.readouterr().out == "0" * 20 + "\n"
+
+
 @pytest.mark.parametrize(
     "suite,ps,ns,message",
     [
@@ -308,6 +323,13 @@ def test_parse_values(text, expected):
 def test_parse_values_rejects(bad):
     with pytest.raises(ValueError):
         _parse_values(bad)
+
+
+def test_parse_values_refuses_unbounded_ranges(capsys):
+    with pytest.raises(ValueError, match="more than 1,000,000 values"):
+        _parse_values("1:1000001")
+    assert main(["verify", "--suite", "counts", "-p", "2", "-n", "1:1000001"]) == 2
+    assert capsys.readouterr().err == "error: range '1:1000001' has more than 1,000,000 values\n"
 
 
 # errors

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .graph_core import LabeledGraph, Multigraph, is_forest
 
@@ -153,19 +154,23 @@ class _Best:
             self.witness = tuple(sorted(chosen))
 
 
-def _reduce(mg: Multigraph, forbidden, chosen) -> bool:
+def _reduce(mg: Multigraph, live, forbidden, chosen):
     """Apply reductions until fixpoint, appending forced vertices to
-    chosen.  False means the forbidden set blocks every solution."""
+    chosen.  live must list every live vertex in index order (dead ones
+    may be listed too).  Returns the live vertices in index order, or
+    None when the forbidden set blocks every solution."""
+    adj, alive, degs = mg.adj, mg.alive, mg.deg
     changed = True
     while changed:
+        live = [v for v in live if alive[v]]
         changed = False
-        for v in mg.live_vertices():
-            if not mg.alive[v]:
+        for v in live:
+            if not alive[v]:
                 continue
-            nbrs = mg.adj[v]
+            nbrs = adj[v]
             if v in nbrs:
                 if v in forbidden:
-                    return False
+                    return None
                 chosen.append(v)
                 mg.remove_vertex(v)
                 changed = True
@@ -175,7 +180,7 @@ def _reduce(mg: Multigraph, forbidden, chosen) -> bool:
             for u, mult in nbrs.items():
                 if mult >= 2:
                     if v in forbidden and u in forbidden:
-                        return False
+                        return None
                     if u in forbidden:
                         forced = v
                         break
@@ -184,12 +189,12 @@ def _reduce(mg: Multigraph, forbidden, chosen) -> bool:
                         break
             if forced is not None:
                 if forced in forbidden:
-                    return False
+                    return None
                 chosen.append(forced)
                 mg.remove_vertex(forced)
                 changed = True
                 continue
-            deg = mg.degree(v)
+            deg = degs[v]
             if deg <= 1:
                 mg.remove_vertex(v)
                 changed = True
@@ -201,7 +206,7 @@ def _reduce(mg: Multigraph, forbidden, chosen) -> bool:
                     u = items[0][0]
                     pick = u if u not in forbidden else v
                     if pick in forbidden:
-                        return False
+                        return None
                     chosen.append(pick)
                     mg.remove_vertex(pick)
                     changed = True
@@ -213,7 +218,7 @@ def _reduce(mg: Multigraph, forbidden, chosen) -> bool:
                     mg.add_edge(u, w)
                     changed = True
                     continue
-    return True
+    return live
 
 
 def _minimalize(mg: Multigraph, chosen) -> list:
@@ -248,9 +253,12 @@ def _greedy_fvs(mg: Multigraph) -> list:
     """Quick feasible solution: peel to the 2-core, delete a maximum-degree
     vertex (lowest index on ties), repeat; minimalized before returning.
     mg must be simple (Multigraph.from_labeled), so what is left is a
-    forest exactly when its 2-core is empty."""
+    forest exactly when its 2-core is empty.  The pick pops a max-heap of
+    (-degree, vertex) entries, skipping those whose degree is stale."""
     deg = {v: len(mg.adj[v]) for v in mg.live_vertices()}
     stack = [v for v, d in deg.items() if d <= 1]
+    heap = [(-d, v) for v, d in deg.items() if d >= 2]
+    heapify(heap)
     chosen = []
     while True:
         while stack:
@@ -258,12 +266,17 @@ def _greedy_fvs(mg: Multigraph) -> list:
             del deg[v]
             for u in mg.adj[v]:
                 if u in deg:
-                    deg[u] -= 1
-                    if deg[u] == 1:
+                    d = deg[u] = deg[u] - 1
+                    if d == 1:
                         stack.append(u)
-        if not deg:
+                    elif d >= 2:
+                        heappush(heap, (-d, u))
+        while heap:
+            d, v = heappop(heap)
+            if deg.get(v) == -d:
+                break
+        else:
             return _minimalize(mg, chosen)
-        v = max(deg, key=lambda x: (deg[x], -x))
         chosen.append(v)
         stack.append(v)
 
@@ -281,12 +294,12 @@ def _density_bound(order: int, edge_count: int, degs_desc) -> int:
     return t
 
 
-def _pack_cliques(mg: Multigraph):
+def _pack_cliques(mg: Multigraph, live):
     """Greedy vertex-disjoint cliques of size >= 3; each contributes
     size - 2 to the bound."""
     used = set()
     bound = 0
-    for v in mg.live_vertices():
+    for v in live:
         if v in used:
             continue
         clique = _grow_clique(mg, v, used)
@@ -296,15 +309,13 @@ def _pack_cliques(mg: Multigraph):
     return bound, used
 
 
-def _lower_bound(mg: Multigraph) -> int:
-    live = mg.live_vertices()
+def _lower_bound(mg: Multigraph, live) -> int:
     order = len(live)
     if order == 0:
         return 0
-    edges = mg.edge_count()
-    degs = sorted((mg.degree(v) for v in live), reverse=True)
-    best = _density_bound(order, edges, degs)
-    packed, used = _pack_cliques(mg)
+    degs = sorted(map(mg.deg.__getitem__, live), reverse=True)
+    best = _density_bound(order, mg.size, degs)
+    packed, used = _pack_cliques(mg, live)
     if packed:
         rest = [v for v in live if v not in used]
         if rest:
@@ -325,10 +336,10 @@ def _lower_bound(mg: Multigraph) -> int:
     return best
 
 
-def _components(mg: Multigraph):
+def _components(mg: Multigraph, live):
     seen = set()
     comps = []
-    for start in mg.live_vertices():
+    for start in live:
         if start in seen:
             continue
         comp = [start]
@@ -346,10 +357,13 @@ def _components(mg: Multigraph):
 
 
 def _restrict(mg: Multigraph, comp) -> Multigraph:
+    """The subgraph on comp, a union of components of mg."""
     keep = set(comp)
     out = Multigraph(0)
     out.adj = [dict(mg.adj[v]) if v in keep else {} for v in range(len(mg.adj))]
     out.alive = [v in keep for v in range(len(mg.alive))]
+    out.deg = [d if v in keep else 0 for v, d in enumerate(mg.deg)]
+    out.size = sum(out.deg) // 2
     return out
 
 
@@ -360,24 +374,27 @@ def _branch_vertex(mg: Multigraph, candidates):
         if any(u != v and m >= 2 for u, m in mg.adj[v].items())
     ]
     pool = multi or candidates
-    return max(pool, key=lambda v: (mg.degree(v), -v))
+    # pool is in index order, so max keeps the lowest index on ties
+    return max(pool, key=mg.deg.__getitem__)
 
 
 def _grow_clique(mg: Multigraph, v, used=()) -> list:
     """Greedy maximal clique through v, preferring well-connected
     extensions and avoiding the vertices in used."""
-    cand = [u for u in mg.adj[v] if u != v and u not in used]
+    adj = mg.adj
+    cand = [u for u in adj[v] if u != v and u not in used]
     clique = [v]
-    while cand:
+    while len(cand) >= 2:
+        cand_set = set(cand)
         best_u = None
         best_score = -1
         for u in cand:
-            score = sum(1 for x in cand if x != u and x in mg.adj[u])
+            score = len(cand_set & adj[u].keys()) - (u in adj[u])
             if score > best_score:
                 best_u, best_score = u, score
         clique.append(best_u)
-        cand = [u for u in cand if u != best_u and u in mg.adj[best_u]]
-    return clique
+        cand = [u for u in cand if u != best_u and u in adj[best_u]]
+    return clique + cand
 
 
 def _exclusion_sets(locked, free):
@@ -398,33 +415,34 @@ def _exclusion_sets(locked, free):
         yield frozenset(locked)
 
 
-def _solve_component(sub: Multigraph, forbidden, cutoff: int, ticker):
+def _solve_component(sub: Multigraph, live, forbidden, cutoff: int, ticker):
     """Exact minimum for one component, or None when nothing beats the
     cutoff (including infeasibility under the forbidden set)."""
     best = _Best(cutoff, None)
-    _search(sub, [], forbidden, best, ticker)
+    _search(sub, live, [], forbidden, best, ticker)
     return None if best.witness is None else list(best.witness)
 
 
-def _search(mg: Multigraph, chosen, forbidden, best, ticker):
-    # the caller hands over ownership of mg and chosen
+def _search(mg: Multigraph, live, chosen, forbidden, best, ticker):
+    # the caller hands over ownership of mg and chosen; live as in _reduce
     ticker.tick()
-    if not _reduce(mg, forbidden, chosen):
+    live = _reduce(mg, live, forbidden, chosen)
+    if live is None:
         return
     if len(chosen) >= best.tau:
         return
-    live = mg.live_vertices()
     if not live:
         best.offer(chosen)
         return
     # reductions leave minimum degree 2, so every component has a cycle
-    comps = _components(mg)
+    comps = _components(mg, live)
     if len(comps) > 1:
         comps.sort(key=lambda c: (len(c), c[0]))
         for comp in comps[:-1]:
             allowance = best.tau - len(chosen)
             solved = _solve_component(
                 _restrict(mg, comp),
+                comp,
                 forbidden,
                 min(len(comp) + 1, allowance),
                 ticker,
@@ -434,11 +452,12 @@ def _search(mg: Multigraph, chosen, forbidden, best, ticker):
             chosen.extend(solved)
             if len(chosen) >= best.tau:
                 return
-        mg = _restrict(mg, comps[-1])
-    bound = len(chosen) + _lower_bound(mg)
+        live = comps[-1]
+        mg = _restrict(mg, live)
+    bound = len(chosen) + _lower_bound(mg, live)
     if bound >= best.tau:
         return
-    candidates = [v for v in mg.live_vertices() if v not in forbidden]
+    candidates = [v for v in live if v not in forbidden]
     if not candidates:
         return
     v = _branch_vertex(mg, candidates)
@@ -456,16 +475,16 @@ def _search(mg: Multigraph, chosen, forbidden, best, ticker):
             child = mg.copy()
             for u in include:
                 child.remove_vertex(u)
-            _search(child, chosen + include, forbidden | excl, best, ticker)
+            _search(child, live, chosen + include, forbidden | excl, best, ticker)
             if bound >= best.tau:
                 return
         return
     taken = mg.copy()
     taken.remove_vertex(v)
-    _search(taken, chosen + [v], forbidden, best, ticker)
+    _search(taken, live, chosen + [v], forbidden, best, ticker)
     if bound >= best.tau:
         return
-    _search(mg, list(chosen), forbidden | {v}, best, ticker)
+    _search(mg, live, list(chosen), forbidden | {v}, best, ticker)
 
 
 def tau_bnb(
@@ -495,7 +514,7 @@ def tau_bnb(
     ticker = _Ticker(budget)
     optimal = True
     try:
-        _search(mg.copy(), [], frozenset(), best, ticker)
+        _search(mg.copy(), mg.live_vertices(), [], frozenset(), best, ticker)
     except _BudgetExhausted:
         optimal = False
     witness = tuple(sorted(labels[i] for i in best.witness))

@@ -66,7 +66,7 @@ class LabeledGraph:
         return v in self._adj
 
     def has_edge(self, u: str, v: str) -> bool:
-        return v in set(self.neighbors(u))
+        return v in self.neighbors(u)
 
     def edges(self):
         """All edges as sorted (u, v) pairs with u < v, in sorted order."""
@@ -147,9 +147,9 @@ def build_graph(vertices, edges) -> LabeledGraph:
 
 def _subset_vertices(g: LabeledGraph, subset):
     if subset is None:
-        return set(g.vertices())
+        return g._adj.keys()
     keep = set(subset)
-    missing = keep - set(g.vertices())
+    missing = keep - g._adj.keys()
     if missing:
         raise GraphError(f"no such vertex: {min(missing)!r}")
     return keep
@@ -310,14 +310,18 @@ class Multigraph:
 
     adj[v] maps neighbor -> multiplicity; a loop at v is stored once at
     adj[v][v] and contributes 2 to the degree per copy.  Vertices are
-    never removed from the list, only marked dead in alive.
+    never removed from the list, only marked dead in alive.  deg[v] and
+    size (the edge count, loops included) are kept current by add_edge
+    and remove_vertex.
     """
 
-    __slots__ = ("adj", "alive")
+    __slots__ = ("adj", "alive", "deg", "size")
 
     def __init__(self, n: int):
         self.adj = [dict() for _ in range(n)]
         self.alive = [True] * n
+        self.deg = [0] * n
+        self.size = 0
 
     @classmethod
     def from_labeled(cls, g: LabeledGraph):
@@ -333,38 +337,39 @@ class Multigraph:
     def add_edge(self, u: int, v: int, mult: int = 1):
         if u == v:
             self.adj[u][u] = self.adj[u].get(u, 0) + mult
+            self.deg[u] += 2 * mult
         else:
             self.adj[u][v] = self.adj[u].get(v, 0) + mult
             self.adj[v][u] = self.adj[v].get(u, 0) + mult
+            self.deg[u] += mult
+            self.deg[v] += mult
+        self.size += mult
 
     def remove_vertex(self, v: int):
-        for u in list(self.adj[v]):
+        adj, deg = self.adj, self.deg
+        nbrs = adj[v]
+        self.size -= deg[v] - nbrs.get(v, 0)
+        for u, mult in nbrs.items():
             if u != v:
-                del self.adj[u][v]
-        self.adj[v].clear()
+                del adj[u][v]
+                deg[u] -= mult
+        nbrs.clear()
+        deg[v] = 0
         self.alive[v] = False
 
     def degree(self, v: int) -> int:
-        d = 0
-        for u, mult in self.adj[v].items():
-            d += 2 * mult if u == v else mult
-        return d
+        return self.deg[v]
 
     def live_vertices(self):
         return [v for v in range(len(self.alive)) if self.alive[v]]
 
     def copy(self) -> "Multigraph":
         out = Multigraph(0)
-        out.adj = [dict(d) for d in self.adj]
+        out.adj = list(map(dict.copy, self.adj))
         out.alive = list(self.alive)
+        out.deg = list(self.deg)
+        out.size = self.size
         return out
 
     def edge_count(self) -> int:
-        total = 0
-        for v, nbrs in enumerate(self.adj):
-            for u, mult in nbrs.items():
-                if u == v:
-                    total += 2 * mult
-                else:
-                    total += mult
-        return total // 2
+        return self.size

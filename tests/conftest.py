@@ -5,8 +5,9 @@ from types import SimpleNamespace
 import pytest
 
 from sfvs.addressing import word_separator
+from sfvs.exact_fvs import FvsCertificate, _Best, _BudgetExhausted, _Ticker
 from sfvs.generators import nonclique_edges, sierpinski
-from sfvs.graph_core import Multigraph, contract_edges, relabel
+from sfvs.graph_core import LabeledGraph, Multigraph, contract_edges, relabel
 
 
 def _contracted_triangle(p, n):
@@ -100,3 +101,356 @@ def _greedy_fvs(mg: Multigraph) -> list:
 def reference_incumbent():
     """Reference versions of exact_fvs._greedy_fvs and _minimalize."""
     return SimpleNamespace(greedy_fvs=_greedy_fvs, minimalize=_minimalize)
+
+
+# The search as it was before the solver graph kept its own counts: a
+# multigraph that recounts degrees, the edge count and the live set on
+# every call, and the search chain that calls them.
+
+
+class _RecountingMultigraph:
+    """The solver's multigraph recounting degree, edge count and live
+    set from the adjacency dicts on every call."""
+
+    __slots__ = ("adj", "alive")
+
+    def __init__(self, n: int):
+        self.adj = [dict() for _ in range(n)]
+        self.alive = [True] * n
+
+    @classmethod
+    def from_labeled(cls, g: LabeledGraph):
+        """Build a Multigraph plus the index -> label table, indices in
+        label order."""
+        labels = sorted(g.vertices())
+        index = {v: i for i, v in enumerate(labels)}
+        mg = cls(len(labels))
+        for u, v in g.edges():
+            mg.add_edge(index[u], index[v])
+        return mg, labels
+
+    def add_edge(self, u: int, v: int, mult: int = 1):
+        if u == v:
+            self.adj[u][u] = self.adj[u].get(u, 0) + mult
+        else:
+            self.adj[u][v] = self.adj[u].get(v, 0) + mult
+            self.adj[v][u] = self.adj[v].get(u, 0) + mult
+
+    def remove_vertex(self, v: int):
+        for u in list(self.adj[v]):
+            if u != v:
+                del self.adj[u][v]
+        self.adj[v].clear()
+        self.alive[v] = False
+
+    def degree(self, v: int) -> int:
+        d = 0
+        for u, mult in self.adj[v].items():
+            d += 2 * mult if u == v else mult
+        return d
+
+    def live_vertices(self):
+        return [v for v in range(len(self.alive)) if self.alive[v]]
+
+    def copy(self) -> "_RecountingMultigraph":
+        out = _RecountingMultigraph(0)
+        out.adj = [dict(d) for d in self.adj]
+        out.alive = list(self.alive)
+        return out
+
+    def edge_count(self) -> int:
+        total = 0
+        for v, nbrs in enumerate(self.adj):
+            for u, mult in nbrs.items():
+                if u == v:
+                    total += 2 * mult
+                else:
+                    total += mult
+        return total // 2
+
+
+def _reduce(mg: _RecountingMultigraph, forbidden, chosen) -> bool:
+    """Apply reductions until fixpoint, appending forced vertices to
+    chosen.  False means the forbidden set blocks every solution."""
+    changed = True
+    while changed:
+        changed = False
+        for v in mg.live_vertices():
+            if not mg.alive[v]:
+                continue
+            nbrs = mg.adj[v]
+            if v in nbrs:
+                if v in forbidden:
+                    return False
+                chosen.append(v)
+                mg.remove_vertex(v)
+                changed = True
+                continue
+            # a parallel pair is a 2-cycle: a barred endpoint forces the other
+            forced = None
+            for u, mult in nbrs.items():
+                if mult >= 2:
+                    if v in forbidden and u in forbidden:
+                        return False
+                    if u in forbidden:
+                        forced = v
+                        break
+                    if v in forbidden:
+                        forced = u
+                        break
+            if forced is not None:
+                if forced in forbidden:
+                    return False
+                chosen.append(forced)
+                mg.remove_vertex(forced)
+                changed = True
+                continue
+            deg = mg.degree(v)
+            if deg <= 1:
+                mg.remove_vertex(v)
+                changed = True
+                continue
+            if deg == 2:
+                items = list(nbrs.items())
+                if len(items) == 1:
+                    # v's whole cycle structure passes through u
+                    u = items[0][0]
+                    pick = u if u not in forbidden else v
+                    if pick in forbidden:
+                        return False
+                    chosen.append(pick)
+                    mg.remove_vertex(pick)
+                    changed = True
+                    continue
+                u, w = items[0][0], items[1][0]
+                if v in forbidden or u not in forbidden or w not in forbidden:
+                    # bypass v; skipped only when v alone is still eligible
+                    mg.remove_vertex(v)
+                    mg.add_edge(u, w)
+                    changed = True
+                    continue
+    return True
+
+
+def _density_bound(order: int, edge_count: int, degs_desc) -> int:
+    """Least t for which deleting even the t busiest vertices could leave
+    few enough edges for a forest."""
+    t = 0
+    prefix = 0
+    while edge_count - prefix > max(order - t - 1, 0):
+        if t >= order:
+            return order
+        prefix += degs_desc[t]
+        t += 1
+    return t
+
+
+def _pack_cliques(mg: _RecountingMultigraph):
+    """Greedy vertex-disjoint cliques of size >= 3; each contributes
+    size - 2 to the bound."""
+    used = set()
+    bound = 0
+    for v in mg.live_vertices():
+        if v in used:
+            continue
+        clique = _grow_clique(mg, v, used)
+        if len(clique) >= 3:
+            bound += len(clique) - 2
+            used.update(clique)
+    return bound, used
+
+
+def _lower_bound(mg: _RecountingMultigraph) -> int:
+    live = mg.live_vertices()
+    order = len(live)
+    if order == 0:
+        return 0
+    edges = mg.edge_count()
+    degs = sorted((mg.degree(v) for v in live), reverse=True)
+    best = _density_bound(order, edges, degs)
+    packed, used = _pack_cliques(mg)
+    if packed:
+        rest = [v for v in live if v not in used]
+        if rest:
+            rest_set = set(rest)
+            rest_edges = 0
+            rest_degs = []
+            for v in rest:
+                d = 0
+                for u, mult in mg.adj[v].items():
+                    if u in rest_set and u != v:
+                        d += mult
+                        if u > v:
+                            rest_edges += mult
+                rest_degs.append(d)
+            rest_degs.sort(reverse=True)
+            packed += _density_bound(len(rest), rest_edges, rest_degs)
+        best = max(best, packed)
+    return best
+
+
+def _components(mg: _RecountingMultigraph):
+    seen = set()
+    comps = []
+    for start in mg.live_vertices():
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        queue = [start]
+        while queue:
+            v = queue.pop()
+            for u in mg.adj[v]:
+                if u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+                    queue.append(u)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _restrict(mg: _RecountingMultigraph, comp) -> _RecountingMultigraph:
+    keep = set(comp)
+    out = _RecountingMultigraph(0)
+    out.adj = [dict(mg.adj[v]) if v in keep else {} for v in range(len(mg.adj))]
+    out.alive = [v in keep for v in range(len(mg.alive))]
+    return out
+
+
+def _branch_vertex(mg: _RecountingMultigraph, candidates):
+    multi = [
+        v
+        for v in candidates
+        if any(u != v and m >= 2 for u, m in mg.adj[v].items())
+    ]
+    pool = multi or candidates
+    return max(pool, key=lambda v: (mg.degree(v), -v))
+
+
+def _grow_clique(mg: _RecountingMultigraph, v, used=()) -> list:
+    """Greedy maximal clique through v, preferring well-connected
+    extensions and avoiding the vertices in used."""
+    cand = [u for u in mg.adj[v] if u != v and u not in used]
+    clique = [v]
+    while cand:
+        best_u = None
+        best_score = -1
+        for u in cand:
+            score = sum(1 for x in cand if x != u and x in mg.adj[u])
+            if score > best_score:
+                best_u, best_score = u, score
+        clique.append(best_u)
+        cand = [u for u in cand if u != best_u and u in mg.adj[best_u]]
+    return clique
+
+
+def _exclusion_sets(locked, free):
+    """All ways to leave at most two clique vertices out of the solution,
+    every locked vertex staying out."""
+    if len(locked) == 0:
+        yield frozenset()
+        for a in free:
+            yield frozenset((a,))
+        for i, a in enumerate(free):
+            for b in free[i + 1 :]:
+                yield frozenset((a, b))
+    elif len(locked) == 1:
+        yield frozenset(locked)
+        for a in free:
+            yield frozenset((locked[0], a))
+    else:
+        yield frozenset(locked)
+
+
+def _solve_component(sub: _RecountingMultigraph, forbidden, cutoff: int, ticker):
+    """Exact minimum for one component, or None when nothing beats the
+    cutoff (including infeasibility under the forbidden set)."""
+    best = _Best(cutoff, None)
+    _search(sub, [], forbidden, best, ticker)
+    return None if best.witness is None else list(best.witness)
+
+
+def _search(mg: _RecountingMultigraph, chosen, forbidden, best, ticker):
+    # the caller hands over ownership of mg and chosen
+    ticker.tick()
+    if not _reduce(mg, forbidden, chosen):
+        return
+    if len(chosen) >= best.tau:
+        return
+    live = mg.live_vertices()
+    if not live:
+        best.offer(chosen)
+        return
+    # reductions leave minimum degree 2, so every component has a cycle
+    comps = _components(mg)
+    if len(comps) > 1:
+        comps.sort(key=lambda c: (len(c), c[0]))
+        for comp in comps[:-1]:
+            allowance = best.tau - len(chosen)
+            solved = _solve_component(
+                _restrict(mg, comp),
+                forbidden,
+                min(len(comp) + 1, allowance),
+                ticker,
+            )
+            if solved is None:
+                return
+            chosen.extend(solved)
+            if len(chosen) >= best.tau:
+                return
+        mg = _restrict(mg, comps[-1])
+    bound = len(chosen) + _lower_bound(mg)
+    if bound >= best.tau:
+        return
+    candidates = [v for v in mg.live_vertices() if v not in forbidden]
+    if not candidates:
+        return
+    v = _branch_vertex(mg, candidates)
+    clique = _grow_clique(mg, v)
+    if len(clique) >= 3:
+        # a clique can keep at most two vertices out of any solution
+        locked = [u for u in clique if u in forbidden]
+        if len(locked) > 2:
+            return
+        free = [u for u in clique if u not in forbidden]
+        for excl in _exclusion_sets(locked, free):
+            include = [u for u in clique if u not in excl]
+            if len(chosen) + len(include) >= best.tau:
+                continue
+            child = mg.copy()
+            for u in include:
+                child.remove_vertex(u)
+            _search(child, chosen + include, forbidden | excl, best, ticker)
+            if bound >= best.tau:
+                return
+        return
+    taken = mg.copy()
+    taken.remove_vertex(v)
+    _search(taken, chosen + [v], forbidden, best, ticker)
+    if bound >= best.tau:
+        return
+    _search(mg, list(chosen), forbidden | {v}, best, ticker)
+
+
+def _reference_tau(g, budget, seed=None) -> FvsCertificate:
+    mg, labels = _RecountingMultigraph.from_labeled(g)
+    if seed is None:
+        incumbent = _greedy_fvs(mg)
+    else:
+        index = {v: i for i, v in enumerate(labels)}
+        incumbent = _minimalize(mg, [index[v] for v in sorted(set(seed))])
+    best = _Best(len(incumbent), tuple(sorted(incumbent)))
+    optimal = True
+    try:
+        _search(mg.copy(), [], frozenset(), best, _Ticker(budget))
+    except _BudgetExhausted:
+        optimal = False
+    witness = tuple(sorted(labels[i] for i in best.witness))
+    return FvsCertificate(best.tau, witness, optimal)
+
+
+@pytest.fixture
+def reference_search():
+    """Reference tau_bnb(g, budget, seed) over the recounting multigraph,
+    with the rescanning incumbent above."""
+    return _reference_tau

@@ -10,6 +10,7 @@ from sfvs.exact_fvs import (
     DEFAULT_BUDGET,
     FvsCertificate,
     _greedy_fvs,
+    _grow_clique,
     _minimalize,
     resolve_budget,
     tau_bnb,
@@ -294,3 +295,41 @@ def test_incumbent_matches_reference_on_families(reference_incumbent, family, bu
         for n in range(0 if family in ("s", "hat") else 1, 9):
             if expected_order(family, p, n) <= 300:
                 assert_incumbent_matches_reference(builder(p, n), reference_incumbent, rng)
+
+
+# the search against the recounting reference in conftest: equal
+# certificates at every budget pin the order of the nodes, not just tau
+
+
+@pytest.mark.parametrize("budget", [1, 2, 10, 100, 800])
+def test_search_matches_reference_on_seeded_open_case(reference_search, budget):
+    g = triangle(4, 3)
+    seed = sorted(set(g.vertices()) - forest_triangle(4, 3, graph=g))
+    cert = tau_bnb(g, budget=budget, seed=seed)
+    assert cert == reference_search(g, budget, seed)
+
+
+@pytest.mark.parametrize(
+    "builder,p,n", [(triangle, 4, 1), (triangle, 4, 2), (sierpinski, 6, 3)]
+)
+def test_search_matches_reference_to_optimality(reference_search, builder, p, n):
+    g = builder(p, n)
+    cert = tau_bnb(g)
+    assert cert.optimal
+    assert cert == reference_search(g, DEFAULT_BUDGET)
+
+
+def test_search_matches_reference_on_random_graphs(reference_search):
+    # at 300 nodes 157 of these close and 43 stop on the budget
+    rng = random.Random(1618)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 30), rng.uniform(0.05, 0.6))
+        assert tau_bnb(g, budget=300) == reference_search(g, 300)
+
+
+def test_grow_clique_does_not_count_a_loop():
+    # counting 3's loop would tie it with 1, and 3 comes first in adj[0]
+    mg = Multigraph(4)
+    for u, v in [(0, 3), (0, 1), (0, 2), (1, 2), (1, 3), (3, 3)]:
+        mg.add_edge(u, v)
+    assert _grow_clique(mg, 0) == [0, 1, 3]

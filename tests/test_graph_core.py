@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from sfvs.exact_fvs import _components, _restrict
 from sfvs.graph_core import (
     GraphError,
     LabeledGraph,
@@ -185,3 +186,65 @@ def test_multigraph_copy_is_independent():
     clone.remove_vertex(0)
     assert mg.live_vertices() == [0, 1, 2]
     assert clone.live_vertices() == [1, 2]
+
+
+def _recount(mg):
+    deg = [
+        sum(2 * m if u == v else m for u, m in nbrs.items())
+        for v, nbrs in enumerate(mg.adj)
+    ]
+    size = sum(m for v, nbrs in enumerate(mg.adj) for u, m in nbrs.items() if u >= v)
+    return deg, size
+
+
+def _snapshot(mg):
+    return [dict(d) for d in mg.adj], list(mg.alive), list(mg.deg), mg.size
+
+
+def assert_counts_current(mg):
+    deg, size = _recount(mg)
+    assert mg.deg == deg
+    assert [mg.degree(v) for v in range(len(deg))] == deg
+    assert mg.edge_count() == size
+
+
+_MULTIGRAPH_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "remove", "copy", "restrict"]),
+        st.integers(0, 7),
+        st.integers(0, 7),
+        st.integers(1, 3),
+    ),
+    max_size=40,
+)
+
+
+@given(st.integers(1, 8), _MULTIGRAPH_STEPS)
+def test_multigraph_counts_stay_current(n, steps):
+    # add_edge with u == v makes loops, repeated pairs make parallel edges
+    mg = Multigraph(n)
+    copies = []
+    for op, a, b, mult in steps:
+        live = mg.live_vertices()
+        if not live:
+            break
+        u, v = live[a % len(live)], live[b % len(live)]
+        if op == "add":
+            mg.add_edge(u, v, mult)
+        elif op == "remove":
+            mg.remove_vertex(u)
+        elif op == "copy":
+            copies.append((mg.copy(), _snapshot(mg)))
+        else:
+            comps = _components(mg, live)
+            comp = comps[a % len(comps)]
+            before = _snapshot(mg)
+            sub = _restrict(mg, comp)
+            assert _snapshot(mg) == before
+            assert sub.live_vertices() == comp
+            assert sub.adj == [mg.adj[x] if x in comp else {} for x in range(n)]
+            mg = sub
+        assert_counts_current(mg)
+        for clone, snap in copies:
+            assert _snapshot(clone) == snap
+            assert_counts_current(clone)

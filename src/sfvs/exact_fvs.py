@@ -13,12 +13,16 @@ search over a multigraph that supports the classic reductions:
 
 Branching excludes a vertex by adding it to a forbidden set, which the
 reductions respect; components split off and are solved independently
-(feedback numbers add across components).  The lower bound is the better
-of an edge-density argument and greedy disjoint clique packing, each of
-which happens to be tight on the graph families this package generates.
-A search that runs out of budget still returns its incumbent, flagged
-non-optimal.  Every certificate is re-verified against the input graph
-before being returned.
+(feedback numbers add across components).  A node is pruned by the best
+of three lower bounds, tried cheapest first until one reaches the
+incumbent: an edge-density argument; greedy vertex-disjoint cliques, each
+needing all but two of its vertices, plus the density of what they leave;
+and half of what a greedy cover by cliques needs, a cover that uses each
+vertex at most twice.  On the quotient family hat(p, n), whose p^n
+cliques K_p meet at most two at a vertex, the cover gives
+ceil(p^n (p - 2) / 2) at the root.  A search that runs out of budget
+still returns its incumbent, flagged non-optimal.  Every certificate is
+re-verified against the input graph before being returned.
 """
 
 from __future__ import annotations
@@ -294,46 +298,66 @@ def _density_bound(order: int, edge_count: int, degs_desc) -> int:
     return t
 
 
-def _pack_cliques(mg: Multigraph, live):
-    """Greedy vertex-disjoint cliques of size >= 3; each contributes
-    size - 2 to the bound."""
-    used = set()
-    bound = 0
+def _pack_cliques(mg: Multigraph, live, cap: int):
+    """Greedy cliques of size >= 3 that use each vertex at most cap
+    times, grown from each vertex in turn until it is used up; the second
+    clique grown from a vertex leaves out the rest of its first.  Returns
+    the sum of size - 2 over the cliques and the vertices used cap times."""
+    full = set()
+    home = {}  # vertex -> its first clique, while it has only one
+    total = 0
     for v in live:
-        if v in used:
-            continue
-        clique = _grow_clique(mg, v, used)
-        if len(clique) >= 3:
-            bound += len(clique) - 2
-            used.update(clique)
-    return bound, used
+        while v not in full:
+            clique = _grow_clique(mg, v, full, home.get(v, ()))
+            if len(clique) < 3:
+                break
+            total += len(clique) - 2
+            for u in clique:
+                if cap == 1 or u in home:
+                    full.add(u)
+                else:
+                    home[u] = clique
+    return total, full
 
 
-def _lower_bound(mg: Multigraph, live) -> int:
+def _lower_bound(mg: Multigraph, live, target: int) -> int:
+    """A lower bound on the deletions mg still needs.  Tries the density
+    bound, then disjoint cliques plus the density of what they leave,
+    then cliques that may share vertices, and stops at the first that
+    reaches target."""
     order = len(live)
     if order == 0:
         return 0
     degs = sorted(map(mg.deg.__getitem__, live), reverse=True)
     best = _density_bound(order, mg.size, degs)
-    packed, used = _pack_cliques(mg, live)
-    if packed:
-        rest = [v for v in live if v not in used]
-        if rest:
-            rest_set = set(rest)
-            rest_edges = 0
-            rest_degs = []
-            for v in rest:
-                d = 0
-                for u, mult in mg.adj[v].items():
-                    if u in rest_set and u != v:
-                        d += mult
-                        if u > v:
-                            rest_edges += mult
-                rest_degs.append(d)
-            rest_degs.sort(reverse=True)
-            packed += _density_bound(len(rest), rest_edges, rest_degs)
-        best = max(best, packed)
-    return best
+    if best >= target:
+        return best
+    packed, used = _pack_cliques(mg, live, 1)
+    if not packed:
+        # no triangle, so no clique for the cover either
+        return best
+    rest = [v for v in live if v not in used]
+    if rest:
+        rest_set = set(rest)
+        rest_edges = 0
+        rest_degs = []
+        for v in rest:
+            d = 0
+            for u, mult in mg.adj[v].items():
+                if u in rest_set and u != v:
+                    d += mult
+                    if u > v:
+                        rest_edges += mult
+            rest_degs.append(d)
+        rest_degs.sort(reverse=True)
+        packed += _density_bound(len(rest), rest_edges, rest_degs)
+    best = max(best, packed)
+    if best >= target:
+        return best
+    # any solution holds all but two vertices of each clique, and each of
+    # its vertices lies in at most two cliques
+    covered, _ = _pack_cliques(mg, live, 2)
+    return max(best, (covered + 1) // 2)
 
 
 def _components(mg: Multigraph, live):
@@ -378,11 +402,11 @@ def _branch_vertex(mg: Multigraph, candidates):
     return max(pool, key=mg.deg.__getitem__)
 
 
-def _grow_clique(mg: Multigraph, v, used=()) -> list:
+def _grow_clique(mg: Multigraph, v, used=(), avoid=()) -> list:
     """Greedy maximal clique through v, preferring well-connected
-    extensions and avoiding the vertices in used."""
+    extensions and avoiding the vertices in used and in avoid."""
     adj = mg.adj
-    cand = [u for u in adj[v] if u != v and u not in used]
+    cand = [u for u in adj[v] if u != v and u not in used and u not in avoid]
     clique = [v]
     while len(cand) >= 2:
         cand_set = set(cand)
@@ -454,7 +478,7 @@ def _search(mg: Multigraph, live, chosen, forbidden, best, ticker):
                 return
         live = comps[-1]
         mg = _restrict(mg, live)
-    bound = len(chosen) + _lower_bound(mg, live)
+    bound = len(chosen) + _lower_bound(mg, live, best.tau - len(chosen))
     if bound >= best.tau:
         return
     candidates = [v for v in live if v not in forbidden]

@@ -11,7 +11,9 @@ from sfvs.exact_fvs import (
     FvsCertificate,
     _greedy_fvs,
     _grow_clique,
+    _lower_bound,
     _minimalize,
+    _reduce,
     resolve_budget,
     tau_bnb,
     tau_bruteforce,
@@ -185,11 +187,23 @@ def test_bnb_budget_exhaustion_keeps_incumbent():
 
 
 def test_bnb_seeded_incumbent_survives_budget():
-    g = triangle(4, 2)
-    seed = sorted(set(g.vertices()) - forest_triangle(4, 2, graph=g))
+    # the root bound on hat(4,3) is 64, one short of the seed
+    g = triangle(4, 3)
+    seed = sorted(set(g.vertices()) - forest_triangle(4, 3, graph=g))
     cert = tau_bnb(g, budget=5, seed=seed)
     assert not cert.optimal
-    assert cert.tau == 16
+    assert cert.tau == 65
+    assert verify_certificate(g, cert)
+
+
+@pytest.mark.parametrize("p,tau", [(4, 16), (5, 38), (6, 72), (7, 123)])
+def test_bnb_seeded_quotient_closes_at_the_root(p, tau):
+    # the clique cover meets the construction, so one node proves it optimal
+    g = triangle(p, 2)
+    seed = sorted(set(g.vertices()) - forest_triangle(p, 2, graph=g))
+    cert = tau_bnb(g, budget=1, seed=seed)
+    assert cert.optimal
+    assert cert.tau == tau
     assert verify_certificate(g, cert)
 
 
@@ -249,6 +263,48 @@ def test_bnb_dense_instance():
     cert = tau_bnb(complete_graph(30))
     assert cert.tau == 28
     assert cert.optimal
+
+
+# the lower bound never exceeds tau, and on hat it counts every clique K_p
+
+
+def assert_bound_below_tau(g):
+    """The bound of g, and of g after the reductions plus the vertices
+    they force, is at most tau(g)."""
+    tau = tau_bruteforce(g).tau
+    mg, _ = Multigraph.from_labeled(g)
+    live = mg.live_vertices()
+    assert _lower_bound(mg, live, len(live) + 1) <= tau
+    chosen = []
+    live = _reduce(mg, live, frozenset(), chosen)
+    assert len(chosen) + _lower_bound(mg, live, len(live) + 1) <= tau
+
+
+def test_lower_bound_below_tau_on_random_graphs():
+    rng = random.Random(577)
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(0, 14), rng.uniform(0.2, 0.9))
+        assert_bound_below_tau(g)
+
+
+@pytest.mark.parametrize(
+    "family,builder",
+    [("s", sierpinski), ("plus", sierpinski_plus), ("pp", sierpinski_plusplus), ("hat", triangle)],
+)
+def test_lower_bound_below_tau_on_families(family, builder):
+    # up to 16 vertices: brute force takes 36 s on K_22 alone
+    for p in range(2, 17):
+        for n in range(0 if family in ("s", "hat") else 1, 5):
+            if expected_order(family, p, n) <= 16:
+                assert_bound_below_tau(builder(p, n))
+
+
+@pytest.mark.parametrize("p,n", [(4, 1), (4, 2), (4, 3), (5, 2), (6, 2), (7, 2)])
+def test_lower_bound_at_the_root_of_hat(p, n):
+    # p^n cliques K_p, and every vertex lies in at most two of them
+    mg, _ = Multigraph.from_labeled(triangle(p, n))
+    live = mg.live_vertices()
+    assert _lower_bound(mg, live, len(live) + 1) == -(-p**n * (p - 2) // 2)
 
 
 # the incumbent against the rescanning reference in conftest

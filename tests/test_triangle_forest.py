@@ -252,7 +252,8 @@ def test_conjecture_gap_solved(p, n, tau):
 
 
 def test_conjecture_gap_budget_runs_out():
-    rep = conjecture_gap(4, 2, solve=True, budget=10)
+    # the root bound on hat(4,3) is 64, one short of the construction
+    rep = conjecture_gap(4, 3, solve=True, budget=10)
     assert rep.tau_exact is None
     assert rep.status == "bound-only"
 

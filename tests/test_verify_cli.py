@@ -114,6 +114,11 @@ def test_conjecture_suite_with_solver():
     (row,) = run_suite("conjecture", [4], [2], exact=True)
     assert row.exact == 18
     assert row.status == "match"
+    rows = run_suite("conjecture", [5, 6, 7], [2], exact=True)
+    assert [row.p for row in rows] == [5, 6, 7]
+    for row in rows:
+        assert row.exact == row.constructed
+        assert row.status == "match"
 
 
 def test_parallel_runs_match_serial():
@@ -415,9 +420,7 @@ def test_cli_forest_every_construction(capsys, family, p, tau):
         assert int(fields["complement"]) == tau
 
 
-# hat(4,2) takes the same p >= 4 branch as hat(5,2), which the solver does not
-# close in minutes
-@pytest.mark.parametrize("family,p", [(family, min(p, 4)) for family, p, _ in FOREST_CASES])
+@pytest.mark.parametrize("family,p", [(family, p) for family, p, _ in FOREST_CASES])
 def test_cli_tau_seeded_matches_unseeded(capsys, family, p):
     results = []
     for seed in ("auto", "none"):

@@ -420,7 +420,10 @@ def test_cli_forest_every_construction(capsys, family, p, tau):
         assert int(fields["complement"]) == tau
 
 
-@pytest.mark.parametrize("family,p", [(family, p) for family, p, _ in FOREST_CASES])
+# hat(4,2) and hat(5,2) both take the p >= 4 branch; both are kept
+@pytest.mark.parametrize(
+    "family,p", [(family, p) for family, p, _ in FOREST_CASES] + [("hat", 4)]
+)
 def test_cli_tau_seeded_matches_unseeded(capsys, family, p):
     results = []
     for seed in ("auto", "none"):

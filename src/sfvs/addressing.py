@@ -18,6 +18,7 @@ and malformed labels raise ParseError naming the offending position.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 __all__ = [
@@ -29,11 +30,14 @@ __all__ = [
     "ParseError",
     "Prefixed",
     "Word",
+    "copy_labels",
     "format_vertex",
     "format_word",
+    "hat_labels",
     "parse_vertex",
     "parse_word",
     "prefix_triangle",
+    "word_labels",
     "word_separator",
 ]
 
@@ -182,6 +186,40 @@ def format_vertex(v, p: int) -> str:
             raise ValueError(f"symbol {j} out of range for p={p}")
         return f"{format_word(v.prefix, p)}:{{{i},{j}}}"
     raise TypeError(f"not a vertex: {v!r}")
+
+
+def word_labels(p: int, n: int) -> list:
+    """Labels of every word of length n, in rank order (the word read as a
+    base-p number)."""
+    _check_p(p)
+    if n == 0:
+        return [EMPTY_WORD_LABEL]
+    return list(map(word_separator(p).join, itertools.product(map(str, range(p)), repeat=n)))
+
+
+def copy_labels(p: int, n: int) -> list:
+    """Extra-copy labels "p:word" of every word of length n, in rank order."""
+    _check_p(p)
+    words = itertools.product(map(str, range(p)), repeat=n)
+    return [f"{p}:{word_separator(p).join(w)}" for w in words]
+
+
+def hat_labels(p: int, n: int) -> list:
+    """Labels of the quotient graph at level n: the corners ^0..^(p-1),
+    then every prefix:{i,j} ordered by (prefix, i, j) as integer tuples."""
+    _check_p(p)
+    sep = word_separator(p)
+    pairs = [f":{{{i},{j}}}" for i, j in itertools.combinations(range(p), 2)]
+    body = []
+    for _ in range(n):
+        # level m: the pairs with the empty prefix, then level m-1's
+        # contracted vertices under each one-symbol prefix
+        body = pairs + [
+            f"{i}{label}" if k < len(pairs) else f"{i}{sep}{label}"
+            for i in range(p)
+            for k, label in enumerate(body)
+        ]
+    return [f"^{k}" for k in range(p)] + body
 
 
 def _parse_pair(text: str, p: int, offset: int) -> tuple:

@@ -1,6 +1,7 @@
 """Exact feedback vertex number, two independent ways.
 
-tau_bruteforce enumerates vertex subsets by increasing size and is the
+tau_bruteforce enumerates deletion sets and induced forests by
+increasing size, whichever side has fewer subsets next, and is the
 ground-truth oracle for small graphs.  tau_bnb is a branch-and-bound
 search over a multigraph that supports the classic reductions:
 
@@ -28,6 +29,7 @@ re-verified against the input graph before being returned.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -88,7 +90,13 @@ def verify_certificate(g: LabeledGraph, cert: FvsCertificate) -> bool:
 
 
 def tau_bruteforce(g: LabeledGraph, cap: int = 22) -> FvsCertificate:
-    """Exact feedback number by subset enumeration in increasing size.
+    """Exact feedback number by subset enumeration from both sides.
+
+    Each step tries whichever side has fewer subsets at its next size:
+    the deletion sets of size lo in increasing lo, the first that leaves a
+    forest being the answer, or the induced forests of size n - hi + 1 in
+    decreasing hi, where finding none proves tau = hi.  The witness is the
+    first deletion set of size tau in lexicographic order either way.
 
     Exponential; refuses graphs above cap vertices (use tau_bnb there).
     """
@@ -100,6 +108,7 @@ def tau_bruteforce(g: LabeledGraph, cap: int = 22) -> FvsCertificate:
     labels = sorted(g.vertices())
     index = {v: i for i, v in enumerate(labels)}
     edges = [(index[u], index[v]) for u, v in g.edges()]
+    everyone = frozenset(range(n))
 
     def acyclic_without(removed) -> bool:
         parent = list(range(n))
@@ -119,12 +128,23 @@ def tau_bruteforce(g: LabeledGraph, cap: int = 22) -> FvsCertificate:
             parent[ru] = rv
         return True
 
-    for k in range(n + 1):
-        for combo in itertools.combinations(range(n), k):
-            if acyclic_without(set(combo)):
-                witness = tuple(labels[i] for i in combo)
-                return FvsCertificate(k, witness, True)
-    raise AssertionError("unreachable: removing every vertex leaves a forest")
+    # lo <= tau <= hi: every deletion set of size < lo leaves a cycle, and
+    # a forest of n - hi vertices exists
+    lo, hi = 0, n
+    while True:
+        forest = n - hi + 1
+        if lo == hi or math.comb(n, lo) <= math.comb(n, forest):
+            for combo in itertools.combinations(range(n), lo):
+                if acyclic_without(set(combo)):
+                    return FvsCertificate(lo, tuple(labels[i] for i in combo), True)
+            lo += 1
+        elif any(
+            acyclic_without(everyone.difference(kept))
+            for kept in itertools.combinations(range(n), forest)
+        ):
+            hi -= 1
+        else:
+            lo = hi
 
 
 class _BudgetExhausted(Exception):

@@ -11,25 +11,32 @@ All four are defined over the alphabet P = {0, ..., p-1}:
   * triangle(p, n)            the quotient of level n+1 under contraction
                               of all its non-clique edges
 
-triangle is built in closed form, without the level n+1 parent.
-nonclique_edges lists the matching that the definition contracts, so
+Every family is self-similar, and each is built that way: level m of
+the base family is p copies of level m - 1 joined by one bridge per pair
+of copies, and level m of the quotient is p copies of level m - 1 glued
+at their corners.  Edges are integer index pairs, a word standing for
+its base-p rank, and graph_core.build_indexed turns them into a
+LabeledGraph over labels that addressing formats in the same order.
+triangle never builds the level n+1 parent; nonclique_edges lists
+the matching that the definition contracts, so
+graph_core.contract_edges on sierpinski(p, n+1) gives the reference graph. the matching that the definition contracts, so
 graph_core.contract_edges on sierpinski(p, n+1) gives the reference graph.
 """
 
 from __future__ import annotations
 
 import itertools
+from itertools import chain, combinations
 
 from .addressing import (
     APEX_LABEL,
-    EMPTY_WORD_LABEL,
     FAMILIES,
-    Contracted,
-    Hat,
-    format_vertex,
+    copy_labels,
+    hat_labels,
+    word_labels,
     word_separator,
 )
-from .graph_core import GraphError, LabeledGraph, build_graph
+from .graph_core import GraphError, LabeledGraph, build_indexed
 
 __all__ = [
     "expected_order",
@@ -58,51 +65,66 @@ def _check_family(family: str, p: int, n: int) -> None:
         raise ValueError(f"the quotient family needs at least 2 symbols, got {p}")
 
 
-def _word_labels(p: int, n: int):
-    if n == 0:
-        return [EMPTY_WORD_LABEL]
-    sep = word_separator(p)
-    sym = [str(k) for k in range(p)]
-    return [sep.join(t) for t in itertools.product(sym, repeat=n)]
+def _one(p: int, m: int) -> int:
+    """Rank of the word 1^m, so that i * _one(p, m) is the rank of i^m."""
+    return sum(p**k for k in range(m))
 
 
-def _sierpinski_edges(p: int, n: int):
-    """Edges of the base family as label pairs.
+def _copies(flat, tables):
+    """Every index of the flat edge list [u0, v0, u1, v1, ...] mapped
+    through each table in turn: one relabeled copy per table."""
+    return chain.from_iterable(map(table.__getitem__, flat) for table in tables)
 
-    One edge per (d, s, i, j): the word s.i.j^(d-1) meets s.j.i^(d-1).
-    d = 1 gives the p-cliques on sibling words, d >= 2 the bridges
-    between subcopies.
-    """
-    sep = word_separator(p)
-    sym = [str(k) for k in range(p)]
-    for d in range(1, n + 1):
-        for s in itertools.product(sym, repeat=n - d):
-            base = list(s)
-            for i in range(p):
-                si = sym[i]
-                for j in range(i + 1, p):
-                    sj = sym[j]
-                    yield (
-                        sep.join(base + [si] + [sj] * (d - 1)),
-                        sep.join(base + [sj] + [si] * (d - 1)),
-                    )
+
+def _base_level(p: int, m: int, flat):
+    """Level m of the base graph from level m - 1, both flat over word
+    ranks: p copies, copy i shifted by i * p^(m-1), and one bridge
+    i.j^(m-1) -- j.i^(m-1) per pair i < j."""
+    q, one = p ** (m - 1), _one(p, m - 1)
+    bridges = ((i * q + j * one, j * q + i * one) for i, j in combinations(range(p), 2))
+    shifts = [range(i * q, (i + 1) * q) for i in range(p)]
+    return chain(_copies(flat, shifts), chain.from_iterable(bridges))
+
+
+def _hat_level(p: int, m: int, flat):
+    """Level m of the quotient from level m - 1, both flat over indices in
+    hat_labels order: p copies, copy i mapping corner j to ^i when j = i
+    and to :{i,j} otherwise, and its vertex s:{a,b} to i.s:{a,b}."""
+    pair = {q: p + k for k, q in enumerate(combinations(range(p), 2))}
+    inner = len(pair) * _one(p, m - 1)  # contracted vertices at level m - 1
+    start = p + len(pair)
+    tables = [
+        [pair[min(i, j), max(i, j)] if j != i else i for j in range(p)]
+        + list(range(start + i * inner, start + (i + 1) * inner))
+        for i in range(p)
+    ]
+    return _copies(flat, tables)
+
+
+def _levels(level, p: int, n: int, flat):
+    """The edges at level n - 1 as a flat list and at level n as an
+    iterator of index pairs, built by level() up from level 0's flat list.
+    Only level n is streamed: the core holds its edges anyway."""
+    for m in range(1, n):
+        flat = list(level(p, m, flat))
+    top = iter(level(p, n, flat) if n else flat)
+    return flat, zip(top, top)
 
 
 def sierpinski(p: int, n: int) -> LabeledGraph:
     """The base graph on p^n words."""
     _check_family("s", p, n)
-    return build_graph(_word_labels(p, n), _sierpinski_edges(p, n))
+    _, edges = _levels(_base_level, p, n, [])
+    return build_indexed(word_labels(p, n), edges)
 
 
 def sierpinski_plus(p: int, n: int) -> LabeledGraph:
     """Base graph plus an apex adjacent to the p extreme vertices."""
     _check_family("plus", p, n)
-    sep = word_separator(p)
-    extremes = [sep.join([str(i)] * n) for i in range(p)]
-    edges = itertools.chain(
-        _sierpinski_edges(p, n), ((APEX_LABEL, e) for e in extremes)
-    )
-    return build_graph(_word_labels(p, n) + [APEX_LABEL], edges)
+    _, edges = _levels(_base_level, p, n, [])
+    apex, one = p**n, _one(p, n)
+    edges = chain(edges, ((apex, i * one) for i in range(p)))
+    return build_indexed(word_labels(p, n) + [APEX_LABEL], edges)
 
 
 def sierpinski_plusplus(p: int, n: int) -> LabeledGraph:
@@ -112,18 +134,12 @@ def sierpinski_plusplus(p: int, n: int) -> LabeledGraph:
     the host extreme i^n, so every host extreme gets one new neighbor.
     """
     _check_family("pp", p, n)
-    sep = word_separator(p)
-    copy = [f"{p}:{sep.join(t)}" for t in itertools.product([str(k) for k in range(p)], repeat=n - 1)]
-    extremes = [
-        (f"{p}:{sep.join([str(i)] * (n - 1))}", sep.join([str(i)] * n))
-        for i in range(p)
-    ]
-    edges = itertools.chain(
-        _sierpinski_edges(p, n),
-        ((f"{p}:{u}", f"{p}:{v}") for u, v in _sierpinski_edges(p, n - 1)),
-        extremes,
-    )
-    return build_graph(_word_labels(p, n) + copy, edges)
+    below, top = _levels(_base_level, p, n, [])
+    off, one, one_below = p**n, _one(p, n), _one(p, n - 1)
+    copy = _copies(below, [range(off, off + p ** (n - 1))])
+    extremes = ((off + i * one_below, i * one) for i in range(p))
+    edges = chain(top, zip(copy, copy), extremes)
+    return build_indexed(word_labels(p, n) + copy_labels(p, n - 1), edges)
 
 
 def nonclique_edges(p: int, m: int):
@@ -158,35 +174,14 @@ def triangle(p: int, n: int) -> LabeledGraph:
     non-clique edge, with the surviving extremes i^(n+1) named as corners
     "^i".
 
-    Built in closed form, without the p^(n+1)-vertex parent: the
-    contraction keeps every level-1 clique u.P of the parent, and these
-    p^n cliques carry all the edges.  Over u = s.i the clique joins the
-    p - 1 deepest vertices s:{i,j} and the image of s.i.i, which is a
-    corner or a shallower vertex.
+    Built level by level, without the p^(n+1)-vertex parent: level 0 is
+    K_p on the corners, and level m is p copies of level m - 1 glued at
+    their corners, copy i's corner j becoming ^i when j = i and the shared
+    vertex :{i,j} otherwise.
     """
     _check_family("hat", p, n)
-    rng = range(p)
-    # corner k is keyed k, the contracted vertex prefix:{i,j} (s, i, j), i < j
-    label = {k: format_vertex(Hat(k), p) for k in rng}
-    for length in range(n):
-        for s in itertools.product(rng, repeat=length):
-            for i, j in itertools.combinations(rng, 2):
-                label[s, i, j] = format_vertex(Contracted(s, (i, j)), p)
-
-    def image(w):
-        # the vertex a parent word w = t.k.x...x collapses to: t:{k,x}, or
-        # the corner ^x when w is constant
-        x, r = w[-1], len(w) - 1
-        while r and w[r - 1] == x:
-            r -= 1
-        if r == 0:
-            return label[x]
-        k = w[r - 1]
-        return label[w[: r - 1], min(k, x), max(k, x)]
-
-    cliques = ([image(u + (x,)) for x in rng] for u in itertools.product(rng, repeat=n))
-    edges = (e for clique in cliques for e in itertools.combinations(clique, 2))
-    g = build_graph(label.values(), edges)
+    k_p = list(chain.from_iterable(combinations(range(p), 2)))
+    g = build_indexed(hat_labels(p, n), _levels(_hat_level, p, n, k_p)[1])
     if g.size != expected_size("hat", p, n):
         raise GraphError(
             f"closed-form edges of the quotient number {g.size}, "

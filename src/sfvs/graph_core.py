@@ -3,9 +3,11 @@ algorithms the package needs: forest checking, cycle extraction, edge
 contraction, relabeling, and a flat-file edge list format.
 
 LabeledGraph stores a sorted adjacency map of tuples and is hashable-free
-but equality-comparable; all mutation happens through build_graph.  The
-int-indexed Multigraph at the bottom is the scratch structure used by the
-exact solver and is deliberately mutable.
+but equality-comparable.  Graphs are built by build_indexed, from labels
+and edges given as index pairs (build_graph maps label pairs to indices
+for it), or cut out by induced().  The int-indexed Multigraph at the
+bottom is the scratch structure used by the exact solver and is
+deliberately mutable.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ __all__ = [
     "LabeledGraph",
     "Multigraph",
     "build_graph",
+    "build_indexed",
     "contract_edges",
     "export_dot",
     "export_edgelist",
@@ -37,7 +40,7 @@ class LabeledGraph:
     __slots__ = ("_adj", "_size")
 
     def __init__(self, adj, size):
-        # internal: use build_graph
+        # internal: use build_indexed or build_graph
         self._adj = adj
         self._size = size
 
@@ -117,32 +120,52 @@ class LabeledGraph:
             return NotImplemented
         return self._adj == other._adj
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     __hash__ = None
 
     def __repr__(self):
         return f"<LabeledGraph order={self.order} size={self.size}>"
 
 
+def build_indexed(labels, pairs) -> LabeledGraph:
+    """Construct a LabeledGraph from a sequence of distinct string labels
+    and edges given as (i, j) index pairs into it.  Duplicate edges collapse; indices
+    outside 0..len(labels)-1, loops and repeated labels are rejected."""
+    names = sorted(labels)
+    n = len(names)
+    for a, b in zip(names, names[1:]):
+        if a == b:
+            raise GraphError(f"repeated vertex label {a!r}")
+    rank = {v: k for k, v in enumerate(names)}
+    pos = [rank[v] for v in labels]
+    nbrs = [set() for _ in range(n)]
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) has an index not in range({n})")
+        if u == v:
+            raise GraphError(f"self-loop at {labels[u]!r}")
+        u, v = pos[u], pos[v]
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    adj = {v: tuple([names[x] for x in sorted(s)]) for v, s in zip(names, nbrs)}
+    return LabeledGraph(adj, sum(map(len, nbrs)) // 2)
+
+
 def build_graph(vertices, edges) -> LabeledGraph:
-    """Construct a LabeledGraph.  Duplicate edges collapse; loops and edges
-    touching undeclared vertices are rejected."""
-    adj = {str(v): set() for v in vertices}
+    """Construct a LabeledGraph.  Labels are coerced with str() and
+    duplicate vertices and edges collapse; loops and edges touching
+    undeclared vertices are rejected."""
+    labels = list(dict.fromkeys(map(str, vertices)))
+    index = {v: i for i, v in enumerate(labels)}
+    pairs = []
     for u, v in edges:
         u, v = str(u), str(v)
         if u == v:
             raise GraphError(f"self-loop at {u!r}")
         for x in (u, v):
-            if x not in adj:
+            if x not in index:
                 raise GraphError(f"edge endpoint {x!r} is not a declared vertex")
-        adj[u].add(v)
-        adj[v].add(u)
-    final = {u: tuple(sorted(nbrs)) for u, nbrs in sorted(adj.items())}
-    size = sum(len(nbrs) for nbrs in final.values()) // 2
-    return LabeledGraph(final, size)
+        pairs.append((index[u], index[v]))
+    return build_indexed(labels, pairs)
 
 
 def _subset_vertices(g: LabeledGraph, subset):

@@ -1,13 +1,22 @@
 """Shared fixtures."""
 
+import itertools
 from types import SimpleNamespace
 
 import pytest
 
-from sfvs.addressing import word_separator
+from sfvs.addressing import (
+    APEX_LABEL,
+    EMPTY_WORD_LABEL,
+    FAMILIES,
+    Contracted,
+    Hat,
+    format_vertex,
+    word_separator,
+)
 from sfvs.exact_fvs import FvsCertificate, _Best, _BudgetExhausted, _Ticker
-from sfvs.generators import nonclique_edges, sierpinski
-from sfvs.graph_core import LabeledGraph, Multigraph, contract_edges, relabel
+from sfvs.generators import expected_size, nonclique_edges, sierpinski
+from sfvs.graph_core import GraphError, LabeledGraph, Multigraph, contract_edges, relabel
 
 
 def _contracted_triangle(p, n):
@@ -454,3 +463,178 @@ def reference_search():
     """Reference tau_bnb(g, budget, seed) over the recounting multigraph,
     with the rescanning incumbent above."""
     return _reference_tau
+
+
+# The four family builders as they were before graph building worked on
+# integer indices: every edge spelled as two label strings and built by
+# a string-keyed build_graph.
+
+
+def _string_build_graph(vertices, edges) -> LabeledGraph:
+    adj = {str(v): set() for v in vertices}
+    for u, v in edges:
+        u, v = str(u), str(v)
+        if u == v:
+            raise GraphError(f"self-loop at {u!r}")
+        for x in (u, v):
+            if x not in adj:
+                raise GraphError(f"edge endpoint {x!r} is not a declared vertex")
+        adj[u].add(v)
+        adj[v].add(u)
+    final = {u: tuple(sorted(nbrs)) for u, nbrs in sorted(adj.items())}
+    size = sum(len(nbrs) for nbrs in final.values()) // 2
+    return LabeledGraph(final, size)
+
+
+def _check_params(p: int, n: int, n_min: int) -> None:
+    if p < 1:
+        raise ValueError(f"alphabet size must be positive, got {p}")
+    if n < n_min:
+        raise ValueError(f"level must be at least {n_min}, got {n}")
+
+
+def _check_family(family: str, p: int, n: int) -> None:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    _check_params(p, n, 1 if family in ("plus", "pp") else 0)
+    if family == "hat" and p < 2:
+        raise ValueError(f"the quotient family needs at least 2 symbols, got {p}")
+
+
+def _word_labels(p: int, n: int):
+    if n == 0:
+        return [EMPTY_WORD_LABEL]
+    sep = word_separator(p)
+    sym = [str(k) for k in range(p)]
+    return [sep.join(t) for t in itertools.product(sym, repeat=n)]
+
+
+def _sierpinski_edges(p: int, n: int):
+    sep = word_separator(p)
+    sym = [str(k) for k in range(p)]
+    for d in range(1, n + 1):
+        for s in itertools.product(sym, repeat=n - d):
+            base = list(s)
+            for i in range(p):
+                si = sym[i]
+                for j in range(i + 1, p):
+                    sj = sym[j]
+                    yield (
+                        sep.join(base + [si] + [sj] * (d - 1)),
+                        sep.join(base + [sj] + [si] * (d - 1)),
+                    )
+
+
+def _string_sierpinski(p: int, n: int) -> LabeledGraph:
+    _check_family("s", p, n)
+    return _string_build_graph(_word_labels(p, n), _sierpinski_edges(p, n))
+
+
+def _string_sierpinski_plus(p: int, n: int) -> LabeledGraph:
+    _check_family("plus", p, n)
+    sep = word_separator(p)
+    extremes = [sep.join([str(i)] * n) for i in range(p)]
+    edges = itertools.chain(
+        _sierpinski_edges(p, n), ((APEX_LABEL, e) for e in extremes)
+    )
+    return _string_build_graph(_word_labels(p, n) + [APEX_LABEL], edges)
+
+
+def _string_sierpinski_plusplus(p: int, n: int) -> LabeledGraph:
+    _check_family("pp", p, n)
+    sep = word_separator(p)
+    copy = [f"{p}:{sep.join(t)}" for t in itertools.product([str(k) for k in range(p)], repeat=n - 1)]
+    extremes = [
+        (f"{p}:{sep.join([str(i)] * (n - 1))}", sep.join([str(i)] * n))
+        for i in range(p)
+    ]
+    edges = itertools.chain(
+        _sierpinski_edges(p, n),
+        ((f"{p}:{u}", f"{p}:{v}") for u, v in _sierpinski_edges(p, n - 1)),
+        extremes,
+    )
+    return _string_build_graph(_word_labels(p, n) + copy, edges)
+
+
+def _string_triangle(p: int, n: int) -> LabeledGraph:
+    _check_family("hat", p, n)
+    rng = range(p)
+    label = {k: format_vertex(Hat(k), p) for k in rng}
+    for length in range(n):
+        for s in itertools.product(rng, repeat=length):
+            for i, j in itertools.combinations(rng, 2):
+                label[s, i, j] = format_vertex(Contracted(s, (i, j)), p)
+
+    def image(w):
+        x, r = w[-1], len(w) - 1
+        while r and w[r - 1] == x:
+            r -= 1
+        if r == 0:
+            return label[x]
+        k = w[r - 1]
+        return label[w[: r - 1], min(k, x), max(k, x)]
+
+    cliques = ([image(u + (x,)) for x in rng] for u in itertools.product(rng, repeat=n))
+    edges = (e for clique in cliques for e in itertools.combinations(clique, 2))
+    g = _string_build_graph(label.values(), edges)
+    if g.size != expected_size("hat", p, n):
+        raise GraphError(
+            f"closed-form edges of the quotient number {g.size}, "
+            f"expected {expected_size('hat', p, n)}"
+        )
+    return g
+
+
+@pytest.fixture
+def reference_builders():
+    """The string-based builders of each family, keyed like
+    verify_cli._BUILDERS."""
+    return {
+        "s": _string_sierpinski,
+        "plus": _string_sierpinski_plus,
+        "pp": _string_sierpinski_plusplus,
+        "hat": _string_triangle,
+    }
+
+
+def _bruteforce_by_size(g, cap: int = 22) -> FvsCertificate:
+    """tau_bruteforce as it was: every deletion set in increasing size."""
+    n = g.order
+    if n > cap:
+        raise ValueError(
+            f"{n} vertices exceeds the brute-force cap of {cap}; use tau_bnb"
+        )
+    labels = sorted(g.vertices())
+    index = {v: i for i, v in enumerate(labels)}
+    edges = [(index[u], index[v]) for u, v in g.edges()]
+
+    def acyclic_without(removed) -> bool:
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for u, v in edges:
+            if u in removed or v in removed:
+                continue
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                return False
+            parent[ru] = rv
+        return True
+
+    for k in range(n + 1):
+        for combo in itertools.combinations(range(n), k):
+            if acyclic_without(set(combo)):
+                witness = tuple(labels[i] for i in combo)
+                return FvsCertificate(k, witness, True)
+    raise AssertionError("unreachable: removing every vertex leaves a forest")
+
+
+@pytest.fixture
+def reference_bruteforce():
+    """Reference tau_bruteforce(g, cap) enumerating deletion sets only."""
+    return _bruteforce_by_size

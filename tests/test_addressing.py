@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,11 +11,14 @@ from sfvs.addressing import (
     Hat,
     ParseError,
     Prefixed,
+    copy_labels,
     format_vertex,
     format_word,
+    hat_labels,
     parse_vertex,
     parse_word,
     prefix_triangle,
+    word_labels,
     word_separator,
 )
 
@@ -161,3 +166,24 @@ def test_prefix_triangle_corner_rules():
     assert prefix_triangle(2, Contracted((0,), (1, 2))) == Contracted((2, 0), (1, 2))
     with pytest.raises(TypeError):
         prefix_triangle(0, (0, 1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 11, 12])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_bulk_formatters_match_format_vertex(p, n):
+    words = list(itertools.product(range(p), repeat=n))
+    labels = word_labels(p, n)
+    assert labels == [format_vertex(w, p) for w in words]
+    assert [parse_vertex(label, "s", p, n) for label in labels] == words
+
+    labels = copy_labels(p, n)
+    assert labels == [format_vertex(Prefixed(w), p) for w in words]
+    assert [parse_vertex(label, "pp", p, n + 1) for label in labels] == list(map(Prefixed, words))
+
+    # corners, then the contracted vertices ordered by (prefix, pair)
+    pairs = list(itertools.combinations(range(p), 2))
+    prefixes = (s for m in range(n) for s in itertools.product(range(p), repeat=m))
+    vertices = [Hat(k) for k in range(p)] + sorted(Contracted(s, q) for s in prefixes for q in pairs)
+    labels = hat_labels(p, n)
+    assert labels == [format_vertex(v, p) for v in vertices]
+    assert [parse_vertex(label, "hat", p, n) for label in labels] == vertices

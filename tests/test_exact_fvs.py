@@ -124,6 +124,23 @@ def test_bruteforce_witness_is_sorted_labels():
     assert set(cert.witness) <= {"0", "1", "2", "3"}
 
 
+def test_bruteforce_matches_reference_on_random_graphs(reference_bruteforce):
+    rng = random.Random(2207)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 13), rng.uniform(0.1, 0.9))
+        assert tau_bruteforce(g) == reference_bruteforce(g)
+
+
+def test_bruteforce_closes_dense_graphs_at_its_cap():
+    # no induced forest of 3 vertices settles K_22 after about 3,500
+    # subsets; deletion sets alone took most of a minute
+    g = complete_graph(22)
+    assert tau_bruteforce(g) == FvsCertificate(20, tuple(sorted(g.vertices())[:20]), True)
+    g = sierpinski_plusplus(21, 1)
+    cert = tau_bruteforce(g)
+    assert cert.tau == 20 and verify_certificate(g, cert)
+
+
 # certificates
 
 
@@ -292,7 +309,8 @@ def test_lower_bound_below_tau_on_random_graphs():
     [("s", sierpinski), ("plus", sierpinski_plus), ("pp", sierpinski_plusplus), ("hat", triangle)],
 )
 def test_lower_bound_below_tau_on_families(family, builder):
-    # up to 16 vertices: brute force takes 36 s on K_22 alone
+    # up to 16 vertices: brute force still takes about 9 s on hat(6,1),
+    # which has 21
     for p in range(2, 17):
         for n in range(0 if family in ("s", "hat") else 1, 5):
             if expected_order(family, p, n) <= 16:

@@ -211,3 +211,29 @@ def test_count_formulas_reject_what_the_builders_reject(family, p, n, message):
         expected_order(family, p, n)
     with pytest.raises(ValueError, match=message):
         expected_size(family, p, n)
+
+
+def _grid():
+    # p 1..7 x n 0..4, with invalid p and n on both sides of the domain,
+    # and the comma-separated labels of p 11 and 12 at n <= 2
+    cases = [(p, n) for p in range(0, 8) for n in range(-1, 5)]
+    return cases + [(p, n) for p in (11, 12) for n in range(-1, 3)]
+
+
+@pytest.mark.parametrize("family", ["s", "plus", "pp", "hat"])
+def test_builders_match_the_string_reference(family, reference_builders):
+    built = 0
+    for p, n in _grid():
+        try:
+            want = reference_builders[family](p, n)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                _BUILDERS[family](p, n)
+            assert str(got.value) == str(exc)
+            continue
+        g = _BUILDERS[family](p, n)
+        assert g == want
+        assert g.vertices() == want.vertices()
+        assert g.size == want.size
+        built += 1
+    assert built == {"s": 41, "plus": 32, "pp": 32, "hat": 36}[family]

@@ -7,6 +7,7 @@ from sfvs.graph_core import (
     LabeledGraph,
     Multigraph,
     build_graph,
+    build_indexed,
     contract_edges,
     export_dot,
     export_edgelist,
@@ -50,6 +51,63 @@ def test_build_graph_rejects_bad_edges():
         build_graph(["a"], [("a", "a")])
     with pytest.raises(GraphError):
         build_graph(["a"], [("a", "b")])
+
+
+def test_build_graph_error_texts_and_order():
+    # the loop check comes first, even when the vertex is undeclared
+    for vertices, edges, message in [
+        ([], [("x", "x")], "self-loop at 'x'"),
+        (["a"], [("a", "b")], "edge endpoint 'b' is not a declared vertex"),
+        (["a"], [("c", "a")], "edge endpoint 'c' is not a declared vertex"),
+    ]:
+        with pytest.raises(GraphError) as exc:
+            build_graph(vertices, edges)
+        assert str(exc.value) == message
+    assert build_graph(["a", "a", "b"], [("a", "b")]).vertices() == ["a", "b"]
+
+
+def test_build_indexed_basics():
+    g = build_indexed(["b", "a", "c"], [(1, 0), (0, 1), (0, 2), (2, 0)])
+    assert g == build_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    assert g.vertices() == ["a", "b", "c"]
+    assert g.size == 2
+    assert g.neighbors("b") == ("a", "c")
+    assert build_indexed([], []).order == 0
+
+
+@pytest.mark.parametrize(
+    "labels,pairs,message",
+    [
+        (["a", "b"], [(0, 1), (0, -1)], "edge (0, -1) has an index not in range(2)"),
+        (["a", "b"], [(2, 0)], "edge (2, 0) has an index not in range(2)"),
+        (["a", "b"], [(0, 1), (1, 1)], "self-loop at 'b'"),
+        (["a", "b", "a"], [], "repeated vertex label 'a'"),
+    ],
+)
+def test_build_indexed_rejects_bad_input(labels, pairs, message):
+    with pytest.raises(GraphError) as exc:
+        build_indexed(labels, pairs)
+    assert str(exc.value) == message
+
+
+@given(
+    st.lists(st.text("abc", max_size=3), min_size=1, max_size=8),
+    st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)), max_size=30),
+)
+def test_build_graph_equals_build_indexed(vertices, raw):
+    # raw pairs repeat and reverse edges; vertices may repeat labels
+    labels = list(dict.fromkeys(vertices))
+    n = len(labels)
+    pairs = [(u % n, v % n) for u, v in raw if u % n != v % n]
+    g = build_graph(vertices, [(labels[u], labels[v]) for u, v in pairs])
+    for h in (
+        build_indexed(labels, pairs),
+        build_indexed(labels[::-1], [(n - 1 - u, n - 1 - v) for u, v in pairs]),
+    ):
+        assert g == h
+        assert g.vertices() == h.vertices()
+        assert g.size == h.size
+    assert g.edges() == sorted({tuple(sorted((labels[u], labels[v]))) for u, v in pairs})
 
 
 def test_neighbors_of_missing_vertex():

@@ -95,8 +95,10 @@ def tau_bruteforce(g: LabeledGraph, cap: int = 22) -> FvsCertificate:
     Each step tries whichever side has fewer subsets at its next size:
     the deletion sets of size lo in increasing lo, the first that leaves a
     forest being the answer, or the induced forests of size n - hi + 1 in
-    decreasing hi, where finding none proves tau = hi.  The witness is the
-    first deletion set of size tau in lexicographic order either way.
+    decreasing hi, where finding none proves tau = hi.  Forests are
+    searched by growing acyclic sets, so a set with a cycle is never
+    extended.  The witness is the first deletion set of size tau in
+    lexicographic order either way.
 
     Exponential; refuses graphs above cap vertices (use tau_bnb there).
     """
@@ -128,20 +130,28 @@ def tau_bruteforce(g: LabeledGraph, cap: int = 22) -> FvsCertificate:
             parent[ru] = rv
         return True
 
+    def forest_of(size, kept=(), start=0) -> bool:
+        # some set of size vertices induces a forest: kept grows in index
+        # order and is dropped as soon as it holds a cycle
+        if len(kept) == size:
+            return True
+        return any(
+            acyclic_without(everyone.difference(kept + (v,)))
+            and forest_of(size, kept + (v,), v + 1)
+            for v in range(start, n - size + len(kept) + 1)
+        )
+
     # lo <= tau <= hi: every deletion set of size < lo leaves a cycle, and
-    # a forest of n - hi vertices exists
-    lo, hi = 0, n
+    # a forest of n - hi vertices exists, as any two vertices are one
+    lo, hi = 0, max(n - 2, 0)
     while True:
-        forest = n - hi + 1
-        if lo == hi or math.comb(n, lo) <= math.comb(n, forest):
+        size = n - hi + 1
+        if lo == hi or math.comb(n, lo) <= math.comb(n, size):
             for combo in itertools.combinations(range(n), lo):
                 if acyclic_without(set(combo)):
                     return FvsCertificate(lo, tuple(labels[i] for i in combo), True)
             lo += 1
-        elif any(
-            acyclic_without(everyone.difference(kept))
-            for kept in itertools.combinations(range(n), forest)
-        ):
+        elif forest_of(size):
             hi -= 1
         else:
             lo = hi

@@ -17,10 +17,9 @@ of copies, and level m of the quotient is p copies of level m - 1 glued
 at their corners.  Edges are integer index pairs, a word standing for
 its base-p rank, and graph_core.build_indexed turns them into a
 LabeledGraph over labels that addressing formats in the same order.
-triangle never builds the level n+1 parent; nonclique_edges lists
-the matching that the definition contracts, so
-graph_core.contract_edges on sierpinski(p, n+1) gives the reference graph. the matching that the definition contracts, so
-graph_core.contract_edges on sierpinski(p, n+1) gives the reference graph.
+triangle never builds the level n+1 parent.  nonclique_edges lists the
+matching that the definition contracts, so graph_core.contract_edges on
+sierpinski(p, n+1) gives the reference graph.
 """
 
 from __future__ import annotations

@@ -132,10 +132,10 @@ def build_indexed(labels, pairs) -> LabeledGraph:
     outside 0..len(labels)-1, loops and repeated labels are rejected."""
     names = sorted(labels)
     n = len(names)
-    for a, b in zip(names, names[1:]):
-        if a == b:
-            raise GraphError(f"repeated vertex label {a!r}")
     rank = {v: k for k, v in enumerate(names)}
+    if len(rank) < n:
+        repeated = next(a for a, b in zip(names, names[1:]) if a == b)
+        raise GraphError(f"repeated vertex label {repeated!r}")
     pos = [rank[v] for v in labels]
     nbrs = [set() for _ in range(n)]
     for u, v in pairs:
@@ -146,7 +146,8 @@ def build_indexed(labels, pairs) -> LabeledGraph:
         u, v = pos[u], pos[v]
         nbrs[u].add(v)
         nbrs[v].add(u)
-    adj = {v: tuple([names[x] for x in sorted(s)]) for v, s in zip(names, nbrs)}
+    name = names.__getitem__
+    adj = {v: tuple(map(name, sorted(s))) for v, s in zip(names, nbrs)}
     return LabeledGraph(adj, sum(map(len, nbrs)) // 2)
 
 
@@ -161,10 +162,10 @@ def build_graph(vertices, edges) -> LabeledGraph:
         u, v = str(u), str(v)
         if u == v:
             raise GraphError(f"self-loop at {u!r}")
-        for x in (u, v):
-            if x not in index:
-                raise GraphError(f"edge endpoint {x!r} is not a declared vertex")
-        pairs.append((index[u], index[v]))
+        try:
+            pairs.append((index[u], index[v]))
+        except KeyError as exc:
+            raise GraphError(f"edge endpoint {exc.args[0]!r} is not a declared vertex") from None
     return build_indexed(labels, pairs)
 
 

@@ -180,7 +180,8 @@ def triangle(p: int, n: int) -> LabeledGraph:
     """
     _check_family("hat", p, n)
     k_p = list(chain.from_iterable(combinations(range(p), 2)))
-    g = build_indexed(hat_labels(p, n), _levels(_hat_level, p, n, k_p)[1])
+    _, edges = _levels(_hat_level, p, n, k_p)
+    g = build_indexed(hat_labels(p, n), edges)
     if g.size != expected_size("hat", p, n):
         raise GraphError(
             f"closed-form edges of the quotient number {g.size}, "

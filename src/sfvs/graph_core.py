@@ -128,8 +128,9 @@ class LabeledGraph:
 
 def build_indexed(labels, pairs) -> LabeledGraph:
     """Construct a LabeledGraph from a sequence of distinct string labels
-    and edges given as (i, j) index pairs into it.  Duplicate edges collapse; indices
-    outside 0..len(labels)-1, loops and repeated labels are rejected."""
+    and edges given as (i, j) index pairs into it.  Duplicate edges
+    collapse; indices outside 0..len(labels)-1, loops and repeated labels
+    are rejected."""
     names = sorted(labels)
     n = len(names)
     rank = {v: k for k, v in enumerate(names)}

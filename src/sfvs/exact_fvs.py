@@ -107,9 +107,8 @@ def tau_bruteforce(g: LabeledGraph, cap: int = 22) -> FvsCertificate:
         raise ValueError(
             f"{n} vertices exceeds the brute-force cap of {cap}; use tau_bnb"
         )
-    labels = sorted(g.vertices())
-    index = {v: i for i, v in enumerate(labels)}
-    edges = [(index[u], index[v]) for u, v in g.edges()]
+    labels = g.vertices()
+    edges = [(u, v) for u, nbrs in enumerate(g._nbrs) for v in nbrs if u < v]
     everyone = frozenset(range(n))
 
     def acyclic_without(removed) -> bool:
@@ -553,7 +552,7 @@ def tau_bnb(
     """
     budget = resolve_budget(budget)
     mg, labels = Multigraph.from_labeled(g)
-    index = {v: i for i, v in enumerate(labels)}
+    index = g._index
     if seed is not None:
         seed_labels = sorted({str(v) for v in seed})
         for v in seed_labels:

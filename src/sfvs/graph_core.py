@@ -2,17 +2,19 @@
 algorithms the package needs: forest checking, cycle extraction, edge
 contraction, relabeling, and a flat-file edge list format.
 
-LabeledGraph stores a sorted adjacency map of tuples and is hashable-free
-but equality-comparable.  Graphs are built by build_indexed, from labels
-and edges given as index pairs (build_graph maps label pairs to indices
-for it), or cut out by induced().  The int-indexed Multigraph at the
-bottom is the scratch structure used by the exact solver and is
-deliberately mutable.
+LabeledGraph numbers its vertices in sorted label order and stores the
+sorted labels, the label -> index map, one sorted tuple of neighbour
+indices per vertex and the edge count; it is hashable-free but
+equality-comparable.  Its methods speak labels and map indices to labels
+on the way out, while is_forest, find_cycle, induced() and components()
+run on the indices.  Graphs are built by build_indexed, from labels and
+edges given as index pairs (build_graph maps label pairs to indices for
+it), or cut out by induced().  The int-indexed Multigraph at the bottom
+is the scratch structure used by the exact solver, is read straight off
+the neighbour tuples, and is deliberately mutable.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 __all__ = [
     "GraphError",
@@ -35,90 +37,97 @@ class GraphError(ValueError):
 
 
 class LabeledGraph:
-    """Immutable undirected simple graph over string vertex labels."""
+    """Immutable undirected simple graph over string vertex labels.
 
-    __slots__ = ("_adj", "_size")
+    Vertex k is the k-th label in sorted order; _index maps a label back
+    to k, and _nbrs[k] is the sorted tuple of k's neighbour indices.
+    """
 
-    def __init__(self, adj, size):
+    __slots__ = ("_labels", "_index", "_nbrs", "_size")
+
+    def __init__(self, labels, index, nbrs, size):
         # internal: use build_indexed or build_graph
-        self._adj = adj
+        self._labels = labels
+        self._index = index
+        self._nbrs = nbrs
         self._size = size
 
     @property
     def order(self) -> int:
-        return len(self._adj)
+        return len(self._labels)
 
     @property
     def size(self) -> int:
         return self._size
 
-    def vertices(self) -> list:
-        """All labels in sorted order."""
-        return list(self._adj)
-
-    def neighbors(self, v: str):
+    def _position(self, v) -> int:
         try:
-            return self._adj[v]
+            return self._index[v]
         except KeyError:
             raise GraphError(f"no such vertex: {v!r}") from None
 
+    def vertices(self) -> list:
+        """All labels in sorted order."""
+        return list(self._labels)
+
+    def neighbors(self, v: str):
+        return tuple(map(self._labels.__getitem__, self._nbrs[self._position(v)]))
+
     def degree(self, v: str) -> int:
-        return len(self.neighbors(v))
+        return len(self._nbrs[self._position(v)])
 
     def __contains__(self, v) -> bool:
-        return v in self._adj
+        return v in self._index
 
     def has_edge(self, u: str, v: str) -> bool:
-        return v in self.neighbors(u)
+        nbrs = self._nbrs[self._position(u)]
+        return self._index.get(v, -1) in nbrs
 
     def edges(self):
         """All edges as sorted (u, v) pairs with u < v, in sorted order."""
-        out = []
-        for u, nbrs in self._adj.items():
-            for v in nbrs:
-                if u < v:
-                    out.append((u, v))
-        return out
+        labels = self._labels
+        return [
+            (labels[u], labels[v]) for u, nbrs in enumerate(self._nbrs) for v in nbrs if u < v
+        ]
 
     def induced(self, subset) -> "LabeledGraph":
-        keep = set(subset)
-        missing = keep - self._adj.keys()
-        if missing:
-            raise GraphError(f"no such vertex: {min(missing)!r}")
-        adj = {}
-        size = 0
-        for u in sorted(keep):
-            nbrs = tuple(v for v in self._adj[u] if v in keep)
-            adj[u] = nbrs
-            size += len(nbrs)
-        return LabeledGraph(adj, size // 2)
+        keep, mark = _subset_positions(self, subset)
+        keep.sort()
+        renumber = [0] * len(self._labels)
+        for new, old in enumerate(keep):
+            renumber[old] = new
+        kept, renumbered = mark.__getitem__, renumber.__getitem__
+        nbrs = [tuple(map(renumbered, filter(kept, self._nbrs[old]))) for old in keep]
+        labels = list(map(self._labels.__getitem__, keep))
+        index = dict(zip(labels, range(len(labels))))
+        return LabeledGraph(labels, index, nbrs, sum(map(len, nbrs)) // 2)
 
     def components(self):
         """Connected components as sorted lists of labels, sorted by their
         first label."""
-        seen = set()
+        nbrs = self._nbrs
+        seen = bytearray(len(nbrs))
         out = []
-        for start in self._adj:
-            if start in seen:
+        # each start is the least index of its component, so the
+        # components come out in order of their first label
+        for start in range(len(nbrs)):
+            if seen[start]:
                 continue
-            comp = []
-            queue = deque([start])
-            seen.add(start)
-            while queue:
-                u = queue.popleft()
-                comp.append(u)
-                for v in self._adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        queue.append(v)
-            out.append(sorted(comp))
-        out.sort(key=lambda c: c[0])
+            seen[start] = 1
+            comp = [start]
+            for u in comp:
+                for v in nbrs[u]:
+                    if not seen[v]:
+                        seen[v] = 1
+                        comp.append(v)
+            comp.sort()
+            out.append(list(map(self._labels.__getitem__, comp)))
         return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledGraph):
             return NotImplemented
-        return self._adj == other._adj
+        return self._labels == other._labels and self._nbrs == other._nbrs
 
     __hash__ = None
 
@@ -133,7 +142,7 @@ def build_indexed(labels, pairs) -> LabeledGraph:
     are rejected."""
     names = sorted(labels)
     n = len(names)
-    rank = {v: k for k, v in enumerate(names)}
+    rank = dict(zip(names, range(n)))
     if len(rank) < n:
         repeated = next(a for a, b in zip(names, names[1:]) if a == b)
         raise GraphError(f"repeated vertex label {repeated!r}")
@@ -147,9 +156,8 @@ def build_indexed(labels, pairs) -> LabeledGraph:
         u, v = pos[u], pos[v]
         nbrs[u].add(v)
         nbrs[v].add(u)
-    name = names.__getitem__
-    adj = {v: tuple(map(name, sorted(s))) for v, s in zip(names, nbrs)}
-    return LabeledGraph(adj, sum(map(len, nbrs)) // 2)
+    size = sum(map(len, nbrs)) // 2
+    return LabeledGraph(names, rank, [tuple(sorted(s)) for s in nbrs], size)
 
 
 def build_graph(vertices, edges) -> LabeledGraph:
@@ -170,56 +178,73 @@ def build_graph(vertices, edges) -> LabeledGraph:
     return build_indexed(labels, pairs)
 
 
-def _subset_vertices(g: LabeledGraph, subset):
+def _subset_positions(g: LabeledGraph, subset):
+    """The indices of subset (default: every vertex) as a list, and a
+    bytearray marking them.  A GraphError names the least missing vertex,
+    or the one with the least repr when the missing values do not
+    compare."""
+    n = len(g._labels)
     if subset is None:
-        return g._adj.keys()
+        return list(range(n)), bytearray(b"\x01") * n
     keep = set(subset)
-    missing = keep - g._adj.keys()
-    if missing:
-        raise GraphError(f"no such vertex: {min(missing)!r}")
-    return keep
+    positions = list(map(g._index.get, keep))
+    if None in positions:
+        missing = [v for v, i in zip(keep, positions) if i is None]
+        try:
+            first = min(missing)
+        except TypeError:
+            first = min(missing, key=repr)
+        raise GraphError(f"no such vertex: {first!r}")
+    mark = bytearray(n)
+    for i in positions:
+        mark[i] = 1
+    return positions, mark
 
 
 def is_forest(g: LabeledGraph, subset=None) -> bool:
     """True when the subgraph induced by subset (default: all of g) is
     acyclic.  Union-find, so near-linear."""
-    keep = _subset_vertices(g, subset)
-    parent = {v: v for v in keep}
+    keep, mark = _subset_positions(g, subset)
+    keep.sort()  # index order keeps parent and mark reads local
+    nbrs = g._nbrs
+    parent = list(range(len(nbrs)))
 
     def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
+    kept = mark.__getitem__
     for u in keep:
-        for v in g.neighbors(u):
-            if u < v and v in keep:
-                ru, rv = find(u), find(v)
+        ru = find(u)
+        for v in filter(kept, nbrs[u]):
+            if u < v:
+                rv = find(v)
                 if ru == rv:
                     return False
-                parent[ru] = rv
+                parent[rv] = ru
     return True
 
 
 def find_cycle(g: LabeledGraph, subset=None):
     """A cycle in the induced subgraph as a closed vertex list
     [v0, v1, ..., v0], or None if the subgraph is a forest."""
-    keep = _subset_vertices(g, subset)
-    parent = {}
-    for start in sorted(keep):
-        if start in parent:
+    keep, mark = _subset_positions(g, subset)
+    keep.sort()
+    nbrs, kept = g._nbrs, mark.__getitem__
+    parent = [-1] * len(nbrs)
+    for start in keep:
+        if parent[start] >= 0:
             continue
         parent[start] = start
         stack = [(start, start)]
         while stack:
             u, from_v = stack.pop()
-            for v in g.neighbors(u):
-                if v not in keep or v == from_v:
+            for v in filter(kept, nbrs[u]):
+                if v == from_v:
                     continue
-                if v in parent:
+                if parent[v] >= 0:
                     # non-tree edge; join the two ancestries at their
                     # lowest common vertex
                     up_u = [u]
@@ -234,7 +259,7 @@ def find_cycle(g: LabeledGraph, subset=None):
                         j -= 1
                     cycle = up_u[: i + 1] + up_v[:j][::-1] + [u]
                     assert len(cycle) >= 4
-                    return cycle
+                    return list(map(g._labels.__getitem__, cycle))
                 parent[v] = u
                 stack.append((v, u))
     return None
@@ -352,12 +377,12 @@ class Multigraph:
     def from_labeled(cls, g: LabeledGraph):
         """Build a Multigraph plus the index -> label table, indices in
         label order."""
-        labels = sorted(g.vertices())
-        index = {v: i for i, v in enumerate(labels)}
-        mg = cls(len(labels))
-        for u, v in g.edges():
-            mg.add_edge(index[u], index[v])
-        return mg, labels
+        mg = cls(0)
+        mg.adj = [dict.fromkeys(nbrs, 1) for nbrs in g._nbrs]
+        mg.alive = [True] * g.order
+        mg.deg = list(map(len, g._nbrs))
+        mg.size = g.size
+        return mg, g.vertices()
 
     def add_edge(self, u: int, v: int, mult: int = 1):
         if u == v:

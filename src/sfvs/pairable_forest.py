@@ -26,8 +26,8 @@ from .addressing import (
     parse_word,
     word_separator,
 )
-from .generators import sierpinski_plusplus
-from .graph_core import find_cycle
+from .generators import expected_order, sierpinski_plusplus
+from .graph_core import LabeledGraph, find_cycle
 
 __all__ = [
     "NotPairableError",
@@ -234,14 +234,15 @@ def _copy_seed(p: int) -> PairablePartition:
     return _seed(0, 1)
 
 
-def forest_plusplus(p: int, n: int) -> set:
+def forest_plusplus(p: int, n: int, graph: LabeledGraph | None = None) -> set:
     """Maximum induced forest of the extended family: the host forest plus
     a forest of the attached copy.
 
     The copy seed is chosen so that at most one attachment edge lands
     inside the union, and that one (p = 3 only) bridges two components.
     The union is checked for acyclicity; a cycle raises ValueError with
-    the cycle as witness.
+    the cycle as witness.  Pass the prebuilt graph to skip the internal
+    construction.
     """
     if p < 2:
         raise ValueError(f"need at least 2 symbols, got {p}")
@@ -257,7 +258,12 @@ def forest_plusplus(p: int, n: int) -> set:
     host = forest_sierpinski(p, n)
     copy_words = _closed_labels(_copy_seed(p), p, n - 1)
     union = host | {f"{p}:{w}" for w in copy_words}
-    cycle = find_cycle(sierpinski_plusplus(p, n), union)
+    g = sierpinski_plusplus(p, n) if graph is None else graph
+    if g.order != expected_order("pp", p, n):
+        raise ValueError(
+            f"graph has order {g.order}, expected {expected_order('pp', p, n)}"
+        )
+    cycle = find_cycle(g, union)
     if cycle is not None:
         raise ValueError(f"construction induced a cycle: {cycle}")
     return union

@@ -170,14 +170,10 @@ def forest_order_bound(p: int, n: int) -> int:
     return p**n - num // 8
 
 
-def forest_triangle(p: int, n: int, graph: LabeledGraph | None = None) -> set:
-    """An induced linear forest of the triangle family, as labels.
-
-    Size follows forest_order_recurrence (equals forest_order_bound for
-    n >= 3).  The result is verified against the graph: a cycle or a
-    vertex of induced degree 3 raises ValueError.  Pass the prebuilt
-    graph to skip the internal construction.
-    """
+def _checked_forest(p: int, n: int, graph: LabeledGraph | None):
+    """The labels of the large-alphabet linear forest and the subgraph
+    they induce, after checking the graph's order, acyclicity and
+    induced degrees; any failure raises ValueError."""
     if p < 4:
         raise ValueError(f"need at least 4 symbols, got {p}")
     if n < 2:
@@ -195,7 +191,18 @@ def forest_triangle(p: int, n: int, graph: LabeledGraph | None = None) -> set:
     for v in sub.vertices():
         if sub.degree(v) > 2:
             raise ValueError(f"construction is not a linear forest at {v!r}")
-    return labels
+    return labels, sub
+
+
+def forest_triangle(p: int, n: int, graph: LabeledGraph | None = None) -> set:
+    """An induced linear forest of the triangle family, as labels.
+
+    Size follows forest_order_recurrence (equals forest_order_bound for
+    n >= 3).  The result is verified against the graph: a cycle or a
+    vertex of induced degree 3 raises ValueError.  Pass the prebuilt
+    graph to skip the internal construction.
+    """
+    return _checked_forest(p, n, graph)[0]
 
 
 @dataclass(frozen=True)
@@ -238,10 +245,9 @@ def structure_report(
     g = triangle(p, n) if graph is None else graph
     problems = []
     try:
-        labels = forest_triangle(p, n, graph=g)
+        labels, sub = _checked_forest(p, n, g)
     except ValueError as exc:
         return StructureReport(p, n, 0, (), (), (str(exc),))
-    sub = g.induced(labels)
     actual = Counter()
     for comp in sub.components():
         degs = sorted(sub.degree(v) for v in comp)

@@ -163,7 +163,7 @@ def _forest(family, p, n, g):
     if family == "plus":
         return forest_plus(p, n)
     if family == "pp":
-        return forest_plusplus(p, n)
+        return forest_plusplus(p, n, graph=g)
     if p == 2:
         return set(g.vertices())
     if p == 3:

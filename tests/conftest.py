@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import itertools
+from collections import deque
 from types import SimpleNamespace
 
 import pytest
@@ -16,7 +17,14 @@ from sfvs.addressing import (
 )
 from sfvs.exact_fvs import FvsCertificate, _Best, _BudgetExhausted, _Ticker
 from sfvs.generators import expected_size, nonclique_edges, sierpinski
-from sfvs.graph_core import GraphError, LabeledGraph, Multigraph, contract_edges, relabel
+from sfvs.graph_core import (
+    GraphError,
+    LabeledGraph,
+    Multigraph,
+    build_graph,
+    contract_edges,
+    relabel,
+)
 
 
 def _contracted_triangle(p, n):
@@ -470,7 +478,9 @@ def reference_search():
 # a string-keyed build_graph.
 
 
-def _string_build_graph(vertices, edges) -> LabeledGraph:
+def _string_adjacency(vertices, edges):
+    """The string build's sorted adjacency map of label tuples and its
+    edge count."""
     adj = {str(v): set() for v in vertices}
     for u, v in edges:
         u, v = str(u), str(v)
@@ -483,7 +493,12 @@ def _string_build_graph(vertices, edges) -> LabeledGraph:
         adj[v].add(u)
     final = {u: tuple(sorted(nbrs)) for u, nbrs in sorted(adj.items())}
     size = sum(len(nbrs) for nbrs in final.values()) // 2
-    return LabeledGraph(final, size)
+    return final, size
+
+
+def _string_build_graph(vertices, edges) -> LabeledGraph:
+    final, _ = _string_adjacency(vertices, edges)
+    return build_graph(final, ((u, v) for u, nbrs in final.items() for v in nbrs if u < v))
 
 
 def _check_params(p: int, n: int, n_min: int) -> None:
@@ -525,22 +540,22 @@ def _sierpinski_edges(p: int, n: int):
                     )
 
 
-def _string_sierpinski(p: int, n: int) -> LabeledGraph:
+def _string_sierpinski(p: int, n: int, build=_string_build_graph):
     _check_family("s", p, n)
-    return _string_build_graph(_word_labels(p, n), _sierpinski_edges(p, n))
+    return build(_word_labels(p, n), _sierpinski_edges(p, n))
 
 
-def _string_sierpinski_plus(p: int, n: int) -> LabeledGraph:
+def _string_sierpinski_plus(p: int, n: int, build=_string_build_graph):
     _check_family("plus", p, n)
     sep = word_separator(p)
     extremes = [sep.join([str(i)] * n) for i in range(p)]
     edges = itertools.chain(
         _sierpinski_edges(p, n), ((APEX_LABEL, e) for e in extremes)
     )
-    return _string_build_graph(_word_labels(p, n) + [APEX_LABEL], edges)
+    return build(_word_labels(p, n) + [APEX_LABEL], edges)
 
 
-def _string_sierpinski_plusplus(p: int, n: int) -> LabeledGraph:
+def _string_sierpinski_plusplus(p: int, n: int, build=_string_build_graph):
     _check_family("pp", p, n)
     sep = word_separator(p)
     copy = [f"{p}:{sep.join(t)}" for t in itertools.product([str(k) for k in range(p)], repeat=n - 1)]
@@ -553,10 +568,10 @@ def _string_sierpinski_plusplus(p: int, n: int) -> LabeledGraph:
         ((f"{p}:{u}", f"{p}:{v}") for u, v in _sierpinski_edges(p, n - 1)),
         extremes,
     )
-    return _string_build_graph(_word_labels(p, n) + copy, edges)
+    return build(_word_labels(p, n) + copy, edges)
 
 
-def _string_triangle(p: int, n: int) -> LabeledGraph:
+def _string_triangle(p: int, n: int, build=_string_build_graph):
     _check_family("hat", p, n)
     rng = range(p)
     label = {k: format_vertex(Hat(k), p) for k in rng}
@@ -576,7 +591,7 @@ def _string_triangle(p: int, n: int) -> LabeledGraph:
 
     cliques = ([image(u + (x,)) for x in rng] for u in itertools.product(rng, repeat=n))
     edges = (e for clique in cliques for e in itertools.combinations(clique, 2))
-    g = _string_build_graph(label.values(), edges)
+    g = build(label.values(), edges)
     if g.size != expected_size("hat", p, n):
         raise GraphError(
             f"closed-form edges of the quotient number {g.size}, "
@@ -585,16 +600,212 @@ def _string_triangle(p: int, n: int) -> LabeledGraph:
     return g
 
 
+_STRING_BUILDERS = {
+    "s": _string_sierpinski,
+    "plus": _string_sierpinski_plus,
+    "pp": _string_sierpinski_plusplus,
+    "hat": _string_triangle,
+}
+
+
 @pytest.fixture
 def reference_builders():
     """The string-based builders of each family, keyed like
     verify_cli._BUILDERS."""
-    return {
-        "s": _string_sierpinski,
-        "plus": _string_sierpinski_plus,
-        "pp": _string_sierpinski_plusplus,
-        "hat": _string_triangle,
-    }
+    return dict(_STRING_BUILDERS)
+
+
+# The graph core as it was before LabeledGraph kept integer neighbour
+# tuples: a sorted adjacency map of label tuples, the checks that hash
+# labels, and the solver graph built from sorted labels and edges().
+
+
+class _LabelKeyedGraph:
+    """Immutable undirected simple graph over string vertex labels."""
+
+    __slots__ = ("_adj", "_size")
+
+    def __init__(self, adj, size):
+        self._adj = adj
+        self._size = size
+
+    @property
+    def order(self) -> int:
+        return len(self._adj)
+
+    @property
+    def size(self) -> int:
+        return self._size
+
+    def vertices(self) -> list:
+        """All labels in sorted order."""
+        return list(self._adj)
+
+    def neighbors(self, v: str):
+        try:
+            return self._adj[v]
+        except KeyError:
+            raise GraphError(f"no such vertex: {v!r}") from None
+
+    def degree(self, v: str) -> int:
+        return len(self.neighbors(v))
+
+    def __contains__(self, v) -> bool:
+        return v in self._adj
+
+    def has_edge(self, u: str, v: str) -> bool:
+        return v in self.neighbors(u)
+
+    def edges(self):
+        """All edges as sorted (u, v) pairs with u < v, in sorted order."""
+        out = []
+        for u, nbrs in self._adj.items():
+            for v in nbrs:
+                if u < v:
+                    out.append((u, v))
+        return out
+
+    def induced(self, subset) -> "_LabelKeyedGraph":
+        keep = set(subset)
+        missing = keep - self._adj.keys()
+        if missing:
+            raise GraphError(f"no such vertex: {min(missing)!r}")
+        adj = {}
+        size = 0
+        for u in sorted(keep):
+            nbrs = tuple(v for v in self._adj[u] if v in keep)
+            adj[u] = nbrs
+            size += len(nbrs)
+        return _LabelKeyedGraph(adj, size // 2)
+
+    def components(self):
+        """Connected components as sorted lists of labels, sorted by their
+        first label."""
+        seen = set()
+        out = []
+        for start in self._adj:
+            if start in seen:
+                continue
+            comp = []
+            queue = deque([start])
+            seen.add(start)
+            while queue:
+                u = queue.popleft()
+                comp.append(u)
+                for v in self._adj[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        queue.append(v)
+            out.append(sorted(comp))
+        out.sort(key=lambda c: c[0])
+        return out
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _LabelKeyedGraph):
+            return NotImplemented
+        return self._adj == other._adj
+
+    __hash__ = None
+
+
+def _label_keyed_graph(vertices, edges) -> _LabelKeyedGraph:
+    return _LabelKeyedGraph(*_string_adjacency(vertices, edges))
+
+
+def _subset_vertices(g: _LabelKeyedGraph, subset):
+    if subset is None:
+        return g._adj.keys()
+    keep = set(subset)
+    missing = keep - g._adj.keys()
+    if missing:
+        raise GraphError(f"no such vertex: {min(missing)!r}")
+    return keep
+
+
+def _is_forest(g: _LabelKeyedGraph, subset=None) -> bool:
+    """True when the subgraph induced by subset (default: all of g) is
+    acyclic.  Union-find, so near-linear."""
+    keep = _subset_vertices(g, subset)
+    parent = {v: v for v in keep}
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for u in keep:
+        for v in g.neighbors(u):
+            if u < v and v in keep:
+                ru, rv = find(u), find(v)
+                if ru == rv:
+                    return False
+                parent[ru] = rv
+    return True
+
+
+def _find_cycle(g: _LabelKeyedGraph, subset=None):
+    """A cycle in the induced subgraph as a closed vertex list
+    [v0, v1, ..., v0], or None if the subgraph is a forest."""
+    keep = _subset_vertices(g, subset)
+    parent = {}
+    for start in sorted(keep):
+        if start in parent:
+            continue
+        parent[start] = start
+        stack = [(start, start)]
+        while stack:
+            u, from_v = stack.pop()
+            for v in g.neighbors(u):
+                if v not in keep or v == from_v:
+                    continue
+                if v in parent:
+                    # non-tree edge; join the two ancestries at their
+                    # lowest common vertex
+                    up_u = [u]
+                    while parent[up_u[-1]] != up_u[-1]:
+                        up_u.append(parent[up_u[-1]])
+                    up_v = [v]
+                    while parent[up_v[-1]] != up_v[-1]:
+                        up_v.append(parent[up_v[-1]])
+                    i, j = len(up_u) - 1, len(up_v) - 1
+                    while i > 0 and j > 0 and up_u[i - 1] == up_v[j - 1]:
+                        i -= 1
+                        j -= 1
+                    cycle = up_u[: i + 1] + up_v[:j][::-1] + [u]
+                    assert len(cycle) >= 4
+                    return cycle
+                parent[v] = u
+                stack.append((v, u))
+    return None
+
+
+def _from_labeled(g: _LabelKeyedGraph):
+    """Build a Multigraph plus the index -> label table, indices in
+    label order."""
+    labels = sorted(g.vertices())
+    index = {v: i for i, v in enumerate(labels)}
+    mg = Multigraph(len(labels))
+    for u, v in g.edges():
+        mg.add_edge(index[u], index[v])
+    return mg, labels
+
+
+@pytest.fixture
+def reference_graph_core():
+    """The label-keyed graph core: build(vertices, edges) makes a graph
+    with its methods, family(family, p, n) builds a family instance
+    through the string builders, and is_forest, find_cycle and
+    from_labeled are the checks and the solver-graph build over it."""
+    return SimpleNamespace(
+        build=_label_keyed_graph,
+        family=lambda family, p, n: _STRING_BUILDERS[family](p, n, build=_label_keyed_graph),
+        is_forest=_is_forest,
+        find_cycle=_find_cycle,
+        from_labeled=_from_labeled,
+    )
 
 
 def _bruteforce_by_size(g, cap: int = 22) -> FvsCertificate:

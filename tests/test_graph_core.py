@@ -1,7 +1,10 @@
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sfvs.exact_fvs import _components, _restrict
+from sfvs.generators import expected_order
 from sfvs.graph_core import (
     GraphError,
     LabeledGraph,
@@ -16,6 +19,7 @@ from sfvs.graph_core import (
     is_forest,
     relabel,
 )
+from sfvs.verify_cli import _BUILDERS
 
 
 def path_graph(k):
@@ -306,3 +310,111 @@ def test_multigraph_counts_stay_current(n, steps):
         for clone, snap in copies:
             assert _snapshot(clone) == snap
             assert_counts_current(clone)
+
+
+def test_unknown_vertices_of_any_type_raise_graph_error():
+    g = build_graph(["00", "01", "10"], [("00", "01")])
+    for check in (is_forest, find_cycle, lambda g, s: g.induced(s)):
+        for subset, message in [
+            (["00", 5, "zz"], "no such vertex: 'zz'"),
+            ([5, "zz"], "no such vertex: 'zz'"),
+            ([5], "no such vertex: 5"),
+            ([7, 5], "no such vertex: 5"),
+            (["zz", "01", "ab"], "no such vertex: 'ab'"),
+        ]:
+            with pytest.raises(GraphError) as exc:
+                check(g, subset)
+            assert str(exc.value) == message
+
+
+def _assert_same_core(g, ref, core, subsets):
+    """g and its label-keyed reference agree on every read and check."""
+    assert g.vertices() == ref.vertices()
+    assert (g.order, g.size) == (ref.order, ref.size)
+    assert g.edges() == ref.edges()
+    assert g.components() == ref.components()
+    for v in ref.vertices():
+        assert g.neighbors(v) == ref.neighbors(v)
+        assert g.degree(v) == ref.degree(v)
+    mg, labels = Multigraph.from_labeled(g)
+    want, want_labels = core.from_labeled(ref)
+    assert labels == want_labels
+    assert [list(d.items()) for d in mg.adj] == [list(d.items()) for d in want.adj]
+    assert (mg.deg, mg.size, mg.alive) == (want.deg, want.size, want.alive)
+    for subset in subsets:
+        outcomes = []
+        for graph, forest, cycle in (
+            (g, is_forest, find_cycle),
+            (ref, core.is_forest, core.find_cycle),
+        ):
+            try:
+                sub = graph.induced(subset)
+            except GraphError as exc:
+                got = [str(exc)]
+                for check in (forest, cycle):
+                    with pytest.raises(GraphError) as err:
+                        check(graph, subset)
+                    got.append(str(err.value))
+                outcomes.append(got)
+                continue
+            outcomes.append(
+                [
+                    sub.vertices(),
+                    sub.edges(),
+                    sub.components(),
+                    [sub.neighbors(v) for v in sub.vertices()],
+                    forest(graph, subset),
+                    cycle(graph, subset),
+                ]
+            )
+        assert outcomes[0] == outcomes[1]
+    assert is_forest(g) == core.is_forest(ref)
+    assert find_cycle(g) == core.find_cycle(ref)
+
+
+_LABELS = st.text("ab01:", max_size=3)
+
+
+# the fixture holds only functions, so sharing it across examples is safe
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.lists(_LABELS, min_size=1, max_size=12),
+    st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=40),
+    st.lists(st.lists(_LABELS, max_size=10), max_size=4),
+)
+def test_graph_core_matches_the_label_keyed_reference(reference_graph_core, vertices, raw, subsets):
+    # subsets draw from the same alphabet, so some name vertices that are
+    # not in the graph
+    labels = list(dict.fromkeys(vertices))
+    n = len(labels)
+    edges = [(labels[u % n], labels[v % n]) for u, v in raw if u % n != v % n]
+    g = build_graph(vertices, edges)
+    ref = reference_graph_core.build(vertices, edges)
+    half = [v for k, v in enumerate(labels) if k % 2]
+    _assert_same_core(g, ref, reference_graph_core, [*subsets, half, labels])
+
+
+def _small_instances(limit=300):
+    for family in ("s", "plus", "pp", "hat"):
+        for p in range(1 if family != "hat" else 2, 13):
+            for n in range(0 if family in ("s", "hat") else 1, 9):
+                if p == 1 and n > 4:
+                    break
+                if expected_order(family, p, n) <= limit:
+                    yield family, p, n
+
+
+def test_family_instances_match_the_label_keyed_reference(reference_graph_core):
+    rng = random.Random(8)
+    instances = list(_small_instances())
+    assert len(instances) > 60
+    for family, p, n in instances:
+        g = _BUILDERS[family](p, n)
+        ref = reference_graph_core.family(family, p, n)
+        labels = ref.vertices()
+        subsets = [
+            labels[::2],
+            rng.sample(labels, len(labels) // 2),
+            rng.sample(labels, (3 * len(labels)) // 4),
+        ]
+        _assert_same_core(g, ref, reference_graph_core, subsets)

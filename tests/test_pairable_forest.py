@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
+from sfvs import pairable_forest
 from sfvs.generators import sierpinski, sierpinski_plus, sierpinski_plusplus
-from sfvs.graph_core import find_cycle, is_forest
+from sfvs.graph_core import build_graph, find_cycle, is_forest
 from sfvs.pairable_forest import (
     NotPairableError,
     PairablePartition,
@@ -186,3 +187,26 @@ def test_extra_copy_forest_two_symbols():
 def test_extra_copy_forest_rejects_level_one():
     with pytest.raises(ValueError):
         forest_plusplus(3, 1)
+
+
+def test_extra_copy_forest_uses_a_given_graph(monkeypatch):
+    g = sierpinski_plusplus(4, 3)
+    builds = []
+
+    def spy(p, n):
+        builds.append((p, n))
+        return sierpinski_plusplus(p, n)
+
+    monkeypatch.setattr(pairable_forest, "sierpinski_plusplus", spy)
+    assert forest_plusplus(4, 3, graph=g) == forest_plusplus(4, 3)
+    assert builds == [(4, 3)]
+    with pytest.raises(ValueError, match="graph has order 20, expected 80"):
+        forest_plusplus(4, 3, graph=sierpinski_plusplus(4, 2))
+
+
+def test_extra_copy_forest_still_checks_acyclicity():
+    # two extra edges close the triangle 01, 02, 3:0 inside the forest
+    g = sierpinski_plusplus(3, 2)
+    host = build_graph(g.vertices(), g.edges() + [("01", "3:0"), ("02", "3:0")])
+    with pytest.raises(ValueError, match="construction induced a cycle"):
+        forest_plusplus(3, 2, graph=host)

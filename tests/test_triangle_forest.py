@@ -263,3 +263,19 @@ def test_conjecture_gap_rejects():
         conjecture_gap(3, 2)
     with pytest.raises(ValueError):
         conjecture_gap(4, -1)
+
+
+def test_structure_report_induces_the_forest_once(monkeypatch):
+    g = triangle(4, 3)
+    cls = type(g)
+    induced = cls.induced
+    calls = []
+
+    def spy(self, subset):
+        calls.append(len(subset))
+        return induced(self, subset)
+
+    monkeypatch.setattr(cls, "induced", spy)
+    rep = structure_report(4, 3, graph=g)
+    assert rep.ok
+    assert calls == [rep.total]

@@ -538,3 +538,20 @@ def test_cli_report_missing_file(capsys):
 def test_cli_verify_rejects_bad_grid(capsys):
     assert main(["verify", "--suite", "thm4.1", "-p", "3", "-n", "3"]) == 2
     assert "thm4.1" in capsys.readouterr().err
+
+
+def test_cor28_rows_build_each_pp_graph_once(monkeypatch):
+    from sfvs import pairable_forest
+
+    builds = []
+    real = verify_cli._BUILDERS["pp"]
+
+    def spy(p, n):
+        builds.append((p, n))
+        return real(p, n)
+
+    monkeypatch.setitem(verify_cli._BUILDERS, "pp", spy)
+    monkeypatch.setattr(pairable_forest, "sierpinski_plusplus", spy)
+    rows = run_suite("cor2.8", [3, 4], [2, 3])
+    assert [r.status for r in rows] == ["match"] * 4
+    assert sorted(builds) == [(3, 2), (3, 3), (4, 2), (4, 3)]

@@ -12,18 +12,22 @@ search over a multigraph that supports the classic reductions:
   * a parallel pair with one endpoint barred from the solution forces the
     other endpoint
 
-Branching excludes a vertex by adding it to a forbidden set, which the
-reductions respect; components split off and are solved independently
-(feedback numbers add across components).  A node is pruned by the best
-of three lower bounds, tried cheapest first until one reaches the
-incumbent: an edge-density argument; greedy vertex-disjoint cliques, each
-needing all but two of its vertices, plus the density of what they leave;
-and half of what a greedy cover by cliques needs, a cover that uses each
-vertex at most twice.  On the quotient family hat(p, n), whose p^n
-cliques K_p meet at most two at a vertex, the cover gives
-ceil(p^n (p - 2) / 2) at the root.  A search that runs out of budget
-still returns its incumbent, flagged non-optimal.  Every certificate is
-re-verified against the input graph before being returned.
+Each node branches on a greedy clique through a busiest vertex: any
+solution leaves at most two of its vertices out, so the children are the
+ways to keep at most two, each kept vertex barred from the solution by a
+forbidden set that the reductions respect.  Without a triangle the
+clique is the vertex alone, and the children are "take it" and "bar it".
+Components split off and are solved independently (feedback numbers add
+across components).  A node is pruned by the best of three lower bounds,
+tried cheapest first until one reaches the incumbent: an edge-density
+argument; greedy vertex-disjoint cliques, each needing all but two of its
+vertices, plus the density of what they leave; and half of what a greedy
+cover by cliques needs, a cover that uses each vertex at most twice.  On
+the quotient family hat(p, n), whose p^n cliques K_p meet at most two at
+a vertex, the cover gives ceil(p^n (p - 2) / 2) at the root.  A search
+that runs out of budget still returns its incumbent, flagged
+non-optimal.  Every certificate is re-verified against the input graph
+before being returned.
 """
 
 from __future__ import annotations
@@ -89,6 +93,14 @@ def verify_certificate(g: LabeledGraph, cert: FvsCertificate) -> bool:
     return is_forest(g, vertices - witness)
 
 
+def _root(parent, x):
+    """The root of x in the union-find forest parent, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def tau_bruteforce(g: LabeledGraph, cap: int = 22) -> FvsCertificate:
     """Exact feedback number by subset enumeration from both sides.
 
@@ -113,17 +125,10 @@ def tau_bruteforce(g: LabeledGraph, cap: int = 22) -> FvsCertificate:
 
     def acyclic_without(removed) -> bool:
         parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for u, v in edges:
             if u in removed or v in removed:
                 continue
-            ru, rv = find(u), find(v)
+            ru, rv = _root(parent, u), _root(parent, v)
             if ru == rv:
                 return False
             parent[ru] = rv
@@ -221,8 +226,6 @@ def _reduce(mg: Multigraph, live, forbidden, chosen):
                         forced = u
                         break
             if forced is not None:
-                if forced in forbidden:
-                    return None
                 chosen.append(forced)
                 mg.remove_vertex(forced)
                 changed = True
@@ -235,13 +238,11 @@ def _reduce(mg: Multigraph, live, forbidden, chosen):
             if deg == 2:
                 items = list(nbrs.items())
                 if len(items) == 1:
-                    # v's whole cycle structure passes through u
+                    # v's whole cycle structure passes through u, and
+                    # neither is barred, or the pair would have forced one
                     u = items[0][0]
-                    pick = u if u not in forbidden else v
-                    if pick in forbidden:
-                        return None
-                    chosen.append(pick)
-                    mg.remove_vertex(pick)
+                    chosen.append(u)
+                    mg.remove_vertex(u)
                     changed = True
                     continue
                 u, w = items[0][0], items[1][0]
@@ -260,21 +261,14 @@ def _minimalize(mg: Multigraph, chosen) -> list:
     vertex rejoins the forest, kept as one union-find, when its forest
     neighbours lie in pairwise distinct trees."""
     parent = list(range(len(mg.adj)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     out = set(chosen)
     for v, nbrs in enumerate(mg.adj):
         if v not in out:
             for u in nbrs:
                 if u < v and u not in out:
-                    parent[find(u)] = find(v)
+                    parent[_root(parent, u)] = _root(parent, v)
     for v in sorted(out, reverse=True):
-        roots = [find(u) for u in mg.adj[v] if u not in out]
+        roots = [_root(parent, u) for u in mg.adj[v] if u not in out]
         if len(set(roots)) == len(roots):
             out.remove(v)
             for r in roots:
@@ -450,32 +444,6 @@ def _grow_clique(mg: Multigraph, v, used=(), avoid=()) -> list:
     return clique + cand
 
 
-def _exclusion_sets(locked, free):
-    """All ways to leave at most two clique vertices out of the solution,
-    every locked vertex staying out."""
-    if len(locked) == 0:
-        yield frozenset()
-        for a in free:
-            yield frozenset((a,))
-        for i, a in enumerate(free):
-            for b in free[i + 1 :]:
-                yield frozenset((a, b))
-    elif len(locked) == 1:
-        yield frozenset(locked)
-        for a in free:
-            yield frozenset((locked[0], a))
-    else:
-        yield frozenset(locked)
-
-
-def _solve_component(sub: Multigraph, live, forbidden, cutoff: int, ticker):
-    """Exact minimum for one component, or None when nothing beats the
-    cutoff (including infeasibility under the forbidden set)."""
-    best = _Best(cutoff, None)
-    _search(sub, live, [], forbidden, best, ticker)
-    return None if best.witness is None else list(best.witness)
-
-
 def _search(mg: Multigraph, live, chosen, forbidden, best, ticker):
     # the caller hands over ownership of mg and chosen; live as in _reduce
     ticker.tick()
@@ -492,17 +460,13 @@ def _search(mg: Multigraph, live, chosen, forbidden, best, ticker):
     if len(comps) > 1:
         comps.sort(key=lambda c: (len(c), c[0]))
         for comp in comps[:-1]:
-            allowance = best.tau - len(chosen)
-            solved = _solve_component(
-                _restrict(mg, comp),
-                comp,
-                forbidden,
-                min(len(comp) + 1, allowance),
-                ticker,
-            )
-            if solved is None:
+            # solved on its own; no witness means none fits the allowance
+            # or the forbidden set blocks every solution
+            sub = _Best(min(len(comp) + 1, best.tau - len(chosen)), None)
+            _search(_restrict(mg, comp), comp, [], forbidden, sub, ticker)
+            if sub.witness is None:
                 return
-            chosen.extend(solved)
+            chosen.extend(sub.witness)
             if len(chosen) >= best.tau:
                 return
         live = comps[-1]
@@ -515,13 +479,16 @@ def _search(mg: Multigraph, live, chosen, forbidden, best, ticker):
         return
     v = _branch_vertex(mg, candidates)
     clique = _grow_clique(mg, v)
-    if len(clique) >= 3:
-        # a clique can keep at most two vertices out of any solution
-        locked = [u for u in clique if u in forbidden]
-        if len(locked) > 2:
-            return
-        free = [u for u in clique if u not in forbidden]
-        for excl in _exclusion_sets(locked, free):
+    if len(clique) < 3:
+        # one vertex is a clique too: take v, then bar v
+        clique = [v]
+    # a clique can keep at most two vertices out of any solution, and
+    # every barred vertex of it stays out
+    locked = tuple(u for u in clique if u in forbidden)
+    free = [u for u in clique if u not in forbidden]
+    for k in range(3 - len(locked)):
+        for extra in itertools.combinations(free, k):
+            excl = frozenset(locked + extra)
             include = [u for u in clique if u not in excl]
             if len(chosen) + len(include) >= best.tau:
                 continue
@@ -531,13 +498,6 @@ def _search(mg: Multigraph, live, chosen, forbidden, best, ticker):
             _search(child, live, chosen + include, forbidden | excl, best, ticker)
             if bound >= best.tau:
                 return
-        return
-    taken = mg.copy()
-    taken.remove_vertex(v)
-    _search(taken, live, chosen + [v], forbidden, best, ticker)
-    if bound >= best.tau:
-        return
-    _search(mg, live, list(chosen), forbidden | {v}, best, ticker)
 
 
 def tau_bnb(

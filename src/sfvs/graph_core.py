@@ -1,6 +1,7 @@
 """Small immutable string-labeled graph type plus the handful of graph
-algorithms the package needs: forest checking, cycle extraction, edge
-contraction, relabeling, and a flat-file edge list format.
+algorithms the package needs: cycle extraction (a forest check is a
+search for a cycle that finds none), edge contraction, relabeling, and a
+flat-file edge list format.
 
 LabeledGraph numbers its vertices in sorted label order and stores the
 sorted labels, the label -> index map, one sorted tuple of neighbour
@@ -201,35 +202,11 @@ def _subset_positions(g: LabeledGraph, subset):
     return positions, mark
 
 
-def is_forest(g: LabeledGraph, subset=None) -> bool:
-    """True when the subgraph induced by subset (default: all of g) is
-    acyclic.  Union-find, so near-linear."""
-    keep, mark = _subset_positions(g, subset)
-    keep.sort()  # index order keeps parent and mark reads local
-    nbrs = g._nbrs
-    parent = list(range(len(nbrs)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    kept = mark.__getitem__
-    for u in keep:
-        ru = find(u)
-        for v in filter(kept, nbrs[u]):
-            if u < v:
-                rv = find(v)
-                if ru == rv:
-                    return False
-                parent[rv] = ru
-    return True
-
-
 def find_cycle(g: LabeledGraph, subset=None):
     """A cycle in the induced subgraph as a closed vertex list
-    [v0, v1, ..., v0], or None if the subgraph is a forest."""
+    [v0, v1, ..., v0], or None if the subgraph is a forest.  One
+    depth-first pass over the subset, stopping at the first non-tree
+    edge."""
     keep, mark = _subset_positions(g, subset)
     keep.sort()
     nbrs, kept = g._nbrs, mark.__getitem__
@@ -263,6 +240,12 @@ def find_cycle(g: LabeledGraph, subset=None):
                 parent[v] = u
                 stack.append((v, u))
     return None
+
+
+def is_forest(g: LabeledGraph, subset=None) -> bool:
+    """True when the subgraph induced by subset (default: all of g) is
+    acyclic, i.e. find_cycle finds no cycle."""
+    return find_cycle(g, subset) is None
 
 
 def contract_edges(g: LabeledGraph, contraction, merged_name) -> LabeledGraph:

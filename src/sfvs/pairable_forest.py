@@ -16,15 +16,17 @@ plusplus families are built on top.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .addressing import (
     APEX_LABEL,
     EMPTY_WORD_LABEL,
+    Prefixed,
+    copy_labels,
+    format_vertex,
     format_word,
     parse_word,
-    word_separator,
+    word_labels,
 )
 from .generators import expected_order, sierpinski_plusplus
 from .graph_core import LabeledGraph, find_cycle
@@ -167,11 +169,11 @@ def _seed(a: int, b: int) -> PairablePartition:
     return PairablePartition((((a,), (b,)),))
 
 
-def _closed_labels(seed: PairablePartition, p: int, n: int) -> set:
+def _closed(seed: PairablePartition, p: int, n: int) -> PairablePartition:
     part = seed
     for _ in range(n - 1):
         part = closure(part, p)
-    return set(part.labels(p))
+    return part
 
 
 def forest_sierpinski(p: int, n: int) -> set:
@@ -185,18 +187,15 @@ def forest_sierpinski(p: int, n: int) -> set:
     if n < 1:
         raise ValueError(f"level must be at least 1, got {n}")
     if p == 2:
-        sep = word_separator(p)
-        return {sep.join(t) for t in itertools.product("01", repeat=n)}
-    return _closed_labels(_seed(1, 2), p, n)
+        return set(word_labels(p, n))
+    return set(_closed(_seed(1, 2), p, n).labels(p))
 
 
 def fvs_sierpinski(p: int, n: int) -> set:
     """Complement of forest_sierpinski: a minimum feedback vertex set of
     size p^(n-1) * (p-2)."""
     forest = forest_sierpinski(p, n)
-    sep = word_separator(p)
-    sym = [str(k) for k in range(p)]
-    return {sep.join(t) for t in itertools.product(sym, repeat=n)} - forest
+    return set(word_labels(p, n)) - forest
 
 
 def forest_plus(p: int, n: int) -> set:
@@ -215,10 +214,9 @@ def forest_plus(p: int, n: int) -> set:
         return forest_sierpinski(2, n)
     if n == 1:
         raise ValueError("no level-1 construction: the apex graph is complete")
-    sep = word_separator(p)
     forest = forest_sierpinski(p, n)
-    forest.remove(sep.join(["1"] * n))
-    forest.add(sep.join(["1"] * (n - 1) + ["0"]))
+    forest.remove(format_word((1,) * n, p))
+    forest.add(format_word((1,) * (n - 1) + (0,), p))
     forest.add(APEX_LABEL)
     return forest
 
@@ -248,16 +246,15 @@ def forest_plusplus(p: int, n: int, graph: LabeledGraph | None = None) -> set:
         raise ValueError(f"need at least 2 symbols, got {p}")
     if n < 1:
         raise ValueError(f"level must be at least 1, got {n}")
-    sep = word_separator(p)
     if p == 2:
-        host = {sep.join(t) for t in itertools.product("01", repeat=n)}
-        copy = {f"2:{sep.join(t)}" for t in itertools.product("01", repeat=n - 1)}
-        return (host | copy) - {sep.join(["0"] * n)}
+        forest = set(word_labels(p, n)) | set(copy_labels(p, n - 1))
+        forest.remove(format_word((0,) * n, p))
+        return forest
     if n < 2:
         raise ValueError("no level-1 construction: the copy collapses to a point")
     host = forest_sierpinski(p, n)
-    copy_words = _closed_labels(_copy_seed(p), p, n - 1)
-    union = host | {f"{p}:{w}" for w in copy_words}
+    copy_words = _closed(_copy_seed(p), p, n - 1).words()
+    union = host | {format_vertex(Prefixed(w), p) for w in copy_words}
     g = sierpinski_plusplus(p, n) if graph is None else graph
     if g.order != expected_order("pp", p, n):
         raise ValueError(

@@ -54,6 +54,19 @@ def random_graph(rng, order, edge_prob):
     return build_graph(range(order), edges)
 
 
+def random_triangle_free_graph(rng, order, edge_prob):
+    # pairs in random order, each kept with edge_prob unless it closes a
+    # triangle
+    pairs = list(itertools.combinations(range(order), 2))
+    rng.shuffle(pairs)
+    nbrs = [set() for _ in range(order)]
+    for u, v in pairs:
+        if rng.random() < edge_prob and not nbrs[u] & nbrs[v]:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    return build_graph(range(order), ((u, v) for u in range(order) for v in nbrs[u] if u < v))
+
+
 # budget plumbing
 
 
@@ -398,6 +411,11 @@ def test_search_matches_reference_on_random_graphs(reference_search):
     rng = random.Random(1618)
     for _ in range(200):
         g = random_graph(rng, rng.randint(0, 30), rng.uniform(0.05, 0.6))
+        assert tau_bnb(g, budget=300) == reference_search(g, 300)
+    # only 71 of the 2,952 branch nodes above are on one vertex; without a
+    # triangle 3,220 of 3,669 are, and 37 of the 60 close
+    for _ in range(60):
+        g = random_triangle_free_graph(rng, rng.randint(12, 24), rng.uniform(0.4, 1.0))
         assert tau_bnb(g, budget=300) == reference_search(g, 300)
 
 

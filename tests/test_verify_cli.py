@@ -555,3 +555,39 @@ def test_cor28_rows_build_each_pp_graph_once(monkeypatch):
     rows = run_suite("cor2.8", [3, 4], [2, 3])
     assert [r.status for r in rows] == ["match"] * 4
     assert sorted(builds) == [(3, 2), (3, 3), (4, 2), (4, 3)]
+
+
+def test_thm41_rows_build_each_hat_forest_once(monkeypatch):
+    from sfvs import triangle_forest
+
+    builds = []
+    real = triangle_forest._checked_forest
+
+    def spy(p, n, graph):
+        builds.append((p, n))
+        return real(p, n, graph)
+
+    monkeypatch.setattr(triangle_forest, "_checked_forest", spy)
+    rows = run_suite("thm4.1", [4, 5], [3])
+    assert [r.status for r in rows] == ["match"] * 6
+    assert sorted(builds) == [(4, 3), (5, 3)]
+
+
+def test_thm41_rejects_a_forest_with_a_cycle(monkeypatch, capsys):
+    from sfvs import triangle_forest
+    from sfvs.addressing import Contracted
+
+    # the top vertex joining corners 0 and 2 is what the construction
+    # removes to break the corner-to-corner cycle; put it back
+    real = triangle_forest._b_star_objects
+    monkeypatch.setattr(
+        triangle_forest,
+        "_b_star_objects",
+        lambda p, n: real(p, n) | {Contracted((), (0, 2))},
+    )
+    with pytest.raises(VerificationError, match="construction induced a cycle"):
+        run_suite("thm4.1", [4], [3])
+    assert main(["verify", "--suite", "thm4.1", "-p", "4", "-n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: hat p=4 n=3: construction induced a cycle: [")

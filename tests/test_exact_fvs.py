@@ -60,11 +60,13 @@ def random_triangle_free_graph(rng, order, edge_prob):
     pairs = list(itertools.combinations(range(order), 2))
     rng.shuffle(pairs)
     nbrs = [set() for _ in range(order)]
+    edges = []
     for u, v in pairs:
         if rng.random() < edge_prob and not nbrs[u] & nbrs[v]:
             nbrs[u].add(v)
             nbrs[v].add(u)
-    return build_graph(range(order), ((u, v) for u in range(order) for v in nbrs[u] if u < v))
+            edges.append((u, v))
+    return build_graph(range(order), edges)
 
 
 # budget plumbing

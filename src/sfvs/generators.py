@@ -85,19 +85,26 @@ def _base_level(p: int, m: int, flat):
     return chain(_copies(flat, shifts), chain.from_iterable(bridges))
 
 
-def _hat_level(p: int, m: int, flat):
-    """Level m of the quotient from level m - 1, both flat over indices in
-    hat_labels order: p copies, copy i mapping corner j to ^i when j = i
-    and to :{i,j} otherwise, and its vertex s:{a,b} to i.s:{a,b}."""
+def _hat_tables(p: int, m: int) -> list:
+    """The p copies of the level m - 1 quotient inside level m, as tables
+    from level m - 1 to level m indices (both in hat_labels order): copy i
+    maps corner j to ^i when j = i and to :{i,j} otherwise, and its
+    vertex s:{a,b} to i.s:{a,b}.  So tables[i][j] is the index of :{i,j}
+    at every level m >= 1."""
     pair = {q: p + k for k, q in enumerate(combinations(range(p), 2))}
     inner = len(pair) * _one(p, m - 1)  # contracted vertices at level m - 1
     start = p + len(pair)
-    tables = [
+    return [
         [pair[min(i, j), max(i, j)] if j != i else i for j in range(p)]
         + list(range(start + i * inner, start + (i + 1) * inner))
         for i in range(p)
     ]
-    return _copies(flat, tables)
+
+
+def _hat_level(p: int, m: int, flat):
+    """Level m of the quotient from level m - 1, both flat over indices in
+    hat_labels order: one copy of level m - 1 per table of _hat_tables."""
+    return _copies(flat, _hat_tables(p, m))
 
 
 def _levels(level, p: int, n: int, flat):

@@ -403,6 +403,3 @@ class Multigraph:
         out.deg = list(self.deg)
         out.size = self.size
         return out
-
-    def edge_count(self) -> int:
-        return self.size

@@ -11,7 +11,10 @@ block {s.a, s.b} lives one level deeper:
 Closing the seed {1, 2} a total of n-1 times produces a 2p^(n-1)-vertex
 set inducing a forest in the level-n base graph; its complement is a
 minimum feedback vertex set.  Small alphabet variants for the plus and
-plusplus families are built on top.
+plusplus families are built on top.  The constructions close blocks on
+word ranks (a word read as a base-p number) and look the labels up in
+addressing.word_labels / copy_labels once; the public closures keep word
+tuples.  Both follow one closure rule, _child_pairs.
 """
 
 from __future__ import annotations
@@ -21,9 +24,7 @@ from dataclasses import dataclass
 from .addressing import (
     APEX_LABEL,
     EMPTY_WORD_LABEL,
-    Prefixed,
     copy_labels,
-    format_vertex,
     format_word,
     parse_word,
     word_labels,
@@ -105,6 +106,13 @@ def pairable_partition(labels, p: int) -> PairablePartition:
     )
 
 
+def _child_pairs(a: int, b: int, p: int) -> list:
+    """The closure rule: the last symbols that child k of a block with last
+    symbols (a, b) keeps, for k = 0..p-1.  Children a and b keep (a, b),
+    every other child k its cyclic neighbours (k-1, k+1)."""
+    return [(a, b) if k == a or k == b else ((k - 1) % p, (k + 1) % p) for k in range(p)]
+
+
 def _closure_block_split(block, p: int):
     """One block's closure, split into its head-extending part and the
     other-symbol part.  block is a pair of word tuples."""
@@ -114,15 +122,9 @@ def _closure_block_split(block, p: int):
     s, a, b = wa[:-1], wa[-1], wb[-1]
     if wb[:-1] != s or a == b:
         raise ValueError(f"not a block: {block!r}")
-    own = [
-        ((*s, a, a), (*s, a, b)),
-        ((*s, b, a), (*s, b, b)),
-    ]
-    other = [
-        ((*s, k, (k - 1) % p), (*s, k, (k + 1) % p))
-        for k in range(p)
-        if k != a and k != b
-    ]
+    own, other = [], []
+    for k, (x, y) in enumerate(_child_pairs(a, b, p)):
+        (own if k == a or k == b else other).append(((*s, k, x), (*s, k, y)))
     return own, other
 
 
@@ -165,15 +167,18 @@ def closure_split(partition: PairablePartition, p: int):
     return frozenset(part1), frozenset(part2)
 
 
-def _seed(a: int, b: int) -> PairablePartition:
-    return PairablePartition((((a,), (b,)),))
-
-
-def _closed(seed: PairablePartition, p: int, n: int) -> PairablePartition:
-    part = seed
+def _closed_ranks(a: int, b: int, p: int, n: int) -> list:
+    """Word ranks of the (n-1)-fold closure of the seed {a, b}.  A block is
+    (head rank, x, y), holding the words head.x and head.y, and child k of
+    a block has head rank head*p + k."""
+    blocks = [(0, a, b)]
     for _ in range(n - 1):
-        part = closure(part, p)
-    return part
+        blocks = [
+            (h * p + k, x, y)
+            for h, c, d in blocks
+            for k, (x, y) in enumerate(_child_pairs(c, d, p))
+        ]
+    return [h * p + x for h, x, _ in blocks] + [h * p + y for h, _, y in blocks]
 
 
 def forest_sierpinski(p: int, n: int) -> set:
@@ -188,7 +193,7 @@ def forest_sierpinski(p: int, n: int) -> set:
         raise ValueError(f"level must be at least 1, got {n}")
     if p == 2:
         return set(word_labels(p, n))
-    return set(_closed(_seed(1, 2), p, n).labels(p))
+    return set(map(word_labels(p, n).__getitem__, _closed_ranks(1, 2, p, n)))
 
 
 def fvs_sierpinski(p: int, n: int) -> set:
@@ -221,15 +226,15 @@ def forest_plus(p: int, n: int) -> set:
     return forest
 
 
-def _copy_seed(p: int) -> PairablePartition:
+def _copy_seed(p: int) -> tuple:
     # the copy's forest must keep its extremes off the host's attachment
     # points; {3,4} does that outright, the small alphabets get the best
     # available substitute
     if p >= 5:
-        return _seed(3, 4)
+        return 3, 4
     if p == 4:
-        return _seed(0, 3)
-    return _seed(0, 1)
+        return 0, 3
+    return 0, 1
 
 
 def forest_plusplus(p: int, n: int, graph: LabeledGraph | None = None) -> set:
@@ -253,8 +258,8 @@ def forest_plusplus(p: int, n: int, graph: LabeledGraph | None = None) -> set:
     if n < 2:
         raise ValueError("no level-1 construction: the copy collapses to a point")
     host = forest_sierpinski(p, n)
-    copy_words = _closed(_copy_seed(p), p, n - 1).words()
-    union = host | {format_vertex(Prefixed(w), p) for w in copy_words}
+    copy = _closed_ranks(*_copy_seed(p), p, n - 1)
+    union = host.union(map(copy_labels(p, n - 1).__getitem__, copy))
     g = sierpinski_plusplus(p, n) if graph is None else graph
     if g.order != expected_order("pp", p, n):
         raise ValueError(

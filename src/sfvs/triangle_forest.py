@@ -11,17 +11,21 @@ For alphabets of size at least 4 the roles flip and the object built is a
 large induced linear forest: corner-to-corner paths through each even
 subtriangle pair, glued copies one level up, with the top-level vertices
 joining two even corners removed to break the resulting cycles.
+
+Both are computed as sets of vertex indices in addressing.hat_labels
+order, carried one level up through the quotient's per-copy index tables
+(the tables generators.triangle builds with), and formatted once.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
-from .addressing import Contracted, Hat, format_vertex, prefix_triangle
-from .generators import expected_order, triangle
+from .addressing import hat_labels
+from .generators import _hat_tables, expected_order, triangle
 from .graph_core import LabeledGraph, find_cycle
 
 __all__ = [
@@ -38,21 +42,9 @@ __all__ = [
     "tail_path_base",
 ]
 
-# cyclic recolorings used by the 3-symbol recursion; _SIGMA[j][k] is the
-# image of symbol k in copy j
-_SIGMA = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
-
-
-def _permute(v, sigma):
-    if isinstance(v, Hat):
-        return Hat(sigma[v.k])
-    prefix = tuple(sigma[x] for x in v.prefix)
-    i, j = sigma[v.pair[0]], sigma[v.pair[1]]
-    return Contracted(prefix, (min(i, j), max(i, j)))
-
-
-def _embed3(j: int, v):
-    return prefix_triangle(j, _permute(v, _SIGMA[j]))
+def _labels(indices, p: int, n: int) -> set:
+    """The level-n labels of a set of level-n indices."""
+    return set(map(hat_labels(p, n).__getitem__, indices))
 
 
 def fvs_triangle3(n: int) -> set:
@@ -60,10 +52,18 @@ def fvs_triangle3(n: int) -> set:
     level n, as labels.  Size (3^n+1)/2; contains one corner vertex."""
     if n < 0:
         raise ValueError(f"level must be nonnegative, got {n}")
-    current = {Hat(0)}
-    for _ in range(n):
-        current = {_embed3(j, v) for j in range(3) for v in current}
-    return {format_vertex(v, 3) for v in current}
+    # level m is the union over j of copy j of level m-1 recolored by
+    # r_j: k -> k-j (mod 3).  sets[t] holds the level-m indices of the set
+    # recolored by r_t, and r_t maps copy j of r_j(S) to copy j-t of
+    # r_(j+t)(S).
+    sets = [{0}, {2}, {1}]
+    for m in range(1, n + 1):
+        tables = _hat_tables(3, m)
+        sets = [
+            {tables[(j - t) % 3][u] for j in range(3) for u in sets[(j + t) % 3]}
+            for t in range(3)
+        ]
+    return _labels(sets[0], 3, n)
 
 
 def forest_order_small(p: int, n: int) -> int:
@@ -77,19 +77,12 @@ def forest_order_small(p: int, n: int) -> int:
     return (2, (3 * p - 1) // 2, p * p + (p - 1) // 2)[n]
 
 
-def _wrap_pair(i: int, p: int):
-    j = (i + 1) % p
-    return (min(i, j), max(i, j))
-
-
-def _corner_path_objects(s: int, p: int) -> set:
-    out = {Hat(s), Hat(s + 1), Contracted((), (s, s + 1))}
-    for i in range(p):
-        if i == s:
-            continue
-        out.add(Contracted((s,), _wrap_pair(i, p)))
-        out.add(Contracted((s + 1,), _wrap_pair(i, p)))
-    return out
+def _corner_path(s: int, p: int) -> set:
+    # level-2 indices: in subtriangles s and s+1, both corners and every
+    # pair :{i,i+1 mod p} but :{s,s+1}
+    one, two = _hat_tables(p, 1), _hat_tables(p, 2)
+    base = [s, s + 1] + [one[i][(i + 1) % p] for i in range(p) if i != s]
+    return {two[j][u] for j in (s, s + 1) for u in base}
 
 
 def corner_path_base(s: int, p: int) -> set:
@@ -100,14 +93,14 @@ def corner_path_base(s: int, p: int) -> set:
         raise ValueError(f"need at least 4 symbols, got {p}")
     if s % 2 or s + 1 >= p:
         raise ValueError(f"corner index must be even with s+1 < p, got {s}")
-    return {format_vertex(v, p) for v in _corner_path_objects(s, p)}
+    return _labels(_corner_path(s, p), p, 2)
 
 
-def _tail_path_objects(p: int) -> set:
-    out = {Hat(p - 1)}
-    for i in range(p - 1):
-        out.add(Contracted((p - 1,), (i, i + 1)))
-    return out
+def _tail_path(p: int) -> set:
+    # level-2 indices: in subtriangle p-1, its corner and the pairs
+    # :{i,i+1} for i < p-1
+    one, two = _hat_tables(p, 1), _hat_tables(p, 2)
+    return {two[p - 1][u] for u in [p - 1] + [one[i][i + 1] for i in range(p - 1)]}
 
 
 def tail_path_base(p: int) -> set:
@@ -116,27 +109,24 @@ def tail_path_base(p: int) -> set:
     ladder without wrapping around."""
     if p < 5 or p % 2 == 0:
         raise ValueError(f"only odd alphabets of size >= 5 have a tail path, got {p}")
-    return {format_vertex(v, p) for v in _tail_path_objects(p)}
+    return _labels(_tail_path(p), p, 2)
 
 
 def _even_starts(p: int):
     return range(0, p - 1, 2)
 
 
-def _b_star_objects(p: int, n: int) -> set:
-    level = set()
-    for s in _even_starts(p):
-        level |= _corner_path_objects(s, p)
+def _linear_forest(p: int, n: int) -> set:
+    """Level-n indices of the large-alphabet forest: the level-2 corner
+    paths (and the tail path), copied into every subtriangle one level at
+    a time, less the top vertices :{s1,s2} joining two even corners."""
+    level = set().union(*(_corner_path(s, p) for s in _even_starts(p)))
     if p % 2:
-        level |= _tail_path_objects(p)
-    removed = {
-        Contracted((), (s1, s2))
-        for s1, s2 in itertools.combinations(_even_starts(p), 2)
-    }
-    for _ in range(n - 2):
-        level = {
-            prefix_triangle(j, v) for j in range(p) for v in level
-        } - removed
+        level |= _tail_path(p)
+    for m in range(3, n + 1):
+        tables = _hat_tables(p, m)
+        removed = {tables[s1][s2] for s1, s2 in combinations(_even_starts(p), 2)}
+        level = {t[u] for t in tables for u in level} - removed
     return level
 
 
@@ -178,7 +168,7 @@ def _checked_forest(p: int, n: int, graph: LabeledGraph | None):
         raise ValueError(f"need at least 4 symbols, got {p}")
     if n < 2:
         raise ValueError(f"level must be at least 2, got {n}")
-    labels = {format_vertex(v, p) for v in _b_star_objects(p, n)}
+    labels = _labels(_linear_forest(p, n), p, n)
     g = triangle(p, n) if graph is None else graph
     if g.order != expected_order("hat", p, n):
         raise ValueError(

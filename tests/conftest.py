@@ -12,19 +12,34 @@ from sfvs.addressing import (
     FAMILIES,
     Contracted,
     Hat,
+    Prefixed,
+    copy_labels,
     format_vertex,
+    format_word,
+    parse_word,
+    prefix_triangle,
+    word_labels,
     word_separator,
 )
 from sfvs.exact_fvs import FvsCertificate, _Best, _BudgetExhausted, _Ticker
-from sfvs.generators import expected_size, nonclique_edges, sierpinski
+from sfvs.generators import (
+    expected_order,
+    expected_size,
+    nonclique_edges,
+    sierpinski,
+    sierpinski_plusplus,
+    triangle,
+)
 from sfvs.graph_core import (
     GraphError,
     LabeledGraph,
     Multigraph,
     build_graph,
     contract_edges,
+    find_cycle,
     relabel,
 )
+from sfvs.pairable_forest import PairablePartition
 
 
 def _contracted_triangle(p, n):
@@ -849,3 +864,253 @@ def _bruteforce_by_size(g, cap: int = 22) -> FvsCertificate:
 def reference_bruteforce():
     """Reference tau_bruteforce(g, cap) enumerating deletion sets only."""
     return _bruteforce_by_size
+
+
+# The forest constructions as they were before they moved onto vertex
+# indices: the closure on word tuples, the 3-symbol recursion on Hat /
+# Contracted objects, and the linear forest grown with prefix_triangle,
+# each vertex formatted on its own.
+
+
+def _closure_block_split(block, p: int):
+    if p < 3:
+        raise ValueError(f"the closure needs at least 3 symbols, got {p}")
+    wa, wb = block
+    s, a, b = wa[:-1], wa[-1], wb[-1]
+    if wb[:-1] != s or a == b:
+        raise ValueError(f"not a block: {block!r}")
+    own = [
+        ((*s, a, a), (*s, a, b)),
+        ((*s, b, a), (*s, b, b)),
+    ]
+    other = [
+        ((*s, k, (k - 1) % p), (*s, k, (k + 1) % p))
+        for k in range(p)
+        if k != a and k != b
+    ]
+    return own, other
+
+
+def _closure_block(block, p: int) -> set:
+    pair = tuple(sorted(w if isinstance(w, tuple) else parse_word(str(w), p) for w in block))
+    if len(pair) != 2:
+        raise ValueError(f"a block has exactly 2 words, got {len(pair)}")
+    own, other = _closure_block_split(pair, p)
+    return {format_word(w, p) for blk in own + other for w in blk}
+
+
+def _closure(partition: PairablePartition, p: int) -> PairablePartition:
+    blocks = []
+    for block in partition.blocks:
+        own, other = _closure_block_split(block, p)
+        blocks.extend(own)
+        blocks.extend(other)
+    blocks.sort()
+    heads = [b[0][:-1] for b in blocks]
+    assert len(set(heads)) == len(heads)
+    return PairablePartition(tuple(blocks))
+
+
+def _closure_split(partition: PairablePartition, p: int):
+    part1, part2 = set(), set()
+    for block in partition.blocks:
+        own, other = _closure_block_split(block, p)
+        part1.update(format_word(w, p) for blk in own for w in blk)
+        part2.update(format_word(w, p) for blk in other for w in blk)
+    return frozenset(part1), frozenset(part2)
+
+
+def _seed(a: int, b: int) -> PairablePartition:
+    return PairablePartition((((a,), (b,)),))
+
+
+def _closed(seed: PairablePartition, p: int, n: int) -> PairablePartition:
+    part = seed
+    for _ in range(n - 1):
+        part = _closure(part, p)
+    return part
+
+
+def _forest_sierpinski(p: int, n: int) -> set:
+    if p < 2:
+        raise ValueError(f"need at least 2 symbols, got {p}")
+    if n < 1:
+        raise ValueError(f"level must be at least 1, got {n}")
+    if p == 2:
+        return set(word_labels(p, n))
+    return set(_closed(_seed(1, 2), p, n).labels(p))
+
+
+def _fvs_sierpinski(p: int, n: int) -> set:
+    forest = _forest_sierpinski(p, n)
+    return set(word_labels(p, n)) - forest
+
+
+def _forest_plus(p: int, n: int) -> set:
+    if p < 2:
+        raise ValueError(f"need at least 2 symbols, got {p}")
+    if n < 1:
+        raise ValueError(f"level must be at least 1, got {n}")
+    if p == 2:
+        return _forest_sierpinski(2, n)
+    if n == 1:
+        raise ValueError("no level-1 construction: the apex graph is complete")
+    forest = _forest_sierpinski(p, n)
+    forest.remove(format_word((1,) * n, p))
+    forest.add(format_word((1,) * (n - 1) + (0,), p))
+    forest.add(APEX_LABEL)
+    return forest
+
+
+def _copy_seed(p: int) -> PairablePartition:
+    if p >= 5:
+        return _seed(3, 4)
+    if p == 4:
+        return _seed(0, 3)
+    return _seed(0, 1)
+
+
+def _forest_plusplus(p: int, n: int, graph: LabeledGraph | None = None) -> set:
+    if p < 2:
+        raise ValueError(f"need at least 2 symbols, got {p}")
+    if n < 1:
+        raise ValueError(f"level must be at least 1, got {n}")
+    if p == 2:
+        forest = set(word_labels(p, n)) | set(copy_labels(p, n - 1))
+        forest.remove(format_word((0,) * n, p))
+        return forest
+    if n < 2:
+        raise ValueError("no level-1 construction: the copy collapses to a point")
+    host = _forest_sierpinski(p, n)
+    copy_words = _closed(_copy_seed(p), p, n - 1).words()
+    union = host | {format_vertex(Prefixed(w), p) for w in copy_words}
+    g = sierpinski_plusplus(p, n) if graph is None else graph
+    if g.order != expected_order("pp", p, n):
+        raise ValueError(
+            f"graph has order {g.order}, expected {expected_order('pp', p, n)}"
+        )
+    cycle = find_cycle(g, union)
+    if cycle is not None:
+        raise ValueError(f"construction induced a cycle: {cycle}")
+    return union
+
+
+_SIGMA = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
+
+
+def _permute(v, sigma):
+    if isinstance(v, Hat):
+        return Hat(sigma[v.k])
+    prefix = tuple(sigma[x] for x in v.prefix)
+    i, j = sigma[v.pair[0]], sigma[v.pair[1]]
+    return Contracted(prefix, (min(i, j), max(i, j)))
+
+
+def _embed3(j: int, v):
+    return prefix_triangle(j, _permute(v, _SIGMA[j]))
+
+
+def _fvs_triangle3(n: int) -> set:
+    if n < 0:
+        raise ValueError(f"level must be nonnegative, got {n}")
+    current = {Hat(0)}
+    for _ in range(n):
+        current = {_embed3(j, v) for j in range(3) for v in current}
+    return {format_vertex(v, 3) for v in current}
+
+
+def _wrap_pair(i: int, p: int):
+    j = (i + 1) % p
+    return (min(i, j), max(i, j))
+
+
+def _corner_path_objects(s: int, p: int) -> set:
+    out = {Hat(s), Hat(s + 1), Contracted((), (s, s + 1))}
+    for i in range(p):
+        if i == s:
+            continue
+        out.add(Contracted((s,), _wrap_pair(i, p)))
+        out.add(Contracted((s + 1,), _wrap_pair(i, p)))
+    return out
+
+
+def _corner_path_base(s: int, p: int) -> set:
+    if p < 4:
+        raise ValueError(f"need at least 4 symbols, got {p}")
+    if s % 2 or s + 1 >= p:
+        raise ValueError(f"corner index must be even with s+1 < p, got {s}")
+    return {format_vertex(v, p) for v in _corner_path_objects(s, p)}
+
+
+def _tail_path_objects(p: int) -> set:
+    out = {Hat(p - 1)}
+    for i in range(p - 1):
+        out.add(Contracted((p - 1,), (i, i + 1)))
+    return out
+
+
+def _tail_path_base(p: int) -> set:
+    if p < 5 or p % 2 == 0:
+        raise ValueError(f"only odd alphabets of size >= 5 have a tail path, got {p}")
+    return {format_vertex(v, p) for v in _tail_path_objects(p)}
+
+
+def _even_starts(p: int):
+    return range(0, p - 1, 2)
+
+
+def _b_star_objects(p: int, n: int) -> set:
+    level = set()
+    for s in _even_starts(p):
+        level |= _corner_path_objects(s, p)
+    if p % 2:
+        level |= _tail_path_objects(p)
+    removed = {
+        Contracted((), (s1, s2))
+        for s1, s2 in itertools.combinations(_even_starts(p), 2)
+    }
+    for _ in range(n - 2):
+        level = {
+            prefix_triangle(j, v) for j in range(p) for v in level
+        } - removed
+    return level
+
+
+def _forest_triangle(p: int, n: int, graph: LabeledGraph | None = None) -> set:
+    if p < 4:
+        raise ValueError(f"need at least 4 symbols, got {p}")
+    if n < 2:
+        raise ValueError(f"level must be at least 2, got {n}")
+    labels = {format_vertex(v, p) for v in _b_star_objects(p, n)}
+    g = triangle(p, n) if graph is None else graph
+    if g.order != expected_order("hat", p, n):
+        raise ValueError(
+            f"graph has order {g.order}, expected {expected_order('hat', p, n)}"
+        )
+    cycle = find_cycle(g, labels)
+    if cycle is not None:
+        raise ValueError(f"construction induced a cycle: {cycle}")
+    sub = g.induced(labels)
+    for v in sub.vertices():
+        if sub.degree(v) > 2:
+            raise ValueError(f"construction is not a linear forest at {v!r}")
+    return labels
+
+
+@pytest.fixture
+def reference_forests():
+    """The object-based forest constructions, keyed by the public names
+    they stand for."""
+    return SimpleNamespace(
+        closure=_closure,
+        closure_block=_closure_block,
+        closure_split=_closure_split,
+        forest_sierpinski=_forest_sierpinski,
+        fvs_sierpinski=_fvs_sierpinski,
+        forest_plus=_forest_plus,
+        forest_plusplus=_forest_plusplus,
+        fvs_triangle3=_fvs_triangle3,
+        corner_path_base=_corner_path_base,
+        tail_path_base=_tail_path_base,
+        forest_triangle=_forest_triangle,
+    )

@@ -225,12 +225,12 @@ def test_multigraph_round_trip_and_degrees():
     g = cycle_graph(3)
     mg, labels = Multigraph.from_labeled(g)
     assert labels == ["0", "1", "2"]
-    assert mg.edge_count() == 3
+    assert mg.size == 3
     assert [mg.degree(v) for v in mg.live_vertices()] == [2, 2, 2]
 
     mg.add_edge(0, 1)
     assert mg.degree(0) == 3
-    assert mg.edge_count() == 4
+    assert mg.size == 4
 
     mg.add_edge(2, 2)
     assert 2 in mg.adj[2]
@@ -267,7 +267,7 @@ def assert_counts_current(mg):
     deg, size = _recount(mg)
     assert mg.deg == deg
     assert [mg.degree(v) for v in range(len(deg))] == deg
-    assert mg.edge_count() == size
+    assert mg.size == size
 
 
 _MULTIGRAPH_STEPS = st.lists(

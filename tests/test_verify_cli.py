@@ -575,15 +575,15 @@ def test_thm41_rows_build_each_hat_forest_once(monkeypatch):
 
 def test_thm41_rejects_a_forest_with_a_cycle(monkeypatch, capsys):
     from sfvs import triangle_forest
-    from sfvs.addressing import Contracted
+    from sfvs.addressing import hat_labels
 
     # the top vertex joining corners 0 and 2 is what the construction
     # removes to break the corner-to-corner cycle; put it back
-    real = triangle_forest._b_star_objects
+    real = triangle_forest._linear_forest
     monkeypatch.setattr(
         triangle_forest,
-        "_b_star_objects",
-        lambda p, n: real(p, n) | {Contracted((), (0, 2))},
+        "_linear_forest",
+        lambda p, n: real(p, n) | {hat_labels(p, n).index(":{0,2}")},
     )
     with pytest.raises(VerificationError, match="construction induced a cycle"):
         run_suite("thm4.1", [4], [3])

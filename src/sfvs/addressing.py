@@ -37,6 +37,7 @@ __all__ = [
     "parse_vertex",
     "parse_word",
     "prefix_triangle",
+    "rank_labels",
     "word_labels",
     "word_separator",
 ]
@@ -202,6 +203,23 @@ def copy_labels(p: int, n: int) -> list:
     _check_p(p)
     words = itertools.product(map(str, range(p)), repeat=n)
     return [f"{p}:{word_separator(p).join(w)}" for w in words]
+
+
+def rank_labels(p: int, n: int, ranks, copy: bool = False) -> list:
+    """The labels of the words of length n >= 1 with the given ranks, in
+    the order given; with copy set, their extra-copy labels "p:word".
+    Equal to looking the ranks up in word_labels / copy_labels, but
+    formats only the p^(n-1) heads and appends each last symbol."""
+    _check_p(p)
+    if n < 1:
+        raise ValueError(f"level must be at least 1, got {n}")
+    if copy:
+        heads = copy_labels(p, n - 1)
+    else:
+        heads = word_labels(p, n - 1) if n > 1 else [""]
+    sep = word_separator(p) if n > 1 else ""
+    lasts = [f"{sep}{k}" for k in range(p)]
+    return [heads[r // p] + lasts[r % p] for r in ranks]
 
 
 def hat_labels(p: int, n: int) -> list:

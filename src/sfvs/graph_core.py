@@ -8,7 +8,9 @@ sorted labels, the label -> index map, one sorted tuple of neighbour
 indices per vertex and the edge count; it is hashable-free but
 equality-comparable.  Its methods speak labels and map indices to labels
 on the way out, while is_forest, find_cycle, induced() and components()
-run on the indices.  Graphs are built by build_indexed, from labels and
+run on the indices; the cycle and component searches are private cores
+over (ascending indices, bytearray mark) that callers holding indices
+use directly.  Graphs are built by build_indexed, from labels and
 edges given as index pairs (build_graph maps label pairs to indices for
 it), or cut out by induced().  The int-indexed Multigraph at the bottom
 is the scratch structure used by the exact solver, is read straight off
@@ -16,6 +18,8 @@ the neighbour tuples, and is deliberately mutable.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate, compress
 
 __all__ = [
     "GraphError",
@@ -93,11 +97,8 @@ class LabeledGraph:
 
     def induced(self, subset) -> "LabeledGraph":
         keep, mark = _subset_positions(self, subset)
-        keep.sort()
-        renumber = [0] * len(self._labels)
-        for new, old in enumerate(keep):
-            renumber[old] = new
-        kept, renumbered = mark.__getitem__, renumber.__getitem__
+        renumbered = list(accumulate(mark, initial=0)).__getitem__
+        kept = mark.__getitem__
         nbrs = [tuple(map(renumbered, filter(kept, self._nbrs[old]))) for old in keep]
         labels = list(map(self._labels.__getitem__, keep))
         index = dict(zip(labels, range(len(labels))))
@@ -106,24 +107,11 @@ class LabeledGraph:
     def components(self):
         """Connected components as sorted lists of labels, sorted by their
         first label."""
-        nbrs = self._nbrs
-        seen = bytearray(len(nbrs))
-        out = []
-        # each start is the least index of its component, so the
-        # components come out in order of their first label
-        for start in range(len(nbrs)):
-            if seen[start]:
-                continue
-            seen[start] = 1
-            comp = [start]
-            for u in comp:
-                for v in nbrs[u]:
-                    if not seen[v]:
-                        seen[v] = 1
-                        comp.append(v)
-            comp.sort()
-            out.append(list(map(self._labels.__getitem__, comp)))
-        return out
+        n = len(self._labels)
+        return [
+            list(map(self._labels.__getitem__, sorted(comp)))
+            for comp in _components(self, range(n), bytearray(b"\x01") * n)
+        ]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledGraph):
@@ -180,13 +168,13 @@ def build_graph(vertices, edges) -> LabeledGraph:
 
 
 def _subset_positions(g: LabeledGraph, subset):
-    """The indices of subset (default: every vertex) as a list, and a
-    bytearray marking them.  A GraphError names the least missing vertex,
-    or the one with the least repr when the missing values do not
+    """The indices of subset (default: every vertex) in ascending order,
+    and a bytearray marking them.  A GraphError names the least missing
+    vertex, or the one with the least repr when the missing values do not
     compare."""
     n = len(g._labels)
     if subset is None:
-        return list(range(n)), bytearray(b"\x01") * n
+        return range(n), bytearray(b"\x01") * n
     keep = set(subset)
     positions = list(map(g._index.get, keep))
     if None in positions:
@@ -199,16 +187,12 @@ def _subset_positions(g: LabeledGraph, subset):
     mark = bytearray(n)
     for i in positions:
         mark[i] = 1
-    return positions, mark
+    return list(compress(range(n), mark)), mark
 
 
-def find_cycle(g: LabeledGraph, subset=None):
-    """A cycle in the induced subgraph as a closed vertex list
-    [v0, v1, ..., v0], or None if the subgraph is a forest.  One
-    depth-first pass over the subset, stopping at the first non-tree
-    edge."""
-    keep, mark = _subset_positions(g, subset)
-    keep.sort()
+def _cycle(g: LabeledGraph, keep, mark):
+    """find_cycle on indices: keep lists the marked vertices in ascending
+    order and mark is a bytearray over all of g."""
     nbrs, kept = g._nbrs, mark.__getitem__
     parent = [-1] * len(nbrs)
     for start in keep:
@@ -240,6 +224,35 @@ def find_cycle(g: LabeledGraph, subset=None):
                 parent[v] = u
                 stack.append((v, u))
     return None
+
+
+def _components(g: LabeledGraph, keep, mark):
+    """The components of the subgraph induced by the marked vertices, as
+    index lists in breadth-first order; keep lists the marked vertices in
+    ascending order, so each list starts at its least index and the lists
+    come out in order of it."""
+    nbrs = g._nbrs
+    unseen = bytearray(mark)
+    out = []
+    for start in keep:
+        if not unseen[start]:
+            continue
+        unseen[start] = 0
+        comp = [start]
+        for u in comp:
+            for v in filter(unseen.__getitem__, nbrs[u]):
+                unseen[v] = 0
+                comp.append(v)
+        out.append(comp)
+    return out
+
+
+def find_cycle(g: LabeledGraph, subset=None):
+    """A cycle in the induced subgraph as a closed vertex list
+    [v0, v1, ..., v0], or None if the subgraph is a forest.  One
+    depth-first pass over the subset, stopping at the first non-tree
+    edge."""
+    return _cycle(g, *_subset_positions(g, subset))
 
 
 def is_forest(g: LabeledGraph, subset=None) -> bool:

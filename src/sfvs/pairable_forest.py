@@ -12,8 +12,8 @@ Closing the seed {1, 2} a total of n-1 times produces a 2p^(n-1)-vertex
 set inducing a forest in the level-n base graph; its complement is a
 minimum feedback vertex set.  Small alphabet variants for the plus and
 plusplus families are built on top.  The constructions close blocks on
-word ranks (a word read as a base-p number) and look the labels up in
-addressing.word_labels / copy_labels once; the public closures keep word
+word ranks (a word read as a base-p number) and format only the ranks
+they keep with addressing.rank_labels; the public closures keep word
 tuples.  Both follow one closure rule, _child_pairs.
 """
 
@@ -27,6 +27,7 @@ from .addressing import (
     copy_labels,
     format_word,
     parse_word,
+    rank_labels,
     word_labels,
 )
 from .generators import expected_order, sierpinski_plusplus
@@ -193,7 +194,7 @@ def forest_sierpinski(p: int, n: int) -> set:
         raise ValueError(f"level must be at least 1, got {n}")
     if p == 2:
         return set(word_labels(p, n))
-    return set(map(word_labels(p, n).__getitem__, _closed_ranks(1, 2, p, n)))
+    return set(rank_labels(p, n, _closed_ranks(1, 2, p, n)))
 
 
 def fvs_sierpinski(p: int, n: int) -> set:
@@ -219,9 +220,10 @@ def forest_plus(p: int, n: int) -> set:
         return forest_sierpinski(2, n)
     if n == 1:
         raise ValueError("no level-1 construction: the apex graph is complete")
-    forest = forest_sierpinski(p, n)
-    forest.remove(format_word((1,) * n, p))
-    forest.add(format_word((1,) * (n - 1) + (0,), p))
+    ranks = _closed_ranks(1, 2, p, n)
+    ones = (p**n - 1) // (p - 1)  # the rank of 1^n
+    ranks[ranks.index(ones)] = ones - 1  # the rank of 1^(n-1).0
+    forest = set(rank_labels(p, n, ranks))
     forest.add(APEX_LABEL)
     return forest
 
@@ -258,8 +260,8 @@ def forest_plusplus(p: int, n: int, graph: LabeledGraph | None = None) -> set:
     if n < 2:
         raise ValueError("no level-1 construction: the copy collapses to a point")
     host = forest_sierpinski(p, n)
-    copy = _closed_ranks(*_copy_seed(p), p, n - 1)
-    union = host.union(map(copy_labels(p, n - 1).__getitem__, copy))
+    copy_ranks = _closed_ranks(*_copy_seed(p), p, n - 1)
+    union = host.union(rank_labels(p, n - 1, copy_ranks, copy=True))
     g = sierpinski_plusplus(p, n) if graph is None else graph
     if g.order != expected_order("pp", p, n):
         raise ValueError(

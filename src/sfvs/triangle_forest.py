@@ -14,7 +14,11 @@ joining two even corners removed to break the resulting cycles.
 
 Both are computed as sets of vertex indices in addressing.hat_labels
 order, carried one level up through the quotient's per-copy index tables
-(the tables generators.triangle builds with), and formatted once.
+(the tables generators.triangle builds with), and formatted once.  The
+linear forest is then checked in one pass over the graph's indices: a
+cycle search, a count of marked neighbours per vertex, and, for
+structure_report, the components of the marked indices; no induced
+subgraph is built.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from itertools import combinations
 
 from .addressing import hat_labels
 from .generators import _hat_tables, expected_order, triangle
-from .graph_core import LabeledGraph, find_cycle
+from .graph_core import LabeledGraph, _components, _cycle, _subset_positions
 
 __all__ = [
     "GapReport",
@@ -161,9 +165,11 @@ def forest_order_bound(p: int, n: int) -> int:
 
 
 def _checked_forest(p: int, n: int, graph: LabeledGraph | None):
-    """The labels of the large-alphabet linear forest and the subgraph
-    they induce, after checking the graph's order, acyclicity and
-    induced degrees; any failure raises ValueError."""
+    """The labels of the large-alphabet linear forest, checked against the
+    graph's order, acyclicity and induced degrees in one pass over its
+    indices; any failure raises ValueError.  Also returns the forest's
+    graph indices in ascending order, a bytearray marking them and their
+    induced degrees in the same order."""
     if p < 4:
         raise ValueError(f"need at least 4 symbols, got {p}")
     if n < 2:
@@ -174,14 +180,16 @@ def _checked_forest(p: int, n: int, graph: LabeledGraph | None):
         raise ValueError(
             f"graph has order {g.order}, expected {expected_order('hat', p, n)}"
         )
-    cycle = find_cycle(g, labels)
+    keep, mark = _subset_positions(g, labels)
+    cycle = _cycle(g, keep, mark)
     if cycle is not None:
         raise ValueError(f"construction induced a cycle: {cycle}")
-    sub = g.induced(labels)
-    for v in sub.vertices():
-        if sub.degree(v) > 2:
-            raise ValueError(f"construction is not a linear forest at {v!r}")
-    return labels, sub
+    nbrs, kept = g._nbrs, mark.__getitem__
+    degrees = [sum(map(kept, nbrs[u])) for u in keep]
+    for u, d in zip(keep, degrees):
+        if d > 2:
+            raise ValueError(f"construction is not a linear forest at {g._labels[u]!r}")
+    return labels, keep, mark, degrees
 
 
 def forest_triangle(p: int, n: int, graph: LabeledGraph | None = None) -> set:
@@ -235,16 +243,17 @@ def structure_report(
     g = triangle(p, n) if graph is None else graph
     problems = []
     try:
-        labels, sub = _checked_forest(p, n, g)
+        labels, keep, mark, degrees = _checked_forest(p, n, g)
     except ValueError as exc:
         return StructureReport(p, n, 0, (), (), (str(exc),))
+    degree = dict(zip(keep, degrees)).__getitem__
     actual = Counter()
-    for comp in sub.components():
-        degs = sorted(sub.degree(v) for v in comp)
+    for comp in _components(g, keep, mark):
+        degs = sorted(map(degree, comp))
         interior = [d for d in degs if d == 2]
         # a path has exactly its two ends below degree 2 (or is a point)
         if len(comp) > 1 and (degs[-1] > 2 or len(interior) != len(comp) - 2):
-            problems.append(f"component holding {comp[0]!r} is not a path")
+            problems.append(f"component holding {g._labels[comp[0]]!r} is not a path")
         actual[len(comp)] += 1
     expected = _expected_path_multiset(p, n)
     if actual != expected:

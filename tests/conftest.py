@@ -1,7 +1,8 @@
 """Shared fixtures."""
 
 import itertools
-from collections import deque
+import math
+from collections import Counter, deque
 from types import SimpleNamespace
 
 import pytest
@@ -37,9 +38,11 @@ from sfvs.graph_core import (
     build_graph,
     contract_edges,
     find_cycle,
+    is_forest,
     relabel,
 )
 from sfvs.pairable_forest import PairablePartition
+from sfvs.triangle_forest import StructureReport, forest_order_recurrence
 
 
 def _contracted_triangle(p, n):
@@ -866,10 +869,29 @@ def reference_bruteforce():
     return _bruteforce_by_size
 
 
+def _verify_certificate(g: LabeledGraph, cert: FvsCertificate) -> bool:
+    witness = set(cert.witness)
+    if len(cert.witness) != cert.tau or len(witness) != cert.tau:
+        return False
+    vertices = set(g.vertices())
+    if not witness <= vertices:
+        return False
+    return is_forest(g, vertices - witness)
+
+
+@pytest.fixture
+def reference_verify_certificate():
+    """Reference verify_certificate(g, cert) on label sets: the witness
+    and the vertex set as Python sets, the forest as their difference."""
+    return _verify_certificate
+
+
 # The forest constructions as they were before they moved onto vertex
 # indices: the closure on word tuples, the 3-symbol recursion on Hat /
 # Contracted objects, and the linear forest grown with prefix_triangle,
-# each vertex formatted on its own.
+# each vertex formatted on its own.  The linear forest is checked and
+# decomposed as it was before that ran in one pass over indices: through
+# the induced subgraph, its degrees and its components.
 
 
 def _closure_block_split(block, p: int):
@@ -1076,7 +1098,7 @@ def _b_star_objects(p: int, n: int) -> set:
     return level
 
 
-def _forest_triangle(p: int, n: int, graph: LabeledGraph | None = None) -> set:
+def _checked_forest(p: int, n: int, graph: LabeledGraph | None):
     if p < 4:
         raise ValueError(f"need at least 4 symbols, got {p}")
     if n < 2:
@@ -1094,7 +1116,64 @@ def _forest_triangle(p: int, n: int, graph: LabeledGraph | None = None) -> set:
     for v in sub.vertices():
         if sub.degree(v) > 2:
             raise ValueError(f"construction is not a linear forest at {v!r}")
-    return labels
+    return labels, sub
+
+
+def _forest_triangle(p: int, n: int, graph: LabeledGraph | None = None) -> set:
+    return _checked_forest(p, n, graph)[0]
+
+
+def _expected_path_multiset(p: int, n: int) -> Counter:
+    starts = len(_even_starts(p))
+    expected = Counter()
+    expected[2 ** (n - 1) * p + 1] += starts
+    for k in range(3, n + 1):
+        copies = p ** (n - k)
+        expected[2**k * p - 1] += math.comb(starts, 2) * copies
+        if p % 2:
+            expected[2 ** (k - 2) * p + 2 * p - 1] += starts * copies
+    if p % 2:
+        expected[p] += 1
+    return expected
+
+
+def _structure_report(
+    p: int, n: int, graph: LabeledGraph | None = None
+) -> StructureReport:
+    g = triangle(p, n) if graph is None else graph
+    problems = []
+    try:
+        labels, sub = _checked_forest(p, n, g)
+    except ValueError as exc:
+        return StructureReport(p, n, 0, (), (), (str(exc),))
+    actual = Counter()
+    for comp in sub.components():
+        degs = sorted(sub.degree(v) for v in comp)
+        interior = [d for d in degs if d == 2]
+        # a path has exactly its two ends below degree 2 (or is a point)
+        if len(comp) > 1 and (degs[-1] > 2 or len(interior) != len(comp) - 2):
+            problems.append(f"component holding {comp[0]!r} is not a path")
+        actual[len(comp)] += 1
+    expected = _expected_path_multiset(p, n)
+    if actual != expected:
+        only_exp = {k: v for k, v in (expected - actual).items()}
+        only_act = {k: v for k, v in (actual - expected).items()}
+        problems.append(
+            f"path multiset differs: expected extra {only_exp}, actual extra {only_act}"
+        )
+    total = len(labels)
+    if total != forest_order_recurrence(p, n):
+        problems.append(
+            f"size {total} != recurrence {forest_order_recurrence(p, n)}"
+        )
+    return StructureReport(
+        p,
+        n,
+        total,
+        tuple(sorted(expected.items())),
+        tuple(sorted(actual.items())),
+        tuple(problems),
+    )
 
 
 @pytest.fixture
@@ -1113,4 +1192,5 @@ def reference_forests():
         corner_path_base=_corner_path_base,
         tail_path_base=_tail_path_base,
         forest_triangle=_forest_triangle,
+        structure_report=_structure_report,
     )

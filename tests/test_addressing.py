@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,7 @@ from sfvs.addressing import (
     parse_vertex,
     parse_word,
     prefix_triangle,
+    rank_labels,
     word_labels,
     word_separator,
 )
@@ -187,3 +189,25 @@ def test_bulk_formatters_match_format_vertex(p, n):
     labels = hat_labels(p, n)
     assert labels == [format_vertex(v, p) for v in vertices]
     assert [parse_vertex(label, "hat", p, n) for label in labels] == vertices
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 9, 10, 11, 12])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rank_labels_match_the_bulk_lists(p, n):
+    # every rank in order, then a scrambled sample with repeats; n = 1 has
+    # the empty head, and p > 10 the comma separator
+    rng = random.Random(p * 10 + n)
+    everything = range(p**n)
+    sample = [rng.randrange(p**n) for _ in range(50)]
+    for ranks in (everything, sample, []):
+        for copy, full in ((False, word_labels(p, n)), (True, copy_labels(p, n))):
+            assert rank_labels(p, n, ranks, copy=copy) == [full[r] for r in ranks]
+
+
+def test_rank_labels_reject_bad_arguments():
+    assert rank_labels(12, 2, [13]) == ["1,1"]
+    assert rank_labels(12, 1, [11], copy=True) == ["12:11"]
+    with pytest.raises(ValueError, match="level must be at least 1, got 0"):
+        rank_labels(3, 0, [0])
+    with pytest.raises(ValueError, match="alphabet size must be positive, got 0"):
+        rank_labels(0, 2, [])

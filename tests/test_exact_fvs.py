@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -171,6 +172,33 @@ def test_verify_certificate_rejects_tampering():
     assert not verify_certificate(g, alien)
     doubled = FvsCertificate(tau=2, witness=(good.witness[0],) * 2, optimal=True)
     assert not verify_certificate(g, doubled)
+
+
+def test_verify_certificate_matches_the_reference(reference_verify_certificate):
+    # random certificates on random graphs: valid witnesses (a minimum one,
+    # and one padded with more vertices), wrong tau, repeated labels,
+    # unknown labels of str and other types, and random subsets
+    rng = random.Random(11)
+    kinds = Counter()
+    for trial in range(300):
+        n = rng.randint(0, 12)
+        pairs = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3]
+        g = build_graph(range(n), pairs)
+        labels = g.vertices()
+        best = tau_bruteforce(g).witness
+        padded = tuple(sorted(set(best) | set(rng.sample(labels, n // 3))))
+        witnesses = [best, padded, tuple(rng.sample(labels, rng.randint(0, n)))]
+        if best:
+            witnesses.append(best + best[:1])
+            witnesses.append(best[:-1] + ("x",))
+            witnesses.append(best[:-1] + (int(best[-1]),))
+        for witness in witnesses:
+            for tau in {len(witness), len(set(witness)), len(witness) + 1}:
+                cert = FvsCertificate(tau, witness, False)
+                want = reference_verify_certificate(g, cert)
+                assert verify_certificate(g, cert) == want, (trial, cert)
+                kinds[want] += 1
+    assert kinds[True] > 300 and kinds[False] > 1000
 
 
 # branch and bound

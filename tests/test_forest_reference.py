@@ -1,5 +1,6 @@
-"""The forest constructions against the object-based reference they
-replace, and a guard that they format their labels in bulk."""
+"""The forest constructions and the linear forest's check and structure
+report against the reference they replace, and a guard that the
+constructions format their labels in bulk."""
 
 from collections import Counter
 
@@ -7,6 +8,7 @@ import pytest
 
 from sfvs import addressing, generators, pairable_forest, triangle_forest
 from sfvs.generators import sierpinski_plusplus, triangle
+from sfvs.graph_core import build_indexed
 from sfvs.pairable_forest import (
     PairablePartition,
     closure,
@@ -21,6 +23,7 @@ from sfvs.triangle_forest import (
     corner_path_base,
     forest_triangle,
     fvs_triangle3,
+    structure_report,
     tail_path_base,
 )
 
@@ -81,6 +84,61 @@ def test_quotient_forests_match_the_reference(p, reference_forests):
         graph = triangle(p, n) if p >= 4 and n >= 2 else None
         got = _outcome(forest_triangle, p, n, graph=graph)
         assert got == _outcome(ref.forest_triangle, p, n, graph=graph), n
+
+
+def _mutants(g, forest):
+    """Copies of g, each of the same order, that break the linear forest
+    in one way: an edge joining the two ends of its longest path (a
+    cycle), an edge joining interior vertices of its two longest paths
+    (two vertices of degree 3), the longest path's first edge removed
+    (the path splits), and a forest vertex renamed (a missing vertex)."""
+    sub = g.induced(forest)
+    comps = sorted(sub.components(), key=len, reverse=True)
+    longest, other = comps[0], comps[1]
+    ends = [v for v in longest if sub.degree(v) == 1]
+    interior = next(v for v in longest if sub.degree(v) == 2)
+    other_interior = next(v for v in other if sub.degree(v) == 2)
+    first_edge = (longest[0], sub.neighbors(longest[0])[0])
+    labels = g.vertices()
+    index = {v: i for i, v in enumerate(labels)}
+    pairs = g.edges()
+
+    def build(names, edges):
+        return build_indexed(names, [(index[u], index[v]) for u, v in edges])
+
+    renamed = list(labels)
+    renamed[index[interior]] = "zz"
+    return {
+        "cycle": build(labels, pairs + [tuple(ends)]),
+        "degree 3": build(labels, pairs + [(interior, other_interior)]),
+        "split path": build(labels, [e for e in pairs if set(e) != set(first_edge)]),
+        "missing vertex": build(renamed, pairs),
+    }
+
+
+@pytest.mark.parametrize("p", range(4, 9))
+def test_linear_forest_checks_match_the_reference(p, reference_forests):
+    ref = reference_forests
+    for n in range(2, 5):
+        g = triangle(p, n)
+        rep = structure_report(p, n, graph=g)
+        assert rep == ref.structure_report(p, n, graph=g), n
+        assert rep.ok, n
+        if n == 2:
+            assert structure_report(p, n) == ref.structure_report(p, n)
+        mutants = _mutants(g, forest_triangle(p, n, graph=g))
+        problems = {}
+        for name, mutant in mutants.items():
+            got = structure_report(p, n, graph=mutant)
+            assert got == ref.structure_report(p, n, graph=mutant), (n, name)
+            problems[name] = got.problems
+            want = _outcome(ref.forest_triangle, p, n, graph=mutant)
+            assert _outcome(forest_triangle, p, n, graph=mutant) == want, (n, name)
+        assert problems["cycle"][0].startswith("construction induced a cycle: [")
+        assert problems["degree 3"][0].startswith("construction is not a linear forest at ")
+        assert problems["split path"][0].startswith("path multiset differs: ")
+        (gone,) = set(g.vertices()) - set(mutants["missing vertex"].vertices())
+        assert problems["missing vertex"] == (f"no such vertex: {gone!r}",)
 
 
 def test_fvs_triangle3_matches_the_reference(reference_forests):

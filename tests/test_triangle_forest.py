@@ -265,7 +265,7 @@ def test_conjecture_gap_rejects():
         conjecture_gap(4, -1)
 
 
-def test_structure_report_induces_the_forest_once(monkeypatch):
+def test_forest_checks_never_induce_a_subgraph(monkeypatch):
     g = triangle(4, 3)
     cls = type(g)
     induced = cls.induced
@@ -276,6 +276,10 @@ def test_structure_report_induces_the_forest_once(monkeypatch):
         return induced(self, subset)
 
     monkeypatch.setattr(cls, "induced", spy)
+    assert len(forest_triangle(4, 3, graph=g)) == 65
     rep = structure_report(4, 3, graph=g)
     assert rep.ok
-    assert calls == [rep.total]
+    assert rep.total == 65
+    # the spy is live: an explicit induce is counted
+    g.induced({"^0"})
+    assert calls == [1]

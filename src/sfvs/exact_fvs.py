@@ -6,9 +6,10 @@ ground-truth oracle for small graphs.  tau_bnb is a branch-and-bound
 search over a multigraph that supports the classic reductions:
 
   * vertices of degree <= 1 are irrelevant and vanish
-  * a self-loop forces its vertex into the solution
-  * a degree-2 vertex is bypassed, its two edges fused into one; fusing a
-    parallel pair into a loop is what makes double edges count
+  * a degree-2 vertex is bypassed, its two edges fused into one, or,
+    when the two are a parallel pair, its one neighbour is forced; no
+    self-loop forms, as the graph starts simple and a bypass joins two
+    distinct neighbours
   * a parallel pair with one endpoint barred from the solution forces the
     other endpoint
 
@@ -26,8 +27,9 @@ cover by cliques needs, a cover that uses each vertex at most twice.  On
 the quotient family hat(p, n), whose p^n cliques K_p meet at most two at
 a vertex, the cover gives ceil(p^n (p - 2) / 2) at the root.  A search
 that runs out of budget still returns its incumbent, flagged
-non-optimal.  Every certificate is re-verified against the input graph
-before being returned.
+non-optimal.  A seed is checked by the union-find that minimalizes it,
+and every certificate is re-verified against the input graph before
+being returned.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import os
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .graph_core import LabeledGraph, Multigraph, _cycle, is_forest
+from .graph_core import LabeledGraph, Multigraph, _cycle
 
 __all__ = [
     "BUDGET_ENV_VAR",
@@ -210,13 +212,6 @@ def _reduce(mg: Multigraph, live, forbidden, chosen):
             if not alive[v]:
                 continue
             nbrs = adj[v]
-            if v in nbrs:
-                if v in forbidden:
-                    return None
-                chosen.append(v)
-                mg.remove_vertex(v)
-                changed = True
-                continue
             # a parallel pair is a 2-cycle: a barred endpoint forces the other
             forced = None
             for u, mult in nbrs.items():
@@ -259,18 +254,22 @@ def _reduce(mg: Multigraph, live, forbidden, chosen):
     return live
 
 
-def _minimalize(mg: Multigraph, chosen) -> list:
-    """Drop redundant vertices from a feasible deletion set, last in
-    first reconsidered.  mg must be simple (Multigraph.from_labeled): a
-    vertex rejoins the forest, kept as one union-find, when its forest
-    neighbours lie in pairwise distinct trees."""
+def _minimalize(mg: Multigraph, chosen) -> list | None:
+    """Drop redundant vertices from a deletion set, last in first
+    reconsidered, or None when the set leaves a cycle.  mg must be simple
+    (Multigraph.from_labeled): a vertex rejoins the forest, kept as one
+    union-find, when its forest neighbours lie in pairwise distinct
+    trees."""
     parent = list(range(len(mg.adj)))
     out = set(chosen)
     for v, nbrs in enumerate(mg.adj):
         if v not in out:
             for u in nbrs:
                 if u < v and u not in out:
-                    parent[_root(parent, u)] = _root(parent, v)
+                    ru, rv = _root(parent, u), _root(parent, v)
+                    if ru == rv:
+                        return None
+                    parent[ru] = rv
     for v in sorted(out, reverse=True):
         roots = [_root(parent, u) for u in mg.adj[v] if u not in out]
         if len(set(roots)) == len(roots):
@@ -522,16 +521,16 @@ def tau_bnb(
         for v in seed_labels:
             if v not in index:
                 raise ValueError(f"seed contains unknown vertex {v!r}")
-        if not is_forest(g, set(labels) - set(seed_labels)):
-            raise ValueError("seed is not a feedback vertex set")
         incumbent = _minimalize(mg, [index[v] for v in seed_labels])
+        if incumbent is None:
+            raise ValueError("seed is not a feedback vertex set")
     else:
         incumbent = _greedy_fvs(mg)
     best = _Best(len(incumbent), tuple(sorted(incumbent)))
     ticker = _Ticker(budget)
     optimal = True
     try:
-        _search(mg.copy(), mg.live_vertices(), [], frozenset(), best, ticker)
+        _search(mg, mg.live_vertices(), [], frozenset(), best, ticker)
     except _BudgetExhausted:
         optimal = False
     witness = tuple(sorted(labels[i] for i in best.witness))

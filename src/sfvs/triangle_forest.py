@@ -168,8 +168,7 @@ def _checked_forest(p: int, n: int, graph: LabeledGraph | None):
     """The labels of the large-alphabet linear forest, checked against the
     graph's order, acyclicity and induced degrees in one pass over its
     indices; any failure raises ValueError.  Also returns the forest's
-    graph indices in ascending order, a bytearray marking them and their
-    induced degrees in the same order."""
+    graph indices in ascending order and a bytearray marking them."""
     if p < 4:
         raise ValueError(f"need at least 4 symbols, got {p}")
     if n < 2:
@@ -185,11 +184,10 @@ def _checked_forest(p: int, n: int, graph: LabeledGraph | None):
     if cycle is not None:
         raise ValueError(f"construction induced a cycle: {cycle}")
     nbrs, kept = g._nbrs, mark.__getitem__
-    degrees = [sum(map(kept, nbrs[u])) for u in keep]
-    for u, d in zip(keep, degrees):
-        if d > 2:
+    for u in keep:
+        if sum(map(kept, nbrs[u])) > 2:
             raise ValueError(f"construction is not a linear forest at {g._labels[u]!r}")
-    return labels, keep, mark, degrees
+    return labels, keep, mark
 
 
 def forest_triangle(p: int, n: int, graph: LabeledGraph | None = None) -> set:
@@ -241,20 +239,13 @@ def structure_report(
     the predicted multiset of path orders.  Collects problems instead of
     raising, so a report is always produced."""
     g = triangle(p, n) if graph is None else graph
-    problems = []
     try:
-        labels, keep, mark, degrees = _checked_forest(p, n, g)
+        labels, keep, mark = _checked_forest(p, n, g)
     except ValueError as exc:
         return StructureReport(p, n, 0, (), (), (str(exc),))
-    degree = dict(zip(keep, degrees)).__getitem__
-    actual = Counter()
-    for comp in _components(g, keep, mark):
-        degs = sorted(map(degree, comp))
-        interior = [d for d in degs if d == 2]
-        # a path has exactly its two ends below degree 2 (or is a point)
-        if len(comp) > 1 and (degs[-1] > 2 or len(interior) != len(comp) - 2):
-            problems.append(f"component holding {g._labels[comp[0]]!r} is not a path")
-        actual[len(comp)] += 1
+    # acyclic with every induced degree at most 2: each component is a path
+    actual = Counter(map(len, _components(g, keep, mark)))
+    problems = []
     expected = _expected_path_multiset(p, n)
     if actual != expected:
         only_exp = {k: v for k, v in (expected - actual).items()}

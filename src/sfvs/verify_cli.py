@@ -33,7 +33,7 @@ from dataclasses import asdict, astuple, dataclass, replace
 from typing import Callable
 
 from .addressing import FAMILIES
-from .exact_fvs import tau_bnb, tau_bruteforce
+from .exact_fvs import resolve_budget, tau_bnb, tau_bruteforce
 from .generators import (
     expected_order,
     expected_size,
@@ -131,15 +131,6 @@ def _row(suite, family, p, n, check, predicted, constructed, exact, want_exact):
     )
 
 
-def _assert_forest(g, labels, context: str):
-    cycle = find_cycle(g, set(labels))
-    if cycle is not None:
-        raise VerificationError(
-            f"{context}: constructed set is not a forest, cycle {' '.join(cycle)}",
-            cycle,
-        )
-
-
 def _check_order(family, p, n):
     """Refuse, before any build, an instance above MAX_ORDER vertices, or
     at p = 1 (order at most 2, build still growing with n) above level 20.
@@ -156,19 +147,30 @@ def _check_order(family, p, n):
 
 def _forest(family, p, n, g):
     """The construction-backed induced forest of a family instance, as a
-    set of labels of its graph g.  Raises ValueError where the instance
-    has no construction."""
+    set of labels of its graph g, checked once against g.  Raises
+    ValueError where the instance has no construction, and a
+    VerificationError or the construction's own ValueError on a cycle."""
     if family == "s":
-        return forest_sierpinski(p, n)
-    if family == "plus":
-        return forest_plus(p, n)
-    if family == "pp":
-        return forest_plusplus(p, n, graph=g)
-    if p == 2:
-        return set(g.vertices())
-    if p == 3:
-        return set(g.vertices()) - fvs_triangle3(n)
-    return forest_triangle(p, n, graph=g)
+        forest = forest_sierpinski(p, n)
+    elif family == "plus":
+        forest = forest_plus(p, n)
+    elif family == "pp":
+        forest = forest_plusplus(p, n, graph=g)
+        if p > 2:  # checked against g by the construction
+            return forest
+    elif p == 2:
+        forest = set(g.vertices())
+    elif p == 3:
+        forest = set(g.vertices()) - fvs_triangle3(n)
+    else:
+        return forest_triangle(p, n, graph=g)  # checked against g too
+    cycle = find_cycle(g, forest)
+    if cycle is not None:
+        raise VerificationError(
+            f"{family} p={p} n={n}: constructed set is not a forest, cycle {' '.join(cycle)}",
+            cycle,
+        )
+    return forest
 
 
 # Row functions share one signature: (suite, family, p, n, exact, budget).
@@ -187,7 +189,6 @@ def _tau_rows(suite, family, p, n, exact, budget):
     solve starts from the forest's complement."""
     g = _BUILDERS[family](p, n)
     forest = _forest(family, p, n, g)
-    _assert_forest(g, forest, f"{family} p={p} n={n}")
     exact_val = None
     if exact:
         cert = tau_bnb(g, budget=budget, seed=sorted(set(g.vertices()) - forest))
@@ -295,15 +296,17 @@ def run_suite(suite, ps, ns, exact=False, budget=None, jobs=1):
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     spec = _SUITE_TABLE[suite]
     valid, domain = spec.domain
-    tasks = set()
+    instances = set()
     for p in ps:
         for n in ns:
             if not valid(p, n):
                 raise ValueError(f"{suite} {domain}, got ({p},{n})")
             for family in spec.families:
                 _check_order(family, p, n)
-                tasks.add((suite, family, p, n, exact, budget))
-    tasks = sorted(tasks, key=lambda t: (t[2], t[3], FAMILIES.index(t[1])))
+                instances.add((p, n, FAMILIES.index(family)))
+    if exact:
+        budget = resolve_budget(budget)
+    tasks = [(suite, FAMILIES[f], p, n, exact, budget) for p, n, f in sorted(instances)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -382,7 +385,6 @@ def _cmd_forest(args) -> int:
         return 0 if rep.ok else 1
     g = _BUILDERS[family](p, n)
     forest = sorted(_forest(family, p, n, g))
-    _assert_forest(g, forest, f"{family} p={p} n={n}")
     lines = list(forest)
     lines.append(f"size={len(forest)} complement={g.order - len(forest)} acyclic=true")
     _write_out("\n".join(lines) + "\n", args.out)
@@ -391,6 +393,7 @@ def _cmd_forest(args) -> int:
 
 def _cmd_tau(args) -> int:
     family, p, n = args.family, args.p, args.n
+    budget = resolve_budget(args.budget) if args.method == "bnb" else None
     g = _BUILDERS[family](p, n)
     if args.method == "brute":
         cert = tau_bruteforce(g)
@@ -401,7 +404,7 @@ def _cmd_tau(args) -> int:
                 seed = sorted(set(g.vertices()) - _forest(family, p, n, g))
             except ValueError:
                 pass  # no construction for this instance: search unseeded
-        cert = tau_bnb(g, budget=args.budget, seed=seed)
+        cert = tau_bnb(g, budget=budget, seed=seed)
     flag = "true" if cert.optimal else "false"
     _write_out(
         f"tau={cert.tau} optimal={flag} witness={','.join(cert.witness)}\n", args.out

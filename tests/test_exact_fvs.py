@@ -289,6 +289,27 @@ def test_bnb_full_seed_allowed():
     assert cert.optimal
 
 
+def test_bnb_seed_check_matches_is_forest(reference_search):
+    # the minimalizing union-find rejects a seed exactly when its
+    # complement holds a cycle, and a feasible seed keeps the node order
+    rng = random.Random(2718)
+    rejected = 0
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(0, 12), rng.choice([0.15, 0.3, 0.5, 0.8]))
+        labels = g.vertices()
+        seed = [v for v in labels if rng.random() < rng.random()]
+        if not is_forest(g, set(labels) - set(seed)):
+            rejected += 1
+            with pytest.raises(ValueError, match="^seed is not a feedback vertex set$"):
+                tau_bnb(g, budget=1, seed=seed)
+            # an unknown label is still named first
+            with pytest.raises(ValueError, match="^seed contains unknown vertex 'x'$"):
+                tau_bnb(g, budget=1, seed=seed + ["x"])
+        else:
+            assert tau_bnb(g, budget=1, seed=seed) == reference_search(g, 1, seed)
+    assert 0 < rejected < 300
+
+
 # cross-checks
 
 
@@ -455,3 +476,27 @@ def test_grow_clique_does_not_count_a_loop():
     for u, v in [(0, 3), (0, 1), (0, 2), (1, 2), (1, 3), (3, 3)]:
         mg.add_edge(u, v)
     assert _grow_clique(mg, 0) == [0, 1, 3]
+
+
+def test_search_never_adds_a_loop(monkeypatch):
+    # the solver's graph starts simple and a bypass joins two distinct
+    # neighbours, so the reductions need no self-loop rule
+    added = []
+    real = Multigraph.add_edge
+
+    def spy(mg, u, v, mult=1):
+        added.append((u, v))
+        return real(mg, u, v, mult)
+
+    monkeypatch.setattr(Multigraph, "add_edge", spy)
+    rng = random.Random(31)
+    for _ in range(200):
+        tau_bnb(random_graph(rng, rng.randint(0, 24), rng.uniform(0.05, 0.6)), budget=100)
+    builders = {"s": sierpinski, "plus": sierpinski_plus, "pp": sierpinski_plusplus, "hat": triangle}
+    for family, builder in builders.items():
+        for p in range(2, 21):
+            for n in range(0 if family in ("s", "hat") else 1, 9):
+                if expected_order(family, p, n) <= 400:
+                    tau_bnb(builder(p, n), budget=100)
+    assert added
+    assert all(u != v for u, v in added)

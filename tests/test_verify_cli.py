@@ -591,3 +591,67 @@ def test_thm41_rejects_a_forest_with_a_cycle(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: hat p=4 n=3: construction induced a cycle: [")
+
+
+@pytest.mark.parametrize(
+    "argv,passes",
+    [
+        (["verify", "--suite", "cor2.8", "-p", "4", "-n", "3"], 1),
+        (["verify", "--suite", "cor2.8", "-p", "4", "-n", "3", "--exact"], 2),
+        (["verify", "--suite", "thm2.4", "-p", "4", "-n", "3", "--exact"], 2),
+        (["verify", "--suite", "conjecture", "-p", "4", "-n", "2", "--exact"], 2),
+        (["forest", "--family", "pp", "-p", "4", "-n", "3"], 1),
+        (["forest", "--family", "hat", "-p", "4", "-n", "3"], 1),
+        (["tau", "--family", "hat", "-p", "4", "-n", "2"], 2),
+        (["tau", "--family", "s", "-p", "4", "-n", "2"], 2),
+    ],
+)
+def test_each_forest_is_checked_once(monkeypatch, capsys, argv, passes):
+    # one cycle search for the construction's forest, and one more for
+    # the solver's certificate when the command solves
+    from sfvs import exact_fvs, graph_core, triangle_forest
+
+    calls = []
+    real = graph_core._cycle
+
+    def spy(g, keep, mark):
+        calls.append(len(keep))
+        return real(g, keep, mark)
+
+    for module in (graph_core, exact_fvs, triangle_forest):
+        monkeypatch.setattr(module, "_cycle", spy)
+    assert main(argv) == 0
+    assert "✗" not in capsys.readouterr().out
+    assert len(calls) == passes
+
+
+@pytest.mark.parametrize("suite,p,n", [("thm2.4", 4, 3), ("conjecture", 4, 2)])
+def test_run_suite_rejects_a_bad_budget_before_any_build(no_builds, monkeypatch, suite, p, n):
+    with pytest.raises(ValueError, match="^budget must be positive, got 0$"):
+        run_suite(suite, [p], [n], exact=True, budget=0)
+    monkeypatch.setenv("SFVS_BUDGET", "abc")
+    with pytest.raises(ValueError, match="^SFVS_BUDGET must be an integer, got 'abc'$"):
+        run_suite(suite, [p], [n], exact=True)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tau", "--family", "hat", "-p", "6", "-n", "4", "--budget", "0"],
+        ["verify", "--suite", "cor2.8", "-p", "4", "-n", "3", "--exact", "--budget", "0"],
+    ],
+)
+def test_cli_rejects_a_bad_budget_before_any_build(no_builds, monkeypatch, capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: budget must be positive, got 0\n"
+    monkeypatch.setenv("SFVS_BUDGET", "abc")
+    assert main(argv[:-2]) == 2
+    assert capsys.readouterr().err == "error: SFVS_BUDGET must be an integer, got 'abc'\n"
+
+
+def test_budget_is_unchecked_without_a_solve(capsys):
+    # only a solve reads the budget: a suite without --exact and the
+    # brute-force method still run
+    assert run_suite("thm2.4", [3], [2], budget=0)[0].status == "match"
+    assert main(["tau", "--family", "s", "-p", "3", "-n", "2", "--method", "brute", "--budget", "0"]) == 0
+    assert capsys.readouterr().out.startswith("tau=3 optimal=true")

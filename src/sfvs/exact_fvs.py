@@ -3,13 +3,15 @@
 tau_bruteforce enumerates deletion sets and induced forests by
 increasing size, whichever side has fewer subsets next, and is the
 ground-truth oracle for small graphs.  tau_bnb is a branch-and-bound
-search over a multigraph that supports the classic reductions:
+search over a multigraph, parallel edges but never a loop, that supports
+the classic reductions:
 
   * vertices of degree <= 1 are irrelevant and vanish
   * a degree-2 vertex is bypassed, its two edges fused into one, or,
-    when the two are a parallel pair, its one neighbour is forced; no
-    self-loop forms, as the graph starts simple and a bypass joins two
-    distinct neighbours
+    when the two are a parallel pair, its one neighbour is forced; the
+    graph starts simple and a bypass joins two distinct neighbours, so
+    no self-loop forms and no reduction, bound or branching rule
+    handles one
   * a parallel pair with one endpoint barred from the solution forces the
     other endpoint
 
@@ -365,18 +367,10 @@ def _lower_bound(mg: Multigraph, live, target: int) -> int:
     rest = [v for v in live if v not in used]
     if rest:
         rest_set = set(rest)
-        rest_edges = 0
-        rest_degs = []
-        for v in rest:
-            d = 0
-            for u, mult in mg.adj[v].items():
-                if u in rest_set and u != v:
-                    d += mult
-                    if u > v:
-                        rest_edges += mult
-            rest_degs.append(d)
-        rest_degs.sort(reverse=True)
-        packed += _density_bound(len(rest), rest_edges, rest_degs)
+        rest_degs = [sum(m for u, m in mg.adj[v].items() if u in rest_set) for v in rest]
+        packed += _density_bound(
+            len(rest), sum(rest_degs) // 2, sorted(rest_degs, reverse=True)
+        )
     best = max(best, packed)
     if best >= target:
         return best
@@ -418,11 +412,7 @@ def _restrict(mg: Multigraph, comp) -> Multigraph:
 
 
 def _branch_vertex(mg: Multigraph, candidates):
-    multi = [
-        v
-        for v in candidates
-        if any(u != v and m >= 2 for u, m in mg.adj[v].items())
-    ]
+    multi = [v for v in candidates if any(m >= 2 for m in mg.adj[v].values())]
     pool = multi or candidates
     # pool is in index order, so max keeps the lowest index on ties
     return max(pool, key=mg.deg.__getitem__)
@@ -432,14 +422,14 @@ def _grow_clique(mg: Multigraph, v, used=(), avoid=()) -> list:
     """Greedy maximal clique through v, preferring well-connected
     extensions and avoiding the vertices in used and in avoid."""
     adj = mg.adj
-    cand = [u for u in adj[v] if u != v and u not in used and u not in avoid]
+    cand = [u for u in adj[v] if u not in used and u not in avoid]
     clique = [v]
     while len(cand) >= 2:
         cand_set = set(cand)
         best_u = None
         best_score = -1
         for u in cand:
-            score = len(cand_set & adj[u].keys()) - (u in adj[u])
+            score = len(cand_set & adj[u].keys())
             if score > best_score:
                 best_u, best_score = u, score
         clique.append(best_u)

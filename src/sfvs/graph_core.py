@@ -14,7 +14,8 @@ use directly.  Graphs are built by build_indexed, from labels and
 edges given as index pairs (build_graph maps label pairs to indices for
 it), or cut out by induced().  The int-indexed Multigraph at the bottom
 is the scratch structure used by the exact solver, is read straight off
-the neighbour tuples, and is deliberately mutable.
+the neighbour tuples, holds parallel edges but never a loop, and is
+deliberately mutable.
 """
 
 from __future__ import annotations
@@ -354,11 +355,10 @@ def export_dot(g: LabeledGraph, name: str = "g") -> str:
 class Multigraph:
     """Mutable int-indexed multigraph used by the exact solver.
 
-    adj[v] maps neighbor -> multiplicity; a loop at v is stored once at
-    adj[v][v] and contributes 2 to the degree per copy.  Vertices are
-    never removed from the list, only marked dead in alive.  deg[v] and
-    size (the edge count, loops included) are kept current by add_edge
-    and remove_vertex.
+    adj[v] maps neighbor -> multiplicity; the graph holds parallel edges
+    but never a loop.  Vertices are never removed from the list, only
+    marked dead in alive.  deg[v] and size (the edge count) are kept
+    current by add_edge and remove_vertex.
     """
 
     __slots__ = ("adj", "alive", "deg", "size")
@@ -382,23 +382,20 @@ class Multigraph:
 
     def add_edge(self, u: int, v: int, mult: int = 1):
         if u == v:
-            self.adj[u][u] = self.adj[u].get(u, 0) + mult
-            self.deg[u] += 2 * mult
-        else:
-            self.adj[u][v] = self.adj[u].get(v, 0) + mult
-            self.adj[v][u] = self.adj[v].get(u, 0) + mult
-            self.deg[u] += mult
-            self.deg[v] += mult
+            raise GraphError(f"self-loop at {u}")
+        self.adj[u][v] = self.adj[u].get(v, 0) + mult
+        self.adj[v][u] = self.adj[v].get(u, 0) + mult
+        self.deg[u] += mult
+        self.deg[v] += mult
         self.size += mult
 
     def remove_vertex(self, v: int):
         adj, deg = self.adj, self.deg
         nbrs = adj[v]
-        self.size -= deg[v] - nbrs.get(v, 0)
+        self.size -= deg[v]
         for u, mult in nbrs.items():
-            if u != v:
-                del adj[u][v]
-                deg[u] -= mult
+            del adj[u][v]
+            deg[u] -= mult
         nbrs.clear()
         deg[v] = 0
         self.alive[v] = False

@@ -31,7 +31,7 @@ from .addressing import (
     word_labels,
 )
 from .generators import expected_order, sierpinski_plusplus
-from .graph_core import LabeledGraph, find_cycle
+from .graph_core import GraphError, LabeledGraph, find_cycle
 
 __all__ = [
     "NotPairableError",
@@ -245,29 +245,30 @@ def forest_plusplus(p: int, n: int, graph: LabeledGraph | None = None) -> set:
 
     The copy seed is chosen so that at most one attachment edge lands
     inside the union, and that one (p = 3 only) bridges two components.
-    The union is checked for acyclicity; a cycle raises ValueError with
-    the cycle as witness.  Pass the prebuilt graph to skip the internal
-    construction.
+    At p = 2 the union is everything but the host's extreme 0^n.  The
+    union is checked for acyclicity; a graph of the wrong order or a
+    cycle raises GraphError, the cycle as witness.  Pass the prebuilt
+    graph to skip the internal construction.
     """
     if p < 2:
         raise ValueError(f"need at least 2 symbols, got {p}")
     if n < 1:
         raise ValueError(f"level must be at least 1, got {n}")
     if p == 2:
-        forest = set(word_labels(p, n)) | set(copy_labels(p, n - 1))
-        forest.remove(format_word((0,) * n, p))
-        return forest
-    if n < 2:
+        union = set(word_labels(p, n)) | set(copy_labels(p, n - 1))
+        union.remove(format_word((0,) * n, p))
+    elif n < 2:
         raise ValueError("no level-1 construction: the copy collapses to a point")
-    host = forest_sierpinski(p, n)
-    copy_ranks = _closed_ranks(*_copy_seed(p), p, n - 1)
-    union = host.union(rank_labels(p, n - 1, copy_ranks, copy=True))
+    else:
+        host = forest_sierpinski(p, n)
+        copy_ranks = _closed_ranks(*_copy_seed(p), p, n - 1)
+        union = host.union(rank_labels(p, n - 1, copy_ranks, copy=True))
     g = sierpinski_plusplus(p, n) if graph is None else graph
     if g.order != expected_order("pp", p, n):
-        raise ValueError(
+        raise GraphError(
             f"graph has order {g.order}, expected {expected_order('pp', p, n)}"
         )
     cycle = find_cycle(g, union)
     if cycle is not None:
-        raise ValueError(f"construction induced a cycle: {cycle}")
+        raise GraphError(f"construction induced a cycle: {cycle}")
     return union

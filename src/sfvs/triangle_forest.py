@@ -30,7 +30,8 @@ from itertools import combinations
 
 from .addressing import hat_labels
 from .generators import _hat_tables, expected_order, triangle
-from .graph_core import LabeledGraph, _components, _cycle, _subset_positions
+from .exact_fvs import tau_bnb
+from .graph_core import GraphError, LabeledGraph, _components, _cycle, _subset_positions
 
 __all__ = [
     "GapReport",
@@ -167,7 +168,7 @@ def forest_order_bound(p: int, n: int) -> int:
 def _checked_forest(p: int, n: int, graph: LabeledGraph | None):
     """The labels of the large-alphabet linear forest, checked against the
     graph's order, acyclicity and induced degrees in one pass over its
-    indices; any failure raises ValueError.  Also returns the forest's
+    indices; any failure raises GraphError.  Also returns the forest's
     graph indices in ascending order and a bytearray marking them."""
     if p < 4:
         raise ValueError(f"need at least 4 symbols, got {p}")
@@ -176,17 +177,17 @@ def _checked_forest(p: int, n: int, graph: LabeledGraph | None):
     labels = _labels(_linear_forest(p, n), p, n)
     g = triangle(p, n) if graph is None else graph
     if g.order != expected_order("hat", p, n):
-        raise ValueError(
+        raise GraphError(
             f"graph has order {g.order}, expected {expected_order('hat', p, n)}"
         )
     keep, mark = _subset_positions(g, labels)
     cycle = _cycle(g, keep, mark)
     if cycle is not None:
-        raise ValueError(f"construction induced a cycle: {cycle}")
+        raise GraphError(f"construction induced a cycle: {cycle}")
     nbrs, kept = g._nbrs, mark.__getitem__
     for u in keep:
         if sum(map(kept, nbrs[u])) > 2:
-            raise ValueError(f"construction is not a linear forest at {g._labels[u]!r}")
+            raise GraphError(f"construction is not a linear forest at {g._labels[u]!r}")
     return labels, keep, mark
 
 
@@ -194,9 +195,10 @@ def forest_triangle(p: int, n: int, graph: LabeledGraph | None = None) -> set:
     """An induced linear forest of the triangle family, as labels.
 
     Size follows forest_order_recurrence (equals forest_order_bound for
-    n >= 3).  The result is verified against the graph: a cycle or a
-    vertex of induced degree 3 raises ValueError.  Pass the prebuilt
-    graph to skip the internal construction.
+    n >= 3).  The result is verified against the graph: a graph of the
+    wrong order, a cycle or a vertex of induced degree 3 raises
+    GraphError.  Pass the prebuilt graph to skip the internal
+    construction.
     """
     return _checked_forest(p, n, graph)[0]
 
@@ -310,8 +312,6 @@ def conjecture_gap(
     gap = None
     status = "bound-only"
     if solve:
-        from .exact_fvs import tau_bnb
-
         if graph is None:
             graph = triangle(p, n)
         seed = sorted(set(graph.vertices()) - forest) if forest is not None else None

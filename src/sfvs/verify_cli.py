@@ -149,15 +149,13 @@ def _forest(family, p, n, g):
     """The construction-backed induced forest of a family instance, as a
     set of labels of its graph g, checked once against g.  Raises
     ValueError where the instance has no construction, and a
-    VerificationError or the construction's own ValueError on a cycle."""
+    VerificationError or the construction's own GraphError on a cycle."""
     if family == "s":
         forest = forest_sierpinski(p, n)
     elif family == "plus":
         forest = forest_plus(p, n)
     elif family == "pp":
-        forest = forest_plusplus(p, n, graph=g)
-        if p > 2:  # checked against g by the construction
-            return forest
+        return forest_plusplus(p, n, graph=g)  # checked against g too
     elif p == 2:
         forest = set(g.vertices())
     elif p == 3:
@@ -288,7 +286,8 @@ def run_suite(suite, ps, ns, exact=False, budget=None, jobs=1):
 
     Rows come back sorted by (p, n, family); at most min(jobs, instances,
     CPUs) worker processes run.  Raises ValueError for unusable parameters
-    before any build, and VerificationError when a certificate fails.
+    before any build, and VerificationError, or the GraphError of a
+    self-checking construction, when a certificate fails.
     """
     if suite not in _SUITE_TABLE:
         raise ValueError(f"unknown suite {suite!r}")
@@ -402,6 +401,8 @@ def _cmd_tau(args) -> int:
         if args.seed == "auto":
             try:
                 seed = sorted(set(g.vertices()) - _forest(family, p, n, g))
+            except GraphError:
+                raise  # the construction failed its certificate
             except ValueError:
                 pass  # no construction for this instance: search unseeded
         cert = tau_bnb(g, budget=budget, seed=seed)

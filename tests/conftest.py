@@ -491,6 +491,115 @@ def reference_search():
     return _reference_tau
 
 
+# The search's bound, clique and branch helpers as they were while
+# Multigraph could hold a loop: each skips or discounts one.  On a
+# loop-free multigraph they must agree with the solver's.
+
+
+def _guarded_pack_cliques(mg: Multigraph, live, cap: int):
+    """Greedy cliques of size >= 3 that use each vertex at most cap
+    times, grown from each vertex in turn until it is used up; the second
+    clique grown from a vertex leaves out the rest of its first.  Returns
+    the sum of size - 2 over the cliques and the vertices used cap times."""
+    full = set()
+    home = {}  # vertex -> its first clique, while it has only one
+    total = 0
+    for v in live:
+        while v not in full:
+            clique = _guarded_grow_clique(mg, v, full, home.get(v, ()))
+            if len(clique) < 3:
+                break
+            total += len(clique) - 2
+            for u in clique:
+                if cap == 1 or u in home:
+                    full.add(u)
+                else:
+                    home[u] = clique
+    return total, full
+
+
+def _guarded_lower_bound(mg: Multigraph, live, target: int) -> int:
+    """A lower bound on the deletions mg still needs.  Tries the density
+    bound, then disjoint cliques plus the density of what they leave,
+    then cliques that may share vertices, and stops at the first that
+    reaches target."""
+    order = len(live)
+    if order == 0:
+        return 0
+    degs = sorted(map(mg.deg.__getitem__, live), reverse=True)
+    best = _density_bound(order, mg.size, degs)
+    if best >= target:
+        return best
+    packed, used = _guarded_pack_cliques(mg, live, 1)
+    if not packed:
+        # no triangle, so no clique for the cover either
+        return best
+    rest = [v for v in live if v not in used]
+    if rest:
+        rest_set = set(rest)
+        rest_edges = 0
+        rest_degs = []
+        for v in rest:
+            d = 0
+            for u, mult in mg.adj[v].items():
+                if u in rest_set and u != v:
+                    d += mult
+                    if u > v:
+                        rest_edges += mult
+            rest_degs.append(d)
+        rest_degs.sort(reverse=True)
+        packed += _density_bound(len(rest), rest_edges, rest_degs)
+    best = max(best, packed)
+    if best >= target:
+        return best
+    # any solution holds all but two vertices of each clique, and each of
+    # its vertices lies in at most two cliques
+    covered, _ = _guarded_pack_cliques(mg, live, 2)
+    return max(best, (covered + 1) // 2)
+
+
+def _guarded_branch_vertex(mg: Multigraph, candidates):
+    multi = [
+        v
+        for v in candidates
+        if any(u != v and m >= 2 for u, m in mg.adj[v].items())
+    ]
+    pool = multi or candidates
+    # pool is in index order, so max keeps the lowest index on ties
+    return max(pool, key=mg.deg.__getitem__)
+
+
+def _guarded_grow_clique(mg: Multigraph, v, used=(), avoid=()) -> list:
+    """Greedy maximal clique through v, preferring well-connected
+    extensions and avoiding the vertices in used and in avoid."""
+    adj = mg.adj
+    cand = [u for u in adj[v] if u != v and u not in used and u not in avoid]
+    clique = [v]
+    while len(cand) >= 2:
+        cand_set = set(cand)
+        best_u = None
+        best_score = -1
+        for u in cand:
+            score = len(cand_set & adj[u].keys()) - (u in adj[u])
+            if score > best_score:
+                best_u, best_score = u, score
+        clique.append(best_u)
+        cand = [u for u in cand if u != best_u and u in adj[best_u]]
+    return clique + cand
+
+
+@pytest.fixture
+def reference_loop_guards():
+    """The loop-guarding _lower_bound, _pack_cliques, _grow_clique and
+    _branch_vertex, over the solver's Multigraph."""
+    return SimpleNamespace(
+        lower_bound=_guarded_lower_bound,
+        pack_cliques=_guarded_pack_cliques,
+        grow_clique=_guarded_grow_clique,
+        branch_vertex=_guarded_branch_vertex,
+    )
+
+
 # The four family builders as they were before graph building worked on
 # integer indices: every edge spelled as two label strings and built by
 # a string-keyed build_graph.
@@ -1008,12 +1117,12 @@ def _forest_plusplus(p: int, n: int, graph: LabeledGraph | None = None) -> set:
     union = host | {format_vertex(Prefixed(w), p) for w in copy_words}
     g = sierpinski_plusplus(p, n) if graph is None else graph
     if g.order != expected_order("pp", p, n):
-        raise ValueError(
+        raise GraphError(
             f"graph has order {g.order}, expected {expected_order('pp', p, n)}"
         )
     cycle = find_cycle(g, union)
     if cycle is not None:
-        raise ValueError(f"construction induced a cycle: {cycle}")
+        raise GraphError(f"construction induced a cycle: {cycle}")
     return union
 
 
@@ -1106,16 +1215,16 @@ def _checked_forest(p: int, n: int, graph: LabeledGraph | None):
     labels = {format_vertex(v, p) for v in _b_star_objects(p, n)}
     g = triangle(p, n) if graph is None else graph
     if g.order != expected_order("hat", p, n):
-        raise ValueError(
+        raise GraphError(
             f"graph has order {g.order}, expected {expected_order('hat', p, n)}"
         )
     cycle = find_cycle(g, labels)
     if cycle is not None:
-        raise ValueError(f"construction induced a cycle: {cycle}")
+        raise GraphError(f"construction induced a cycle: {cycle}")
     sub = g.induced(labels)
     for v in sub.vertices():
         if sub.degree(v) > 2:
-            raise ValueError(f"construction is not a linear forest at {v!r}")
+            raise GraphError(f"construction is not a linear forest at {v!r}")
     return labels, sub
 
 

@@ -10,10 +10,12 @@ from sfvs.exact_fvs import (
     BUDGET_ENV_VAR,
     DEFAULT_BUDGET,
     FvsCertificate,
+    _branch_vertex,
     _greedy_fvs,
     _grow_clique,
     _lower_bound,
     _minimalize,
+    _pack_cliques,
     _reduce,
     resolve_budget,
     tau_bnb,
@@ -27,7 +29,7 @@ from sfvs.generators import (
     sierpinski_plusplus,
     triangle,
 )
-from sfvs.graph_core import Multigraph, build_graph, find_cycle, is_forest
+from sfvs.graph_core import GraphError, Multigraph, build_graph, find_cycle, is_forest
 from sfvs.triangle_forest import forest_triangle
 
 
@@ -471,11 +473,59 @@ def test_search_matches_reference_on_random_graphs(reference_search):
 
 
 def test_grow_clique_does_not_count_a_loop():
-    # counting 3's loop would tie it with 1, and 3 comes first in adj[0]
+    # a loop at 3 would tie it with 1, and 3 comes first in adj[0]; the
+    # multigraph refuses the loop and stays as it was
     mg = Multigraph(4)
-    for u, v in [(0, 3), (0, 1), (0, 2), (1, 2), (1, 3), (3, 3)]:
+    for u, v in [(0, 3), (0, 1), (0, 2), (1, 2), (1, 3)]:
         mg.add_edge(u, v)
+    before = [dict(d) for d in mg.adj], list(mg.deg), mg.size
+    with pytest.raises(GraphError, match="self-loop at 3"):
+        mg.add_edge(3, 3)
+    assert ([dict(d) for d in mg.adj], list(mg.deg), mg.size) == before
     assert _grow_clique(mg, 0) == [0, 1, 3]
+
+
+def random_multigraph(rng, order, edge_prob):
+    """A loop-free multigraph as the search meets one: a random simple
+    graph, then parallel and new edges on distinct live pairs and
+    removed vertices."""
+    mg, _ = Multigraph.from_labeled(random_graph(rng, order, edge_prob))
+    for _ in range(rng.randint(0, 2 * order)):
+        live = mg.live_vertices()
+        if len(live) < 2:
+            break
+        u = rng.choice(live)
+        if rng.random() < 0.15:
+            mg.remove_vertex(u)
+        elif mg.adj[u] and rng.random() < 0.5:
+            mg.add_edge(u, rng.choice(list(mg.adj[u])), rng.randint(1, 2))
+        else:
+            mg.add_edge(u, rng.choice([v for v in live if v != u]))
+    return mg
+
+
+def test_loop_free_helpers_match_the_loop_guards(reference_loop_guards):
+    ref = reference_loop_guards
+    rng = random.Random(4242)
+    parallel = bounds_with_cliques = 0
+    for _ in range(300):
+        mg = random_multigraph(rng, rng.randint(0, 16), rng.uniform(0.1, 0.9))
+        live = mg.live_vertices()
+        parallel += any(m >= 2 for v in live for m in mg.adj[v].values())
+        for target in range(len(live) + 2):
+            assert _lower_bound(mg, live, target) == ref.lower_bound(mg, live, target)
+        for cap in (1, 2):
+            assert _pack_cliques(mg, live, cap) == ref.pack_cliques(mg, live, cap)
+        bounds_with_cliques += ref.pack_cliques(mg, live, 1)[0] > 0
+        for v in live:
+            assert _grow_clique(mg, v) == ref.grow_clique(mg, v)
+        if live:
+            candidates = [v for v in live if rng.random() < 0.6] or live
+            for pool in (live, candidates):
+                assert _branch_vertex(mg, pool) == ref.branch_vertex(mg, pool)
+    # the samples reach the parallel-pair and the clique cases
+    assert parallel > 100
+    assert bounds_with_cliques > 100
 
 
 def test_search_never_adds_a_loop(monkeypatch):

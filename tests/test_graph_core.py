@@ -232,9 +232,10 @@ def test_multigraph_round_trip_and_degrees():
     assert mg.degree(0) == 3
     assert mg.size == 4
 
-    mg.add_edge(2, 2)
-    assert 2 in mg.adj[2]
-    assert mg.degree(2) == 4
+    before = _snapshot(mg)
+    with pytest.raises(GraphError, match="self-loop at 2"):
+        mg.add_edge(2, 2)
+    assert _snapshot(mg) == before
 
     mg.remove_vertex(1)
     assert mg.live_vertices() == [0, 2]
@@ -283,7 +284,8 @@ _MULTIGRAPH_STEPS = st.lists(
 
 @given(st.integers(1, 8), _MULTIGRAPH_STEPS)
 def test_multigraph_counts_stay_current(n, steps):
-    # add_edge with u == v makes loops, repeated pairs make parallel edges
+    # repeated pairs make parallel edges; add_edge with u == v is refused
+    # and leaves the graph as it was
     mg = Multigraph(n)
     copies = []
     for op, a, b, mult in steps:
@@ -291,7 +293,12 @@ def test_multigraph_counts_stay_current(n, steps):
         if not live:
             break
         u, v = live[a % len(live)], live[b % len(live)]
-        if op == "add":
+        if op == "add" and u == v:
+            before = _snapshot(mg)
+            with pytest.raises(GraphError):
+                mg.add_edge(u, v, mult)
+            assert _snapshot(mg) == before
+        elif op == "add":
             mg.add_edge(u, v, mult)
         elif op == "remove":
             mg.remove_vertex(u)

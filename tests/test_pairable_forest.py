@@ -4,7 +4,7 @@ import pytest
 
 from sfvs import pairable_forest
 from sfvs.generators import sierpinski, sierpinski_plus, sierpinski_plusplus
-from sfvs.graph_core import build_graph, find_cycle, is_forest
+from sfvs.graph_core import GraphError, build_graph, find_cycle, is_forest
 from sfvs.pairable_forest import (
     NotPairableError,
     PairablePartition,
@@ -182,6 +182,29 @@ def test_extra_copy_forest_two_symbols():
     forest = forest_plusplus(2, 3)
     assert forest == set(g.vertices()) - {"000"}
     assert is_forest(g, forest)
+
+
+def test_extra_copy_forest_two_symbols_is_checked(monkeypatch):
+    # one cycle search, as at p >= 3, and the same failures
+    from sfvs import graph_core
+
+    calls = []
+    real = graph_core._cycle
+
+    def spy(g, keep, mark):
+        calls.append(len(keep))
+        return real(g, keep, mark)
+
+    monkeypatch.setattr(graph_core, "_cycle", spy)
+    forest = forest_plusplus(2, 3)
+    assert calls == [len(forest)]
+    with pytest.raises(GraphError, match="graph has order 6, expected 12"):
+        forest_plusplus(2, 3, graph=sierpinski_plusplus(2, 2))
+    g = sierpinski_plusplus(2, 3)
+    a, b, c = sorted(forest)[:3]
+    cyclic = build_graph(g.vertices(), g.edges() + [(a, b), (b, c), (a, c)])
+    with pytest.raises(GraphError, match="construction induced a cycle"):
+        forest_plusplus(2, 3, graph=cyclic)
 
 
 def test_extra_copy_forest_rejects_level_one():

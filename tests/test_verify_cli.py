@@ -593,6 +593,41 @@ def test_thm41_rejects_a_forest_with_a_cycle(monkeypatch, capsys):
     assert captured.err.startswith("error: hat p=4 n=3: construction induced a cycle: [")
 
 
+def test_cli_tau_fails_on_a_broken_construction(monkeypatch, capsys):
+    from sfvs import triangle_forest
+    from sfvs.addressing import hat_labels
+
+    # put back the top vertex the construction removes to break a cycle:
+    # the seeded search must not drop the seed and go on unseeded
+    real = triangle_forest._linear_forest
+    monkeypatch.setattr(
+        triangle_forest,
+        "_linear_forest",
+        lambda p, n: real(p, n) | {hat_labels(p, n).index(":{0,2}")},
+    )
+    assert main(["tau", "--family", "hat", "-p", "4", "-n", "2", "--budget", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: construction induced a cycle: [")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_tau_searches_unseeded_without_a_construction(monkeypatch, capsys):
+    from sfvs import verify_cli
+
+    seeds = []
+    real = verify_cli.tau_bnb
+
+    def spy(g, budget=None, seed=None):
+        seeds.append(seed)
+        return real(g, budget=budget, seed=seed)
+
+    monkeypatch.setattr(verify_cli, "tau_bnb", spy)
+    assert main(["tau", "--family", "plus", "-p", "3", "-n", "1"]) == 0
+    assert capsys.readouterr().out.startswith("tau=2 optimal=true witness=")
+    assert seeds == [None]
+
+
 @pytest.mark.parametrize(
     "argv,passes",
     [
@@ -604,6 +639,7 @@ def test_thm41_rejects_a_forest_with_a_cycle(monkeypatch, capsys):
         (["forest", "--family", "hat", "-p", "4", "-n", "3"], 1),
         (["tau", "--family", "hat", "-p", "4", "-n", "2"], 2),
         (["tau", "--family", "s", "-p", "4", "-n", "2"], 2),
+        (["forest", "--family", "pp", "-p", "2", "-n", "3"], 1),
     ],
 )
 def test_each_forest_is_checked_once(monkeypatch, capsys, argv, passes):

@@ -34,6 +34,7 @@ __all__ = [
     "format_vertex",
     "format_word",
     "hat_labels",
+    "hat_rank_labels",
     "parse_vertex",
     "parse_word",
     "prefix_triangle",
@@ -222,22 +223,32 @@ def rank_labels(p: int, n: int, ranks, copy: bool = False) -> list:
     return [heads[r // p] + lasts[r % p] for r in ranks]
 
 
+def hat_rank_labels(p: int, n: int, ranks) -> list:
+    """The labels of the quotient's vertices at level n with the given
+    ranks (their positions in hat_labels order), in the order given.
+    Rank r < p is the corner ^r.  The contracted vertices come grouped by
+    prefix, the prefixes in pre-order ("", then each symbol i followed by
+    the prefixes one level down), so rank r >= p is prefix (r-p) // C(p,2)
+    with pair (r-p) % C(p,2).  Formats the (p^n-1)/(p-1) prefixes once."""
+    _check_p(p)
+    sep = word_separator(p)
+    pairs = [f":{{{i},{j}}}" for i, j in itertools.combinations(range(p), 2)]
+    prefixes = []
+    for _ in range(n):
+        prefixes = [""] + [f"{i}{sep}{q}" if q else str(i) for i in range(p) for q in prefixes]
+    width = len(pairs) or 1
+    return [
+        f"^{r}" if r < p else prefixes[(r - p) // width] + pairs[(r - p) % width]
+        for r in ranks
+    ]
+
+
 def hat_labels(p: int, n: int) -> list:
     """Labels of the quotient graph at level n: the corners ^0..^(p-1),
     then every prefix:{i,j} ordered by (prefix, i, j) as integer tuples."""
     _check_p(p)
-    sep = word_separator(p)
-    pairs = [f":{{{i},{j}}}" for i, j in itertools.combinations(range(p), 2)]
-    body = []
-    for _ in range(n):
-        # level m: the pairs with the empty prefix, then level m-1's
-        # contracted vertices under each one-symbol prefix
-        body = pairs + [
-            f"{i}{label}" if k < len(pairs) else f"{i}{sep}{label}"
-            for i in range(p)
-            for k, label in enumerate(body)
-        ]
-    return [f"^{k}" for k in range(p)] + body
+    # p corners and C(p,2) pairs under each of (p^n-1)/(p-1) prefixes
+    return hat_rank_labels(p, n, range(p + p * (p**n - 1) // 2))
 
 
 def _parse_pair(text: str, p: int, offset: int) -> tuple:

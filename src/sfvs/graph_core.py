@@ -12,10 +12,12 @@ run on the indices; the cycle and component searches are private cores
 over (ascending indices, bytearray mark) that callers holding indices
 use directly.  Graphs are built by build_indexed, from labels and
 edges given as index pairs (build_graph maps label pairs to indices for
-it), or cut out by induced().  The int-indexed Multigraph at the bottom
-is the scratch structure used by the exact solver, is read straight off
-the neighbour tuples, holds parallel edges but never a loop, and is
-deliberately mutable.
+it), or cut out by induced().  build_indexed collects each vertex's
+neighbours in a list and replaces each list by its tuple in place, so a
+build peaks little above the graph it returns.  The int-indexed
+Multigraph at the bottom is the scratch structure used by the exact
+solver, is read straight off the neighbour tuples, holds parallel edges
+but never a loop, and is deliberately mutable.
 """
 
 from __future__ import annotations
@@ -129,7 +131,14 @@ def build_indexed(labels, pairs) -> LabeledGraph:
     """Construct a LabeledGraph from a sequence of distinct string labels
     and edges given as (i, j) index pairs into it.  Duplicate edges
     collapse; indices outside 0..len(labels)-1, loops and repeated labels
-    are rejected."""
+    are rejected.
+
+    Neighbours are appended to one list per vertex, and each list is
+    replaced by its sorted, deduplicated tuple in place, which frees the
+    list before the next tuple is made.  Indices go through the pos
+    remap even when the labels come sorted: it makes every stored index
+    one of the rank map's int objects, where the caller's pairs would
+    store fresh ints at 28 bytes a neighbour entry."""
     names = sorted(labels)
     n = len(names)
     rank = dict(zip(names, range(n)))
@@ -137,17 +146,19 @@ def build_indexed(labels, pairs) -> LabeledGraph:
         repeated = next(a for a, b in zip(names, names[1:]) if a == b)
         raise GraphError(f"repeated vertex label {repeated!r}")
     pos = [rank[v] for v in labels]
-    nbrs = [set() for _ in range(n)]
+    nbrs = [[] for _ in range(n)]
     for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u}, {v}) has an index not in range({n})")
         if u == v:
             raise GraphError(f"self-loop at {labels[u]!r}")
         u, v = pos[u], pos[v]
-        nbrs[u].add(v)
-        nbrs[v].add(u)
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    for k, found in enumerate(nbrs):
+        nbrs[k] = tuple(sorted(set(found)))
     size = sum(map(len, nbrs)) // 2
-    return LabeledGraph(names, rank, [tuple(sorted(s)) for s in nbrs], size)
+    return LabeledGraph(names, rank, nbrs, size)
 
 
 def build_graph(vertices, edges) -> LabeledGraph:

@@ -14,11 +14,11 @@ joining two even corners removed to break the resulting cycles.
 
 Both are computed as sets of vertex indices in addressing.hat_labels
 order, carried one level up through the quotient's per-copy index tables
-(the tables generators.triangle builds with), and formatted once.  The
-linear forest is then checked in one pass over the graph's indices: a
-cycle search, a count of marked neighbours per vertex, and, for
-structure_report, the components of the marked indices; no induced
-subgraph is built.
+(the tables generators.triangle builds with), and only the kept indices
+are formatted, by addressing.hat_rank_labels.  The linear forest is then
+checked in one pass over the graph's indices: a cycle search, a count of
+marked neighbours per vertex, and, for structure_report, the components
+of the marked indices; no induced subgraph is built.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .addressing import hat_labels
+from .addressing import hat_rank_labels
 from .generators import _hat_tables, expected_order, triangle
 from .exact_fvs import tau_bnb
 from .graph_core import GraphError, LabeledGraph, _components, _cycle, _subset_positions
@@ -49,7 +49,7 @@ __all__ = [
 
 def _labels(indices, p: int, n: int) -> set:
     """The level-n labels of a set of level-n indices."""
-    return set(map(hat_labels(p, n).__getitem__, indices))
+    return set(hat_rank_labels(p, n, indices))
 
 
 def fvs_triangle3(n: int) -> set:

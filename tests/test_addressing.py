@@ -16,6 +16,7 @@ from sfvs.addressing import (
     format_vertex,
     format_word,
     hat_labels,
+    hat_rank_labels,
     parse_vertex,
     parse_word,
     prefix_triangle,
@@ -202,6 +203,23 @@ def test_rank_labels_match_the_bulk_lists(p, n):
     for ranks in (everything, sample, []):
         for copy, full in ((False, word_labels(p, n)), (True, copy_labels(p, n))):
             assert rank_labels(p, n, ranks, copy=copy) == [full[r] for r in ranks]
+
+
+@pytest.mark.parametrize(
+    "p,n", [(p, n) for p in range(1, 13) for n in range(5) if p**n <= 5000]
+)
+def test_hat_rank_labels_match_format_vertex(p, n):
+    # the reference formats every (prefix, pair) vertex one at a time;
+    # p = 1 has the corner only, and p >= 11 the comma separator
+    pairs = list(itertools.combinations(range(p), 2))
+    prefixes = (s for m in range(n) for s in itertools.product(range(p), repeat=m))
+    vertices = [Hat(k) for k in range(p)] + sorted(Contracted(s, q) for s in prefixes for q in pairs)
+    full = [format_vertex(v, p) for v in vertices]
+    rng = random.Random(p * 10 + n)
+    sample = [rng.randrange(len(full)) for _ in range(50)]
+    assert hat_labels(p, n) == full
+    for ranks in (range(len(full)), sample, sorted(set(sample)), []):
+        assert hat_rank_labels(p, n, ranks) == [full[r] for r in ranks]
 
 
 def test_rank_labels_reject_bad_arguments():

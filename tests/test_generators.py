@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from sfvs import generators
@@ -237,3 +239,19 @@ def test_builders_match_the_string_reference(family, reference_builders):
         assert g.size == want.size
         built += 1
     assert built == {"s": 41, "plus": 32, "pp": 32, "hat": 36}[family]
+
+
+@pytest.mark.parametrize(
+    "family,p,n", [("hat", 6, 4), ("hat", 4, 5), ("s", 8, 4), ("plus", 7, 4), ("pp", 6, 4)]
+)
+def test_build_peaks_near_the_memory_it_keeps(family, p, n):
+    # the build's transient per-vertex neighbour collections must stay
+    # small next to the graph it returns
+    tracemalloc.start()
+    try:
+        g = _BUILDERS[family](p, n)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.order == expected_order(family, p, n)
+    assert peak <= 2.5 * held, (held, peak)

@@ -231,12 +231,14 @@ def hat_rank_labels(p: int, n: int, ranks) -> list:
     the prefixes one level down), so rank r >= p is prefix (r-p) // C(p,2)
     with pair (r-p) % C(p,2).  Formats the (p^n-1)/(p-1) prefixes once."""
     _check_p(p)
+    if n < 0:
+        raise ValueError(f"level must be nonnegative, got {n}")
     sep = word_separator(p)
     pairs = [f":{{{i},{j}}}" for i, j in itertools.combinations(range(p), 2)]
     prefixes = []
     for _ in range(n):
         prefixes = [""] + [f"{i}{sep}{q}" if q else str(i) for i in range(p) for q in prefixes]
-    width = len(pairs) or 1
+    width = len(pairs) or 1  # p = 1 has no pairs: its one vertex is ^0
     return [
         f"^{r}" if r < p else prefixes[(r - p) // width] + pairs[(r - p) % width]
         for r in ranks
@@ -246,7 +248,8 @@ def hat_rank_labels(p: int, n: int, ranks) -> list:
 def hat_labels(p: int, n: int) -> list:
     """Labels of the quotient graph at level n: the corners ^0..^(p-1),
     then every prefix:{i,j} ordered by (prefix, i, j) as integer tuples."""
-    _check_p(p)
+    if n < 0:
+        raise ValueError(f"level must be nonnegative, got {n}")
     # p corners and C(p,2) pairs under each of (p^n-1)/(p-1) prefixes
     return hat_rank_labels(p, n, range(p + p * (p**n - 1) // 2))
 

@@ -229,3 +229,9 @@ def test_rank_labels_reject_bad_arguments():
         rank_labels(3, 0, [0])
     with pytest.raises(ValueError, match="alphabet size must be positive, got 0"):
         rank_labels(0, 2, [])
+    with pytest.raises(ValueError, match="level must be nonnegative, got -1"):
+        hat_labels(3, -1)
+    with pytest.raises(ValueError, match="level must be nonnegative, got -1"):
+        hat_rank_labels(3, -1, [0])
+    with pytest.raises(ValueError, match="alphabet size must be positive, got 0"):
+        hat_labels(0, 2)

@@ -14,9 +14,11 @@ All four are defined over the alphabet P = {0, ..., p-1}:
 Every family is self-similar, and each is built that way: level m of
 the base family is p copies of level m - 1 joined by one bridge per pair
 of copies, and level m of the quotient is p copies of level m - 1 glued
-at their corners.  Edges are integer index pairs, a word standing for
-its base-p rank, and graph_core.build_indexed turns them into a
-LabeledGraph over labels that addressing formats in the same order.
+at their corners.  A level is one row of neighbour indices per vertex, a
+word standing for its base-p rank: the copies' rows mapped through one
+injective table each, plus the joins.  Copies share at most a corner, so
+the rows hold no loop or repeat and graph_core._from_rows needs no check;
+the top tables also map each rank to its label's sorted position.
 triangle never builds the level n+1 parent.  nonclique_edges lists the
 matching that the definition contracts, so graph_core.contract_edges on
 sierpinski(p, n+1) gives the reference graph.
@@ -24,8 +26,7 @@ sierpinski(p, n+1) gives the reference graph.
 
 from __future__ import annotations
 
-import itertools
-from itertools import chain, combinations
+from itertools import combinations, product
 
 from .addressing import (
     APEX_LABEL,
@@ -35,7 +36,7 @@ from .addressing import (
     word_labels,
     word_separator,
 )
-from .graph_core import GraphError, LabeledGraph, build_indexed
+from .graph_core import GraphError, LabeledGraph, _from_rows, _label_index
 
 __all__ = [
     "expected_order",
@@ -69,20 +70,37 @@ def _one(p: int, m: int) -> int:
     return sum(p**k for k in range(m))
 
 
-def _copies(flat, tables):
-    """Every index of the flat edge list [u0, v0, u1, v1, ...] mapped
-    through each table in turn: one relabeled copy per table."""
-    return chain.from_iterable(map(table.__getitem__, flat) for table in tables)
+def _compose(rows, tables, order: int) -> list:
+    """Rows over range(order) of one copy of rows per table, mapping v to
+    table[v]; copies that share a vertex add their rows to it."""
+    out = [[] for _ in range(order)]
+    for table in tables:
+        get = table.__getitem__
+        for v, row in zip(table, rows):
+            out[v] += map(get, row)
+    return out
 
 
-def _base_level(p: int, m: int, flat):
-    """Level m of the base graph from level m - 1, both flat over word
-    ranks: p copies, copy i shifted by i * p^(m-1), and one bridge
-    i.j^(m-1) -- j.i^(m-1) per pair i < j."""
-    q, one = p ** (m - 1), _one(p, m - 1)
-    bridges = ((i * q + j * one, j * q + i * one) for i, j in combinations(range(p), 2))
-    shifts = [range(i * q, (i + 1) * q) for i in range(p)]
-    return chain(_copies(flat, shifts), chain.from_iterable(bridges))
+def _join(rows, pairs) -> list:
+    """rows with the edges of pairs added."""
+    for u, v in pairs:
+        rows[u].append(v)
+        rows[v].append(u)
+    return rows
+
+
+def _base_rows(p: int, n: int, pos, copies: int) -> list:
+    """Rows of the level-n base graph, rank r at index pos[r] (lower levels
+    on plain ranks): copy i of level m - 1 shifted by i * p^(m-1), bridges
+    i.j^(m-1) -- j.i^(m-1) for i < j; copies = p + 1 adds pp's extra copy."""
+    rows = [[]]  # level 0: the empty word
+    for m in range(1, n + 1):
+        q, one = p ** (m - 1), _one(p, m - 1)
+        at = pos if m == n else list(range(p * q))
+        tables = [at[i * q : (i + 1) * q] for i in range(copies if m == n else p)]
+        bridges = ((at[i * q + j * one], at[j * q + i * one]) for i, j in combinations(range(p), 2))
+        rows = _join(_compose(rows, tables, len(at)), bridges)
+    return rows
 
 
 def _hat_tables(p: int, m: int) -> list:
@@ -101,36 +119,30 @@ def _hat_tables(p: int, m: int) -> list:
     ]
 
 
-def _hat_level(p: int, m: int, flat):
-    """Level m of the quotient from level m - 1, both flat over indices in
-    hat_labels order: one copy of level m - 1 per table of _hat_tables."""
-    return _copies(flat, _hat_tables(p, m))
-
-
-def _levels(level, p: int, n: int, flat):
-    """The edges at level n - 1 as a flat list and at level n as an
-    iterator of index pairs, built by level() up from level 0's flat list.
-    Only level n is streamed: the core holds its edges anyway."""
+def _hat_rows(p: int, n: int, pos) -> list:
+    """Rows of the level-n quotient, hat_labels rank r at index pos[r]
+    (lower levels on plain ranks): K_p, then one copy per _hat_tables table."""
+    rows = [[j for j in range(p) if j != k] for k in range(p)]
     for m in range(1, n):
-        flat = list(level(p, m, flat))
-    top = iter(level(p, n, flat) if n else flat)
-    return flat, zip(top, top)
+        rows = _compose(rows, _hat_tables(p, m), expected_order("hat", p, m))
+    tables = _hat_tables(p, n) if n else [range(p)]
+    return _compose(rows, [list(map(pos.__getitem__, t)) for t in tables], len(pos))
 
 
 def sierpinski(p: int, n: int) -> LabeledGraph:
     """The base graph on p^n words."""
     _check_family("s", p, n)
-    _, edges = _levels(_base_level, p, n, [])
-    return build_indexed(word_labels(p, n), edges)
+    names, rank, pos = _label_index(word_labels(p, n))
+    return _from_rows(names, rank, _base_rows(p, n, pos, p))
 
 
 def sierpinski_plus(p: int, n: int) -> LabeledGraph:
     """Base graph plus an apex adjacent to the p extreme vertices."""
     _check_family("plus", p, n)
-    _, edges = _levels(_base_level, p, n, [])
-    apex, one = p**n, _one(p, n)
-    edges = chain(edges, ((apex, i * one) for i in range(p)))
-    return build_indexed(word_labels(p, n) + [APEX_LABEL], edges)
+    names, rank, pos = _label_index(word_labels(p, n) + [APEX_LABEL])
+    apex, one = pos[p**n], _one(p, n)
+    rows = _join(_base_rows(p, n, pos, p), ((apex, pos[i * one]) for i in range(p)))
+    return _from_rows(names, rank, rows)
 
 
 def sierpinski_plusplus(p: int, n: int) -> LabeledGraph:
@@ -140,12 +152,11 @@ def sierpinski_plusplus(p: int, n: int) -> LabeledGraph:
     the host extreme i^n, so every host extreme gets one new neighbor.
     """
     _check_family("pp", p, n)
-    below, top = _levels(_base_level, p, n, [])
+    names, rank, pos = _label_index(word_labels(p, n) + copy_labels(p, n - 1))
     off, one, one_below = p**n, _one(p, n), _one(p, n - 1)
-    copy = _copies(below, [range(off, off + p ** (n - 1))])
-    extremes = ((off + i * one_below, i * one) for i in range(p))
-    edges = chain(top, zip(copy, copy), extremes)
-    return build_indexed(word_labels(p, n) + copy_labels(p, n - 1), edges)
+    extremes = ((pos[off + i * one_below], pos[i * one]) for i in range(p))
+    rows = _join(_base_rows(p, n, pos, p + 1), extremes)
+    return _from_rows(names, rank, rows)
 
 
 def nonclique_edges(p: int, m: int):
@@ -162,7 +173,7 @@ def nonclique_edges(p: int, m: int):
     sym = [str(k) for k in range(p)]
     out = []
     for d in range(2, m + 1):
-        for s in itertools.product(sym, repeat=m - d):
+        for s in product(sym, repeat=m - d):
             base = list(s)
             for i in range(p):
                 si = sym[i]
@@ -186,9 +197,8 @@ def triangle(p: int, n: int) -> LabeledGraph:
     vertex :{i,j} otherwise.
     """
     _check_family("hat", p, n)
-    k_p = list(chain.from_iterable(combinations(range(p), 2)))
-    _, edges = _levels(_hat_level, p, n, k_p)
-    g = build_indexed(hat_labels(p, n), edges)
+    names, rank, pos = _label_index(hat_labels(p, n))
+    g = _from_rows(names, rank, _hat_rows(p, n, pos))
     if g.size != expected_size("hat", p, n):
         raise GraphError(
             f"closed-form edges of the quotient number {g.size}, "

@@ -10,14 +10,14 @@ equality-comparable.  Its methods speak labels and map indices to labels
 on the way out, while is_forest, find_cycle, induced() and components()
 run on the indices; the cycle and component searches are private cores
 over (ascending indices, bytearray mark) that callers holding indices
-use directly.  Graphs are built by build_indexed, from labels and
-edges given as index pairs (build_graph maps label pairs to indices for
-it), or cut out by induced().  build_indexed collects each vertex's
-neighbours in a list and replaces each list by its tuple in place, so a
-build peaks little above the graph it returns.  The int-indexed
-Multigraph at the bottom is the scratch structure used by the exact
-solver, is read straight off the neighbour tuples, holds parallel edges
-but never a loop, and is deliberately mutable.
+use directly.  A build takes the label index of _label_index and one
+list of neighbour indices per vertex, which _from_rows replaces by its
+sorted tuple in place, so it peaks little above the graph it returns.
+The generators compose the lists; build_indexed checks and deduplicates
+arbitrary index pairs into them (build_graph maps label pairs to indices
+for it).  The int-indexed Multigraph at the bottom, the exact solver's
+scratch structure, is read straight off the neighbour tuples, holds
+parallel edges but never a loop, and is deliberately mutable.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class LabeledGraph:
     __slots__ = ("_labels", "_index", "_nbrs", "_size")
 
     def __init__(self, labels, index, nbrs, size):
-        # internal: use build_indexed or build_graph
+        # internal: use build_indexed, build_graph or _from_rows
         self._labels = labels
         self._index = index
         self._nbrs = nbrs
@@ -127,25 +127,36 @@ class LabeledGraph:
         return f"<LabeledGraph order={self.order} size={self.size}>"
 
 
+def _label_index(labels):
+    """Sorted labels, label -> index map, and each given label's index."""
+    names = sorted(labels)
+    rank = dict(zip(names, range(len(names))))
+    if len(rank) < len(names):
+        repeated = next(a for a, b in zip(names, names[1:]) if a == b)
+        raise GraphError(f"repeated vertex label {repeated!r}")
+    return names, rank, [rank[v] for v in labels]
+
+
+def _from_rows(names, rank, rows) -> LabeledGraph:
+    """The graph with neighbour indices rows[k] at k: loop-free, repeat-free
+    and symmetric lists, each sorted and replaced by its tuple in place."""
+    for k, row in enumerate(rows):
+        row.sort()
+        rows[k] = tuple(row)
+    return LabeledGraph(names, rank, rows, sum(map(len, rows)) // 2)
+
+
 def build_indexed(labels, pairs) -> LabeledGraph:
     """Construct a LabeledGraph from a sequence of distinct string labels
     and edges given as (i, j) index pairs into it.  Duplicate edges
     collapse; indices outside 0..len(labels)-1, loops and repeated labels
     are rejected.
 
-    Neighbours are appended to one list per vertex, and each list is
-    replaced by its sorted, deduplicated tuple in place, which frees the
-    list before the next tuple is made.  Indices go through the pos
-    remap even when the labels come sorted: it makes every stored index
-    one of the rank map's int objects, where the caller's pairs would
-    store fresh ints at 28 bytes a neighbour entry."""
-    names = sorted(labels)
+    Indices go through the pos remap even when the labels come sorted:
+    it makes every stored index one of the rank map's int objects, where
+    the caller's pairs would store fresh ints at 28 bytes an entry."""
+    names, rank, pos = _label_index(labels)
     n = len(names)
-    rank = dict(zip(names, range(n)))
-    if len(rank) < n:
-        repeated = next(a for a, b in zip(names, names[1:]) if a == b)
-        raise GraphError(f"repeated vertex label {repeated!r}")
-    pos = [rank[v] for v in labels]
     nbrs = [[] for _ in range(n)]
     for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
@@ -155,10 +166,9 @@ def build_indexed(labels, pairs) -> LabeledGraph:
         u, v = pos[u], pos[v]
         nbrs[u].append(v)
         nbrs[v].append(u)
-    for k, found in enumerate(nbrs):
-        nbrs[k] = tuple(sorted(set(found)))
-    size = sum(map(len, nbrs)) // 2
-    return LabeledGraph(names, rank, nbrs, size)
+    for found in nbrs:
+        found[:] = set(found)
+    return _from_rows(names, rank, nbrs)
 
 
 def build_graph(vertices, edges) -> LabeledGraph:

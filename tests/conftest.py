@@ -17,6 +17,7 @@ from sfvs.addressing import (
     copy_labels,
     format_vertex,
     format_word,
+    hat_labels,
     parse_word,
     prefix_triangle,
     word_labels,
@@ -24,6 +25,7 @@ from sfvs.addressing import (
 )
 from sfvs.exact_fvs import FvsCertificate, _Best, _BudgetExhausted, _Ticker
 from sfvs.generators import (
+    _hat_tables,
     expected_order,
     expected_size,
     nonclique_edges,
@@ -36,6 +38,7 @@ from sfvs.graph_core import (
     LabeledGraph,
     Multigraph,
     build_graph,
+    build_indexed,
     contract_edges,
     find_cycle,
     is_forest,
@@ -740,6 +743,88 @@ def reference_builders():
     """The string-based builders of each family, keyed like
     verify_cli._BUILDERS."""
     return dict(_STRING_BUILDERS)
+
+
+# The four family builders as they were before the generators composed
+# neighbour rows: each level streamed as a flat list of index pairs and
+# the top level checked and deduplicated edge by edge by build_indexed.
+
+
+def _one(p: int, m: int) -> int:
+    return sum(p**k for k in range(m))
+
+
+def _copies(flat, tables):
+    return itertools.chain.from_iterable(map(table.__getitem__, flat) for table in tables)
+
+
+def _base_level(p: int, m: int, flat):
+    q, one = p ** (m - 1), _one(p, m - 1)
+    bridges = (
+        (i * q + j * one, j * q + i * one) for i, j in itertools.combinations(range(p), 2)
+    )
+    shifts = [range(i * q, (i + 1) * q) for i in range(p)]
+    return itertools.chain(_copies(flat, shifts), itertools.chain.from_iterable(bridges))
+
+
+def _hat_level(p: int, m: int, flat):
+    return _copies(flat, _hat_tables(p, m))
+
+
+def _levels(level, p: int, n: int, flat):
+    for m in range(1, n):
+        flat = list(level(p, m, flat))
+    top = iter(level(p, n, flat) if n else flat)
+    return flat, zip(top, top)
+
+
+def _edge_sierpinski(p: int, n: int) -> LabeledGraph:
+    _check_family("s", p, n)
+    _, edges = _levels(_base_level, p, n, [])
+    return build_indexed(word_labels(p, n), edges)
+
+
+def _edge_sierpinski_plus(p: int, n: int) -> LabeledGraph:
+    _check_family("plus", p, n)
+    _, edges = _levels(_base_level, p, n, [])
+    apex, one = p**n, _one(p, n)
+    edges = itertools.chain(edges, ((apex, i * one) for i in range(p)))
+    return build_indexed(word_labels(p, n) + [APEX_LABEL], edges)
+
+
+def _edge_sierpinski_plusplus(p: int, n: int) -> LabeledGraph:
+    _check_family("pp", p, n)
+    below, top = _levels(_base_level, p, n, [])
+    off, one, one_below = p**n, _one(p, n), _one(p, n - 1)
+    copy = _copies(below, [range(off, off + p ** (n - 1))])
+    extremes = ((off + i * one_below, i * one) for i in range(p))
+    edges = itertools.chain(top, zip(copy, copy), extremes)
+    return build_indexed(word_labels(p, n) + copy_labels(p, n - 1), edges)
+
+
+def _edge_triangle(p: int, n: int) -> LabeledGraph:
+    _check_family("hat", p, n)
+    k_p = list(itertools.chain.from_iterable(itertools.combinations(range(p), 2)))
+    _, edges = _levels(_hat_level, p, n, k_p)
+    g = build_indexed(hat_labels(p, n), edges)
+    if g.size != expected_size("hat", p, n):
+        raise GraphError(
+            f"closed-form edges of the quotient number {g.size}, "
+            f"expected {expected_size('hat', p, n)}"
+        )
+    return g
+
+
+@pytest.fixture
+def reference_edge_builders():
+    """The edge-stream builders of each family, keyed like
+    verify_cli._BUILDERS."""
+    return {
+        "s": _edge_sierpinski,
+        "plus": _edge_sierpinski_plus,
+        "pp": _edge_sierpinski_plusplus,
+        "hat": _edge_triangle,
+    }
 
 
 # The graph core as it was before LabeledGraph kept integer neighbour

@@ -255,3 +255,72 @@ def test_build_peaks_near_the_memory_it_keeps(family, p, n):
         tracemalloc.stop()
     assert g.order == expected_order(family, p, n)
     assert peak <= 2.5 * held, (held, peak)
+
+
+def _composed_grid():
+    # every family at p 1..12 x n 0..5 up to 40,000 vertices, hat(6,5)
+    # and s(9,4) among them
+    cases = [
+        (family, p, n)
+        for family in ("s", "plus", "pp", "hat")
+        for p in range(1, 13)
+        for n in range(0, 6)
+        if (family, p) != ("hat", 1) and (n >= 1 or family in ("s", "hat"))
+    ]
+    cases = [c for c in cases if expected_order(*c) <= 40_000]
+    assert ("hat", 6, 5) in cases and ("s", 9, 4) in cases
+    return cases
+
+
+@pytest.mark.parametrize("family", ["s", "plus", "pp", "hat"])
+def test_builders_match_the_edge_stream_reference(family, reference_edge_builders):
+    built = 0
+    for fam, p, n in _composed_grid():
+        if fam != family:
+            continue
+        g, want = _BUILDERS[family](p, n), reference_edge_builders[family](p, n)
+        assert g._labels == want._labels, (p, n)
+        assert g._index == want._index, (p, n)
+        assert g._nbrs == want._nbrs, (p, n)
+        assert g.size == want.size, (p, n)
+        built += 1
+    assert built == {"s": 68, "plus": 56, "pp": 56, "hat": 57}[family]
+
+
+def _row_fault(nbrs, size):
+    """What keeps neighbour rows from being a simple graph's, or None:
+    each row strictly increasing and loop-free, every entry mirrored, and
+    the entries twice the edge count."""
+    for k, row in enumerate(nbrs):
+        if any(a >= b for a, b in zip(row, row[1:])):
+            return f"row {k} is not strictly increasing"
+        if k in row:
+            return f"loop at {k}"
+        for j in row:
+            if k not in nbrs[j]:
+                return f"{j} in row {k} but {k} not in row {j}"
+    if sum(map(len, nbrs)) != 2 * size:
+        return "entries do not add up to twice the size"
+    return None
+
+
+def test_composed_rows_form_simple_graphs():
+    for family, p, n in _composed_grid():
+        g = _BUILDERS[family](p, n)
+        assert _row_fault(g._nbrs, g.size) is None, (family, p, n)
+        assert g.size == expected_size(family, p, n), (family, p, n)
+
+
+@pytest.mark.parametrize(
+    "nbrs,size,fault",
+    [
+        ([(1,), (0, 2), (1,)], 2, None),
+        ([(1, 1), (0, 2), (1,)], 2, "not strictly increasing"),
+        ([(1,), (0, 1, 2), (1,)], 2, "loop at 1"),
+        ([(1, 2), (0, 2), (1,)], 2, "2 in row 0 but 0 not in row 2"),
+        ([(1,), (0, 2), (1,)], 3, "twice the size"),
+    ],
+)
+def test_row_fault_catches_duplicates_loops_and_one_sided_entries(nbrs, size, fault):
+    got = _row_fault(nbrs, size)
+    assert got is None if fault is None else fault in got

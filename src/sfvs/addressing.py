@@ -37,7 +37,6 @@ __all__ = [
     "hat_rank_labels",
     "parse_vertex",
     "parse_word",
-    "prefix_triangle",
     "rank_labels",
     "word_labels",
     "word_separator",
@@ -146,28 +145,6 @@ class _Apex:
 
 
 APEX = _Apex()
-
-
-def prefix_triangle(i: int, v):
-    """Embed a contracted-family vertex one level down into subtriangle i.
-
-    The corner of subtriangle i that is also a global corner keeps its name;
-    the other corners land on the contracted vertices shared with the
-    neighbouring subtriangles:
-
-        i * Hat(i) = Hat(i)
-        i * Hat(j) = Contracted((), {i, j})   for j != i
-        i * Contracted(s, q) = Contracted(i.s, q)
-    """
-    if i < 0:
-        raise ValueError(f"symbol must be nonnegative, got {i}")
-    if isinstance(v, Hat):
-        if v.k == i:
-            return v
-        return Contracted((), tuple(sorted((i, v.k))))
-    if isinstance(v, Contracted):
-        return Contracted((i, *v.prefix), v.pair)
-    raise TypeError(f"expected a corner or contracted vertex, got {v!r}")
 
 
 def format_vertex(v, p: int) -> str:

@@ -42,7 +42,7 @@ import os
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .graph_core import LabeledGraph, Multigraph, _cycle
+from .graph_core import LabeledGraph, Multigraph, _components, _cycle
 
 __all__ = [
     "BUDGET_ENV_VAR",
@@ -380,26 +380,6 @@ def _lower_bound(mg: Multigraph, live, target: int) -> int:
     return max(best, (covered + 1) // 2)
 
 
-def _components(mg: Multigraph, live):
-    seen = set()
-    comps = []
-    for start in live:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for u in mg.adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-                    queue.append(u)
-        comps.append(sorted(comp))
-    return comps
-
-
 def _restrict(mg: Multigraph, comp) -> Multigraph:
     """The subgraph on comp, a union of components of mg."""
     keep = set(comp)
@@ -449,7 +429,7 @@ def _search(mg: Multigraph, live, chosen, forbidden, best, ticker):
         best.offer(chosen)
         return
     # reductions leave minimum degree 2, so every component has a cycle
-    comps = _components(mg, live)
+    comps = [sorted(comp) for comp in _components(mg.adj, live, mg.alive)]
     if len(comps) > 1:
         comps.sort(key=lambda c: (len(c), c[0]))
         for comp in comps[:-1]:

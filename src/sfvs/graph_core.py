@@ -10,14 +10,17 @@ equality-comparable.  Its methods speak labels and map indices to labels
 on the way out, while is_forest, find_cycle, induced() and components()
 run on the indices; the cycle and component searches are private cores
 over (ascending indices, bytearray mark) that callers holding indices
-use directly.  A build takes the label index of _label_index and one
-list of neighbour indices per vertex, which _from_rows replaces by its
-sorted tuple in place, so it peaks little above the graph it returns.
-The generators compose the lists; build_indexed checks and deduplicates
-arbitrary index pairs into them (build_graph maps label pairs to indices
-for it).  The int-indexed Multigraph at the bottom, the exact solver's
-scratch structure, is read straight off the neighbour tuples, holds
-parallel edges but never a loop, and is deliberately mutable.
+use directly, the component search over any neighbour table and mark,
+the solver's multigraph and its alive list included.  _forest_positions
+is the one certificate check of a construction's forest: the graph's
+order, then a cycle search.  A build takes the label index of
+_label_index and one list of neighbour indices per vertex, which
+_from_rows replaces by its sorted tuple in place, so it peaks little
+above the graph it returns.  The generators compose the lists;
+build_graph maps arbitrary label pairs into them and deduplicates them.
+The int-indexed Multigraph at the bottom, the exact solver's scratch
+structure, is read straight off the neighbour tuples, holds parallel
+edges but never a loop, and is deliberately mutable.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ __all__ = [
     "LabeledGraph",
     "Multigraph",
     "build_graph",
-    "build_indexed",
     "contract_edges",
     "export_dot",
     "export_edgelist",
@@ -54,7 +56,7 @@ class LabeledGraph:
     __slots__ = ("_labels", "_index", "_nbrs", "_size")
 
     def __init__(self, labels, index, nbrs, size):
-        # internal: use build_indexed, build_graph or _from_rows
+        # internal: use build_graph or _from_rows
         self._labels = labels
         self._index = index
         self._nbrs = nbrs
@@ -113,7 +115,7 @@ class LabeledGraph:
         n = len(self._labels)
         return [
             list(map(self._labels.__getitem__, sorted(comp)))
-            for comp in _components(self, range(n), bytearray(b"\x01") * n)
+            for comp in _components(self._nbrs, range(n), bytearray(b"\x01") * n)
         ]
 
     def __eq__(self, other) -> bool:
@@ -146,47 +148,25 @@ def _from_rows(names, rank, rows) -> LabeledGraph:
     return LabeledGraph(names, rank, rows, sum(map(len, rows)) // 2)
 
 
-def build_indexed(labels, pairs) -> LabeledGraph:
-    """Construct a LabeledGraph from a sequence of distinct string labels
-    and edges given as (i, j) index pairs into it.  Duplicate edges
-    collapse; indices outside 0..len(labels)-1, loops and repeated labels
-    are rejected.
-
-    Indices go through the pos remap even when the labels come sorted:
-    it makes every stored index one of the rank map's int objects, where
-    the caller's pairs would store fresh ints at 28 bytes an entry."""
-    names, rank, pos = _label_index(labels)
-    n = len(names)
-    nbrs = [[] for _ in range(n)]
-    for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) has an index not in range({n})")
-        if u == v:
-            raise GraphError(f"self-loop at {labels[u]!r}")
-        u, v = pos[u], pos[v]
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    for found in nbrs:
-        found[:] = set(found)
-    return _from_rows(names, rank, nbrs)
-
-
 def build_graph(vertices, edges) -> LabeledGraph:
     """Construct a LabeledGraph.  Labels are coerced with str() and
     duplicate vertices and edges collapse; loops and edges touching
     undeclared vertices are rejected."""
-    labels = list(dict.fromkeys(map(str, vertices)))
-    index = {v: i for i, v in enumerate(labels)}
-    pairs = []
+    names, rank, _ = _label_index(set(map(str, vertices)))
+    rows = [[] for _ in names]
     for u, v in edges:
         u, v = str(u), str(v)
         if u == v:
             raise GraphError(f"self-loop at {u!r}")
         try:
-            pairs.append((index[u], index[v]))
+            u, v = rank[u], rank[v]
         except KeyError as exc:
             raise GraphError(f"edge endpoint {exc.args[0]!r} is not a declared vertex") from None
-    return build_indexed(labels, pairs)
+        rows[u].append(v)
+        rows[v].append(u)
+    for row in rows:
+        row[:] = set(row)
+    return _from_rows(names, rank, rows)
 
 
 def _subset_positions(g: LabeledGraph, subset):
@@ -248,12 +228,13 @@ def _cycle(g: LabeledGraph, keep, mark):
     return None
 
 
-def _components(g: LabeledGraph, keep, mark):
+def _components(nbrs, keep, mark):
     """The components of the subgraph induced by the marked vertices, as
-    index lists in breadth-first order; keep lists the marked vertices in
-    ascending order, so each list starts at its least index and the lists
-    come out in order of it."""
-    nbrs = g._nbrs
+    index lists in breadth-first order.  nbrs[u] holds u's neighbour
+    indices (any iterable of them, a multigraph's dict too) and mark is
+    indexed by vertex; keep lists the marked vertices in ascending order,
+    so each list starts at its least index and the lists come out in
+    order of it."""
     unseen = bytearray(mark)
     out = []
     for start in keep:
@@ -262,11 +243,28 @@ def _components(g: LabeledGraph, keep, mark):
         unseen[start] = 0
         comp = [start]
         for u in comp:
-            for v in filter(unseen.__getitem__, nbrs[u]):
-                unseen[v] = 0
-                comp.append(v)
+            # an inline test: most lists are short, and a filter object per
+            # vertex costs more than the test
+            for v in nbrs[u]:
+                if unseen[v]:
+                    unseen[v] = 0
+                    comp.append(v)
         out.append(comp)
     return out
+
+
+def _forest_positions(g: LabeledGraph, subset, order: int):
+    """The certificate check of a construction's forest: g has the
+    construction's order and subset induces no cycle in it, or a
+    GraphError names the order or the cycle.  Returns the subset's
+    indices in ascending order and a bytearray marking them."""
+    if g.order != order:
+        raise GraphError(f"graph has order {g.order}, expected {order}")
+    keep, mark = _subset_positions(g, subset)
+    cycle = _cycle(g, keep, mark)
+    if cycle is not None:
+        raise GraphError(f"construction induced a cycle: {cycle}")
+    return keep, mark
 
 
 def find_cycle(g: LabeledGraph, subset=None):

@@ -31,7 +31,7 @@ from .addressing import (
     word_labels,
 )
 from .generators import expected_order, sierpinski_plusplus
-from .graph_core import GraphError, LabeledGraph, find_cycle
+from .graph_core import LabeledGraph, _forest_positions
 
 __all__ = [
     "NotPairableError",
@@ -264,11 +264,5 @@ def forest_plusplus(p: int, n: int, graph: LabeledGraph | None = None) -> set:
         copy_ranks = _closed_ranks(*_copy_seed(p), p, n - 1)
         union = host.union(rank_labels(p, n - 1, copy_ranks, copy=True))
     g = sierpinski_plusplus(p, n) if graph is None else graph
-    if g.order != expected_order("pp", p, n):
-        raise GraphError(
-            f"graph has order {g.order}, expected {expected_order('pp', p, n)}"
-        )
-    cycle = find_cycle(g, union)
-    if cycle is not None:
-        raise GraphError(f"construction induced a cycle: {cycle}")
+    _forest_positions(g, union, expected_order("pp", p, n))
     return union

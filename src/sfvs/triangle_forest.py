@@ -31,7 +31,7 @@ from itertools import combinations
 from .addressing import hat_rank_labels
 from .generators import _hat_tables, expected_order, triangle
 from .exact_fvs import tau_bnb
-from .graph_core import GraphError, LabeledGraph, _components, _cycle, _subset_positions
+from .graph_core import GraphError, LabeledGraph, _components, _forest_positions
 
 __all__ = [
     "GapReport",
@@ -176,14 +176,7 @@ def _checked_forest(p: int, n: int, graph: LabeledGraph | None):
         raise ValueError(f"level must be at least 2, got {n}")
     labels = _labels(_linear_forest(p, n), p, n)
     g = triangle(p, n) if graph is None else graph
-    if g.order != expected_order("hat", p, n):
-        raise GraphError(
-            f"graph has order {g.order}, expected {expected_order('hat', p, n)}"
-        )
-    keep, mark = _subset_positions(g, labels)
-    cycle = _cycle(g, keep, mark)
-    if cycle is not None:
-        raise GraphError(f"construction induced a cycle: {cycle}")
+    keep, mark = _forest_positions(g, labels, expected_order("hat", p, n))
     nbrs, kept = g._nbrs, mark.__getitem__
     for u in keep:
         if sum(map(kept, nbrs[u])) > 2:
@@ -246,7 +239,7 @@ def structure_report(
     except ValueError as exc:
         return StructureReport(p, n, 0, (), (), (str(exc),))
     # acyclic with every induced degree at most 2: each component is a path
-    actual = Counter(map(len, _components(g, keep, mark)))
+    actual = Counter(map(len, _components(g._nbrs, keep, mark)))
     problems = []
     expected = _expected_path_multiset(p, n)
     if actual != expected:

@@ -42,7 +42,7 @@ from .generators import (
     sierpinski_plusplus,
     triangle,
 )
-from .graph_core import GraphError, export_dot, export_edgelist, find_cycle
+from .graph_core import GraphError, _forest_positions, export_dot, export_edgelist
 from .pairable_forest import (
     forest_plus,
     forest_plusplus,
@@ -148,8 +148,8 @@ def _check_order(family, p, n):
 def _forest(family, p, n, g):
     """The construction-backed induced forest of a family instance, as a
     set of labels of its graph g, checked once against g.  Raises
-    ValueError where the instance has no construction, and a
-    VerificationError or the construction's own GraphError on a cycle."""
+    ValueError where the instance has no construction, and GraphError on
+    a cycle."""
     if family == "s":
         forest = forest_sierpinski(p, n)
     elif family == "plus":
@@ -162,12 +162,7 @@ def _forest(family, p, n, g):
         forest = set(g.vertices()) - fvs_triangle3(n)
     else:
         return forest_triangle(p, n, graph=g)  # checked against g too
-    cycle = find_cycle(g, forest)
-    if cycle is not None:
-        raise VerificationError(
-            f"{family} p={p} n={n}: constructed set is not a forest, cycle {' '.join(cycle)}",
-            cycle,
-        )
+    _forest_positions(g, forest, expected_order(family, p, n))
     return forest
 
 
@@ -286,8 +281,9 @@ def run_suite(suite, ps, ns, exact=False, budget=None, jobs=1):
 
     Rows come back sorted by (p, n, family); at most min(jobs, instances,
     CPUs) worker processes run.  Raises ValueError for unusable parameters
-    before any build, and VerificationError, or the GraphError of a
-    self-checking construction, when a certificate fails.
+    before any build, GraphError when a construction's forest fails its
+    check, and VerificationError when the thm4.1 structure report holds a
+    failed check.
     """
     if suite not in _SUITE_TABLE:
         raise ValueError(f"unknown suite {suite!r}")

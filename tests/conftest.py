@@ -19,7 +19,6 @@ from sfvs.addressing import (
     format_word,
     hat_labels,
     parse_word,
-    prefix_triangle,
     word_labels,
     word_separator,
 )
@@ -37,8 +36,9 @@ from sfvs.graph_core import (
     GraphError,
     LabeledGraph,
     Multigraph,
+    _from_rows,
+    _label_index,
     build_graph,
-    build_indexed,
     contract_edges,
     find_cycle,
     is_forest,
@@ -745,9 +745,72 @@ def reference_builders():
     return dict(_STRING_BUILDERS)
 
 
+# The arbitrary-edge build as it was before build_graph filled the rows
+# itself: labels and (i, j) index pairs into them, each pair checked.
+
+
+def _build_indexed(labels, pairs) -> LabeledGraph:
+    """Construct a LabeledGraph from a sequence of distinct string labels
+    and edges given as (i, j) index pairs into it.  Duplicate edges
+    collapse; indices outside 0..len(labels)-1, loops and repeated labels
+    are rejected."""
+    names, rank, pos = _label_index(labels)
+    n = len(names)
+    nbrs = [[] for _ in range(n)]
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) has an index not in range({n})")
+        if u == v:
+            raise GraphError(f"self-loop at {labels[u]!r}")
+        u, v = pos[u], pos[v]
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    for found in nbrs:
+        found[:] = set(found)
+    return _from_rows(names, rank, nbrs)
+
+
+@pytest.fixture
+def reference_build_indexed():
+    """Reference build_indexed(labels, pairs), the index-pair build."""
+    return _build_indexed
+
+
+# The solver's component split as it was before it shared the graph
+# core's search: a set of seen vertices and a stack, each component
+# sorted.
+
+
+def _multigraph_components(mg: Multigraph, live):
+    seen = set()
+    comps = []
+    for start in live:
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        queue = [start]
+        while queue:
+            v = queue.pop()
+            for u in mg.adj[v]:
+                if u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+                    queue.append(u)
+        comps.append(sorted(comp))
+    return comps
+
+
+@pytest.fixture
+def reference_multigraph_components():
+    """Reference exact_fvs._components(mg, live): the sorted components
+    of a solver multigraph over its live vertices."""
+    return _multigraph_components
+
+
 # The four family builders as they were before the generators composed
 # neighbour rows: each level streamed as a flat list of index pairs and
-# the top level checked and deduplicated edge by edge by build_indexed.
+# the top level checked and deduplicated edge by edge by _build_indexed.
 
 
 def _one(p: int, m: int) -> int:
@@ -781,7 +844,7 @@ def _levels(level, p: int, n: int, flat):
 def _edge_sierpinski(p: int, n: int) -> LabeledGraph:
     _check_family("s", p, n)
     _, edges = _levels(_base_level, p, n, [])
-    return build_indexed(word_labels(p, n), edges)
+    return _build_indexed(word_labels(p, n), edges)
 
 
 def _edge_sierpinski_plus(p: int, n: int) -> LabeledGraph:
@@ -789,7 +852,7 @@ def _edge_sierpinski_plus(p: int, n: int) -> LabeledGraph:
     _, edges = _levels(_base_level, p, n, [])
     apex, one = p**n, _one(p, n)
     edges = itertools.chain(edges, ((apex, i * one) for i in range(p)))
-    return build_indexed(word_labels(p, n) + [APEX_LABEL], edges)
+    return _build_indexed(word_labels(p, n) + [APEX_LABEL], edges)
 
 
 def _edge_sierpinski_plusplus(p: int, n: int) -> LabeledGraph:
@@ -799,14 +862,14 @@ def _edge_sierpinski_plusplus(p: int, n: int) -> LabeledGraph:
     copy = _copies(below, [range(off, off + p ** (n - 1))])
     extremes = ((off + i * one_below, i * one) for i in range(p))
     edges = itertools.chain(top, zip(copy, copy), extremes)
-    return build_indexed(word_labels(p, n) + copy_labels(p, n - 1), edges)
+    return _build_indexed(word_labels(p, n) + copy_labels(p, n - 1), edges)
 
 
 def _edge_triangle(p: int, n: int) -> LabeledGraph:
     _check_family("hat", p, n)
     k_p = list(itertools.chain.from_iterable(itertools.combinations(range(p), 2)))
     _, edges = _levels(_hat_level, p, n, k_p)
-    g = build_indexed(hat_labels(p, n), edges)
+    g = _build_indexed(hat_labels(p, n), edges)
     if g.size != expected_size("hat", p, n):
         raise GraphError(
             f"closed-form edges of the quotient number {g.size}, "
@@ -1082,7 +1145,7 @@ def reference_verify_certificate():
 
 # The forest constructions as they were before they moved onto vertex
 # indices: the closure on word tuples, the 3-symbol recursion on Hat /
-# Contracted objects, and the linear forest grown with prefix_triangle,
+# Contracted objects, and the linear forest grown with _prefix_triangle,
 # each vertex formatted on its own.  The linear forest is checked and
 # decomposed as it was before that ran in one pass over indices: through
 # the induced subgraph, its degrees and its components.
@@ -1211,6 +1274,28 @@ def _forest_plusplus(p: int, n: int, graph: LabeledGraph | None = None) -> set:
     return union
 
 
+def _prefix_triangle(i: int, v):
+    """Embed a contracted-family vertex one level down into subtriangle i.
+
+    The corner of subtriangle i that is also a global corner keeps its name;
+    the other corners land on the contracted vertices shared with the
+    neighbouring subtriangles:
+
+        i * Hat(i) = Hat(i)
+        i * Hat(j) = Contracted((), {i, j})   for j != i
+        i * Contracted(s, q) = Contracted(i.s, q)
+    """
+    if i < 0:
+        raise ValueError(f"symbol must be nonnegative, got {i}")
+    if isinstance(v, Hat):
+        if v.k == i:
+            return v
+        return Contracted((), tuple(sorted((i, v.k))))
+    if isinstance(v, Contracted):
+        return Contracted((i, *v.prefix), v.pair)
+    raise TypeError(f"expected a corner or contracted vertex, got {v!r}")
+
+
 _SIGMA = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
 
 
@@ -1223,7 +1308,7 @@ def _permute(v, sigma):
 
 
 def _embed3(j: int, v):
-    return prefix_triangle(j, _permute(v, _SIGMA[j]))
+    return _prefix_triangle(j, _permute(v, _SIGMA[j]))
 
 
 def _fvs_triangle3(n: int) -> set:
@@ -1287,7 +1372,7 @@ def _b_star_objects(p: int, n: int) -> set:
     }
     for _ in range(n - 2):
         level = {
-            prefix_triangle(j, v) for j in range(p) for v in level
+            _prefix_triangle(j, v) for j in range(p) for v in level
         } - removed
     return level
 
@@ -1387,4 +1472,5 @@ def reference_forests():
         tail_path_base=_tail_path_base,
         forest_triangle=_forest_triangle,
         structure_report=_structure_report,
+        prefix_triangle=_prefix_triangle,
     )

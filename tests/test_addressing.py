@@ -19,7 +19,6 @@ from sfvs.addressing import (
     hat_rank_labels,
     parse_vertex,
     parse_word,
-    prefix_triangle,
     rank_labels,
     word_labels,
     word_separator,
@@ -162,7 +161,8 @@ def test_parse_vertex_unknown_family():
         parse_vertex("0", "nope", 3, 1)
 
 
-def test_prefix_triangle_corner_rules():
+def test_prefix_triangle_corner_rules(reference_forests):
+    prefix_triangle = reference_forests.prefix_triangle
     assert prefix_triangle(1, Hat(1)) == Hat(1)
     assert prefix_triangle(1, Hat(0)) == Contracted((), (0, 1))
     assert prefix_triangle(0, Hat(2)) == Contracted((), (0, 2))

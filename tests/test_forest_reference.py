@@ -8,7 +8,6 @@ import pytest
 
 from sfvs import addressing, generators, pairable_forest, triangle_forest
 from sfvs.generators import sierpinski_plusplus, triangle
-from sfvs.graph_core import build_indexed
 from sfvs.pairable_forest import (
     PairablePartition,
     closure,
@@ -86,12 +85,13 @@ def test_quotient_forests_match_the_reference(p, reference_forests):
         assert got == _outcome(ref.forest_triangle, p, n, graph=graph), n
 
 
-def _mutants(g, forest):
+def _mutants(g, forest, build_indexed):
     """Copies of g, each of the same order, that break the linear forest
     in one way: an edge joining the two ends of its longest path (a
     cycle), an edge joining interior vertices of its two longest paths
     (two vertices of degree 3), the longest path's first edge removed
-    (the path splits), and a forest vertex renamed (a missing vertex)."""
+    (the path splits), and a forest vertex renamed (a missing vertex),
+    each built by build_indexed."""
     sub = g.induced(forest)
     comps = sorted(sub.components(), key=len, reverse=True)
     longest, other = comps[0], comps[1]
@@ -117,7 +117,7 @@ def _mutants(g, forest):
 
 
 @pytest.mark.parametrize("p", range(4, 9))
-def test_linear_forest_checks_match_the_reference(p, reference_forests):
+def test_linear_forest_checks_match_the_reference(p, reference_forests, reference_build_indexed):
     ref = reference_forests
     for n in range(2, 5):
         g = triangle(p, n)
@@ -126,7 +126,7 @@ def test_linear_forest_checks_match_the_reference(p, reference_forests):
         assert rep.ok, n
         if n == 2:
             assert structure_report(p, n) == ref.structure_report(p, n)
-        mutants = _mutants(g, forest_triangle(p, n, graph=g))
+        mutants = _mutants(g, forest_triangle(p, n, graph=g), reference_build_indexed)
         problems = {}
         for name, mutant in mutants.items():
             got = structure_report(p, n, graph=mutant)

@@ -3,14 +3,15 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sfvs.exact_fvs import _components, _restrict
+from sfvs.exact_fvs import _restrict
 from sfvs.generators import expected_order
 from sfvs.graph_core import (
     GraphError,
     LabeledGraph,
     Multigraph,
+    _components,
+    _label_index,
     build_graph,
-    build_indexed,
     contract_edges,
     export_dot,
     export_edgelist,
@@ -70,40 +71,25 @@ def test_build_graph_error_texts_and_order():
     assert build_graph(["a", "a", "b"], [("a", "b")]).vertices() == ["a", "b"]
 
 
-def test_build_indexed_basics():
-    g = build_indexed(["b", "a", "c"], [(1, 0), (0, 1), (0, 2), (2, 0)])
-    assert g == build_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    assert g.vertices() == ["a", "b", "c"]
-    assert g.size == 2
-    assert g.neighbors("b") == ("a", "c")
-    assert build_indexed([], []).order == 0
-
-
-@pytest.mark.parametrize(
-    "labels,pairs,message",
-    [
-        (["a", "b"], [(0, 1), (0, -1)], "edge (0, -1) has an index not in range(2)"),
-        (["a", "b"], [(2, 0)], "edge (2, 0) has an index not in range(2)"),
-        (["a", "b"], [(0, 1), (1, 1)], "self-loop at 'b'"),
-        (["a", "b", "a"], [], "repeated vertex label 'a'"),
-    ],
-)
-def test_build_indexed_rejects_bad_input(labels, pairs, message):
+def test_label_index_rejects_a_repeated_label():
     with pytest.raises(GraphError) as exc:
-        build_indexed(labels, pairs)
-    assert str(exc.value) == message
+        _label_index(["a", "b", "a"])
+    assert str(exc.value) == "repeated vertex label 'a'"
 
 
+# the fixture holds only a function, so sharing it across examples is safe
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     st.lists(st.text("abc", max_size=3), min_size=1, max_size=8),
     st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)), max_size=30),
 )
-def test_build_graph_equals_build_indexed(vertices, raw):
+def test_build_graph_equals_build_indexed(reference_build_indexed, vertices, raw):
     # raw pairs repeat and reverse edges; vertices may repeat labels
     labels = list(dict.fromkeys(vertices))
     n = len(labels)
     pairs = [(u % n, v % n) for u, v in raw if u % n != v % n]
     g = build_graph(vertices, [(labels[u], labels[v]) for u, v in pairs])
+    build_indexed = reference_build_indexed
     for h in (
         build_indexed(labels, pairs),
         build_indexed(labels[::-1], [(n - 1 - u, n - 1 - v) for u, v in pairs]),
@@ -305,7 +291,7 @@ def test_multigraph_counts_stay_current(n, steps):
         elif op == "copy":
             copies.append((mg.copy(), _snapshot(mg)))
         else:
-            comps = _components(mg, live)
+            comps = [sorted(c) for c in _components(mg.adj, live, mg.alive)]
             comp = comps[a % len(comps)]
             before = _snapshot(mg)
             sub = _restrict(mg, comp)
@@ -317,6 +303,33 @@ def test_multigraph_counts_stay_current(n, steps):
         for clone, snap in copies:
             assert _snapshot(clone) == snap
             assert_counts_current(clone)
+
+
+def _random_multigraph(rng, n):
+    """A multigraph on n vertices with parallel edges, some vertices dead."""
+    mg = Multigraph(n)
+    for _ in range(rng.randrange(2 * n)):
+        u, v = rng.sample(range(n), 2)
+        mg.add_edge(u, v, rng.randint(1, 3))
+    for v in rng.sample(range(n), rng.randrange(n // 2)):
+        mg.remove_vertex(v)
+    return mg
+
+
+def test_multigraph_components_match_the_reference(reference_multigraph_components):
+    # the solver's split runs the graph core's search over adj and alive
+    rng = random.Random(16)
+    for _ in range(300):
+        mg = _random_multigraph(rng, rng.randint(2, 24))
+        live = mg.live_vertices()
+        comps = [sorted(c) for c in _components(mg.adj, live, mg.alive)]
+        assert comps == reference_multigraph_components(mg, live)
+        union = sorted(x for c in comps[::2] for x in c)
+        for part in (comps[0], comps[-1], union):
+            sub = _restrict(mg, part)
+            got = [sorted(c) for c in _components(sub.adj, part, sub.alive)]
+            assert got == reference_multigraph_components(sub, sub.live_vertices())
+            assert sorted(x for c in got for x in c) == part
 
 
 def test_unknown_vertices_of_any_type_raise_graph_error():

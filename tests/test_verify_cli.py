@@ -7,7 +7,7 @@ import pytest
 
 from sfvs import verify_cli
 from sfvs.addressing import FAMILIES
-from sfvs.generators import sierpinski
+from sfvs.generators import sierpinski, sierpinski_plus
 from sfvs.verify_cli import (
     SCHEMA_VERSION,
     SUITES,
@@ -612,6 +612,31 @@ def test_cli_tau_fails_on_a_broken_construction(monkeypatch, capsys):
     assert captured.err.count("\n") == 1
 
 
+# each broken construction leaves every vertex of its graph in the forest,
+# and each graph holds a triangle
+_CYCLIC_CONSTRUCTIONS = {
+    "s": ("forest_sierpinski", lambda p, n: set(sierpinski(p, n).vertices()), "thm2.4"),
+    "plus": ("forest_plus", lambda p, n: set(sierpinski_plus(p, n).vertices()), "cor2.7"),
+    "hat": ("fvs_triangle3", lambda n: set(), "thm3.2"),
+}
+
+
+@pytest.mark.parametrize("verb", ["forest", "tau", "verify"])
+@pytest.mark.parametrize("family", ["s", "plus", "hat"])
+def test_cli_fails_on_a_construction_that_closes_a_cycle(monkeypatch, capsys, family, verb):
+    name, broken, suite = _CYCLIC_CONSTRUCTIONS[family]
+    monkeypatch.setattr(verify_cli, name, broken)
+    if verb == "verify":
+        argv = ["verify", "--suite", suite, "-p", "3", "-n", "2"]
+    else:
+        argv = [verb, "--family", family, "-p", "3", "-n", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: construction induced a cycle: [")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_tau_searches_unseeded_without_a_construction(monkeypatch, capsys):
     from sfvs import verify_cli
 
@@ -645,7 +670,7 @@ def test_cli_tau_searches_unseeded_without_a_construction(monkeypatch, capsys):
 def test_each_forest_is_checked_once(monkeypatch, capsys, argv, passes):
     # one cycle search for the construction's forest, and one more for
     # the solver's certificate when the command solves
-    from sfvs import exact_fvs, graph_core, triangle_forest
+    from sfvs import exact_fvs, graph_core
 
     calls = []
     real = graph_core._cycle
@@ -654,7 +679,7 @@ def test_each_forest_is_checked_once(monkeypatch, capsys, argv, passes):
         calls.append(len(keep))
         return real(g, keep, mark)
 
-    for module in (graph_core, exact_fvs, triangle_forest):
+    for module in (graph_core, exact_fvs):
         monkeypatch.setattr(module, "_cycle", spy)
     assert main(argv) == 0
     assert "✗" not in capsys.readouterr().out

@@ -11,13 +11,17 @@ on the way out, while is_forest, find_cycle, induced() and components()
 run on the indices; the cycle and component searches are private cores
 over (ascending indices, bytearray mark) that callers holding indices
 use directly, the component search over any neighbour table and mark,
-the solver's multigraph and its alive list included.  _forest_positions
-is the one certificate check of a construction's forest: the graph's
-order, then a cycle search.  A build takes the label index of
-_label_index and one list of neighbour indices per vertex, which
-_from_rows replaces by its sorted tuple in place, so it peaks little
-above the graph it returns.  The generators compose the lists;
-build_graph maps arbitrary label pairs into them and deduplicates them.
+the solver's multigraph and its alive list included.  Every walk over a
+mark (these two searches, induced() and the linear forest's degree count
+in triangle_forest) tests mark[v] inline for each neighbour: most
+neighbour lists are short, and a filter or map object per vertex costs
+more than the test.  _forest_positions is the one certificate check of
+a construction's forest: the graph's order, then a cycle search.  A
+build takes the label index of _label_index and one list of neighbour
+indices per vertex, which _from_rows replaces by its sorted tuple in
+place, so it peaks little above the graph it returns.  The generators
+compose the lists; build_graph maps arbitrary label pairs into them and
+deduplicates them.
 The int-indexed Multigraph at the bottom, the exact solver's scratch
 structure, is read straight off the neighbour tuples, holds parallel
 edges but never a loop, and is deliberately mutable.
@@ -101,10 +105,18 @@ class LabeledGraph:
         ]
 
     def induced(self, subset) -> "LabeledGraph":
+        """The subgraph induced by subset (an iterable of labels), with its
+        vertices renumbered in sorted label order; a label not in the graph
+        raises GraphError."""
         keep, mark = _subset_positions(self, subset)
-        renumbered = list(accumulate(mark, initial=0)).__getitem__
-        kept = mark.__getitem__
-        nbrs = [tuple(map(renumbered, filter(kept, self._nbrs[old]))) for old in keep]
+        renumbered = list(accumulate(mark, initial=0))
+        nbrs = []
+        for old in keep:
+            row = []
+            for v in self._nbrs[old]:
+                if mark[v]:
+                    row.append(renumbered[v])
+            nbrs.append(tuple(row))
         labels = list(map(self._labels.__getitem__, keep))
         index = dict(zip(labels, range(len(labels))))
         return LabeledGraph(labels, index, nbrs, sum(map(len, nbrs)) // 2)
@@ -195,17 +207,18 @@ def _subset_positions(g: LabeledGraph, subset):
 def _cycle(g: LabeledGraph, keep, mark):
     """find_cycle on indices: keep lists the marked vertices in ascending
     order and mark is a bytearray over all of g."""
-    nbrs, kept = g._nbrs, mark.__getitem__
+    nbrs = g._nbrs
     parent = [-1] * len(nbrs)
     for start in keep:
         if parent[start] >= 0:
             continue
         parent[start] = start
-        stack = [(start, start)]
+        stack = [start]
         while stack:
-            u, from_v = stack.pop()
-            for v in filter(kept, nbrs[u]):
-                if v == from_v:
+            u = stack.pop()
+            from_v = parent[u]
+            for v in nbrs[u]:
+                if not mark[v] or v == from_v:
                     continue
                 if parent[v] >= 0:
                     # non-tree edge; join the two ancestries at their
@@ -224,7 +237,7 @@ def _cycle(g: LabeledGraph, keep, mark):
                     assert len(cycle) >= 4
                     return list(map(g._labels.__getitem__, cycle))
                 parent[v] = u
-                stack.append((v, u))
+                stack.append(v)
     return None
 
 
@@ -243,8 +256,6 @@ def _components(nbrs, keep, mark):
         unseen[start] = 0
         comp = [start]
         for u in comp:
-            # an inline test: most lists are short, and a filter object per
-            # vertex costs more than the test
             for v in nbrs[u]:
                 if unseen[v]:
                     unseen[v] = 0

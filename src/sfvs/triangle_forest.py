@@ -167,9 +167,10 @@ def forest_order_bound(p: int, n: int) -> int:
 
 def _checked_forest(p: int, n: int, graph: LabeledGraph | None):
     """The labels of the large-alphabet linear forest, checked against the
-    graph's order, acyclicity and induced degrees in one pass over its
-    indices; any failure raises GraphError.  Also returns the forest's
-    graph indices in ascending order and a bytearray marking them."""
+    graph's order, then by a cycle search, then by a count of each kept
+    vertex's marked neighbours; any failure raises GraphError.  Also
+    returns the forest's graph indices in ascending order and a bytearray
+    marking them."""
     if p < 4:
         raise ValueError(f"need at least 4 symbols, got {p}")
     if n < 2:
@@ -177,9 +178,13 @@ def _checked_forest(p: int, n: int, graph: LabeledGraph | None):
     labels = _labels(_linear_forest(p, n), p, n)
     g = triangle(p, n) if graph is None else graph
     keep, mark = _forest_positions(g, labels, expected_order("hat", p, n))
-    nbrs, kept = g._nbrs, mark.__getitem__
+    nbrs = g._nbrs
     for u in keep:
-        if sum(map(kept, nbrs[u])) > 2:
+        degree = 0
+        for v in nbrs[u]:
+            if mark[v]:
+                degree += 1
+        if degree > 2:
             raise GraphError(f"construction is not a linear forest at {g._labels[u]!r}")
     return labels, keep, mark
 

@@ -339,16 +339,17 @@ def _parse_values(text: str):
         part = part.strip()
         if not part:
             raise ValueError(f"empty entry in {text!r}")
-        if ":" in part:
-            lo, _, hi = part.partition(":")
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError(f"empty range {part!r}")
-            if hi - lo >= MAX_ORDER:
-                raise ValueError(f"range {part!r} has more than {MAX_ORDER:,} values")
-            values.update(range(lo, hi + 1))
-        else:
-            values.add(int(part))
+        lo, colon, hi = part.partition(":")
+        try:
+            lo = int(lo)
+            hi = int(hi) if colon else lo
+        except ValueError:
+            raise ValueError(f"bad entry {part!r} in {text!r}: expected N or LO:HI") from None
+        if hi < lo:
+            raise ValueError(f"empty range {part!r}")
+        if hi - lo >= MAX_ORDER:
+            raise ValueError(f"range {part!r} has more than {MAX_ORDER:,} values")
+        values.update(range(lo, hi + 1))
     return sorted(values)
 
 
@@ -443,8 +444,11 @@ def _well_formed(r: VerificationReport) -> bool:
 
 
 def _load_reports(path: str):
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ValueError(f"{path}: not a JSON report file ({exc})") from None
     if not isinstance(payload, dict) or payload.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"{path}: expected a schema {SCHEMA_VERSION} report file")
     try:

@@ -808,6 +808,70 @@ def reference_multigraph_components():
     return _multigraph_components
 
 
+# The three walks of the certificate check as they were before they
+# tested the vertex mark inline: a filter (and, for induced rows, a map)
+# object per vertex, and a cycle search whose stack held (vertex, parent)
+# pairs.
+
+
+def _filter_cycle(g: LabeledGraph, keep, mark):
+    nbrs, kept = g._nbrs, mark.__getitem__
+    parent = [-1] * len(nbrs)
+    for start in keep:
+        if parent[start] >= 0:
+            continue
+        parent[start] = start
+        stack = [(start, start)]
+        while stack:
+            u, from_v = stack.pop()
+            for v in filter(kept, nbrs[u]):
+                if v == from_v:
+                    continue
+                if parent[v] >= 0:
+                    up_u = [u]
+                    while parent[up_u[-1]] != up_u[-1]:
+                        up_u.append(parent[up_u[-1]])
+                    up_v = [v]
+                    while parent[up_v[-1]] != up_v[-1]:
+                        up_v.append(parent[up_v[-1]])
+                    i, j = len(up_u) - 1, len(up_v) - 1
+                    while i > 0 and j > 0 and up_u[i - 1] == up_v[j - 1]:
+                        i -= 1
+                        j -= 1
+                    cycle = up_u[: i + 1] + up_v[:j][::-1] + [u]
+                    assert len(cycle) >= 4
+                    return list(map(g._labels.__getitem__, cycle))
+                parent[v] = u
+                stack.append((v, u))
+    return None
+
+
+def _filter_induced_rows(g: LabeledGraph, keep, mark):
+    renumbered = list(itertools.accumulate(mark, initial=0)).__getitem__
+    kept = mark.__getitem__
+    return [tuple(map(renumbered, filter(kept, g._nbrs[old]))) for old in keep]
+
+
+def _filter_linear_degrees(g: LabeledGraph, keep, mark):
+    nbrs, kept = g._nbrs, mark.__getitem__
+    for u in keep:
+        if sum(map(kept, nbrs[u])) > 2:
+            raise GraphError(f"construction is not a linear forest at {g._labels[u]!r}")
+
+
+@pytest.fixture
+def reference_mark_walks():
+    """Reference walks over (ascending indices, bytearray mark): cycle is
+    graph_core._cycle, induced_rows the neighbour rows of
+    LabeledGraph.induced, and linear_degrees the induced-degree check of
+    triangle_forest._checked_forest (raises GraphError)."""
+    return SimpleNamespace(
+        cycle=_filter_cycle,
+        induced_rows=_filter_induced_rows,
+        linear_degrees=_filter_linear_degrees,
+    )
+
+
 # The four family builders as they were before the generators composed
 # neighbour rows: each level streamed as a flat list of index pairs and
 # the top level checked and deduplicated edge by edge by _build_indexed.

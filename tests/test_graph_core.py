@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -11,6 +12,7 @@ from sfvs.graph_core import (
     Multigraph,
     _components,
     _label_index,
+    _subset_positions,
     build_graph,
     contract_edges,
     export_dot,
@@ -20,6 +22,8 @@ from sfvs.graph_core import (
     is_forest,
     relabel,
 )
+from sfvs.pairable_forest import forest_plus, forest_plusplus, forest_sierpinski
+from sfvs.triangle_forest import forest_triangle, fvs_triangle3, structure_report
 from sfvs.verify_cli import _BUILDERS
 
 
@@ -438,3 +442,63 @@ def test_family_instances_match_the_label_keyed_reference(reference_graph_core):
             rng.sample(labels, (3 * len(labels)) // 4),
         ]
         _assert_same_core(g, ref, reference_graph_core, subsets)
+
+
+# The certificate check at the sizes the certify benchmark runs: each
+# construction's forest, the forest with one deleted vertex put back (a
+# cycle, or not), and a linear forest with two vertices of degree 3.
+_CERTIFY_FORESTS = {
+    ("s", 9, 5): lambda g: forest_sierpinski(9, 5),
+    ("plus", 8, 5): lambda g: forest_plus(8, 5),
+    ("pp", 6, 5): lambda g: forest_plusplus(6, 5),
+    ("hat", 3, 8): lambda g: set(g.vertices()) - fvs_triangle3(8),
+    ("hat", 6, 5): lambda g: forest_triangle(6, 5, graph=g),
+}
+
+
+def _same_walks(g, subset, ref):
+    keep, mark = _subset_positions(g, subset)
+    cycle = find_cycle(g, subset)
+    assert cycle == ref.cycle(g, keep, mark)
+    sub = g.induced(subset)
+    assert sub._labels == [g._labels[k] for k in keep]
+    assert sub._nbrs == ref.induced_rows(g, keep, mark)
+    return cycle, sub
+
+
+@pytest.mark.parametrize("family,p,n", list(_CERTIFY_FORESTS))
+def test_certificate_walks_match_the_filter_reference(family, p, n, reference_mark_walks):
+    ref = reference_mark_walks
+    g = _BUILDERS[family](p, n)
+    forest = _CERTIFY_FORESTS[family, p, n](g)
+    assert _same_walks(g, forest, ref)[0] is None
+    deleted = sorted(set(g.vertices()) - forest)
+    cycles = [
+        _same_walks(g, forest | {v}, ref)[0]
+        for v in random.Random(17).sample(deleted, min(len(deleted), 12))
+    ]
+    assert any(cycles)
+    if family != "hat" or p < 4:
+        return
+    # join interior vertices of two paths: no cycle, two vertices of degree 3
+    sub = g.induced(forest)
+    a, b = (next(v for v in comp if sub.degree(v) == 2) for comp in sub.components()[:2])
+    a, b = g._index[a], g._index[b]
+    rows = list(g._nbrs)
+    rows[a], rows[b] = tuple(sorted(rows[a] + (b,))), tuple(sorted(rows[b] + (a,)))
+    mutant = LabeledGraph(g._labels, g._index, rows, g.size + 1)
+    keep, mark = _subset_positions(mutant, forest)
+    assert ref.cycle(mutant, keep, mark) is None
+    with pytest.raises(GraphError) as want:
+        ref.linear_degrees(mutant, keep, mark)
+    with pytest.raises(GraphError) as got:
+        forest_triangle(6, 5, graph=mutant)
+    assert str(got.value) == str(want.value)
+    assert structure_report(6, 5, graph=mutant).problems == (str(want.value),)
+    # the linear forest's paths: the reference rows' components
+    rep = structure_report(6, 5, graph=g)
+    ref_sub = LabeledGraph(
+        sub._labels, sub._index, ref.induced_rows(g, *_subset_positions(g, forest)), sub.size
+    )
+    paths = sorted(Counter(map(len, ref_sub.components())).items())
+    assert (rep.total, rep.actual_paths, rep.problems) == (len(forest), tuple(paths), ())

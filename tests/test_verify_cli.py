@@ -324,10 +324,25 @@ def test_parse_values(text, expected):
     assert _parse_values(text) == expected
 
 
-@pytest.mark.parametrize("bad", ["", "2,,3", "6:4", "x", "1:b"])
-def test_parse_values_rejects(bad):
-    with pytest.raises(ValueError):
+_BAD_VALUES = [
+    ("", "empty entry in ''"),
+    ("2,,3", "empty entry in '2,,3'"),
+    ("6:4", "empty range '6:4'"),
+    ("x", "bad entry 'x' in 'x': expected N or LO:HI"),
+    ("1:b", "bad entry '1:b' in '1:b': expected N or LO:HI"),
+    ("2:", "bad entry '2:' in '2:': expected N or LO:HI"),
+    ("3, :3", "bad entry ':3' in '3, :3': expected N or LO:HI"),
+    ("1:2:3", "bad entry '1:2:3' in '1:2:3': expected N or LO:HI"),
+]
+
+
+@pytest.mark.parametrize("bad,message", _BAD_VALUES, ids=[bad for bad, _ in _BAD_VALUES])
+def test_parse_values_rejects(bad, message, capsys):
+    with pytest.raises(ValueError) as exc:
         _parse_values(bad)
+    assert str(exc.value) == message
+    assert main(["verify", "--suite", "counts", "-p", bad, "-n", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_parse_values_refuses_unbounded_ranges(capsys):
@@ -528,6 +543,24 @@ def test_cli_report_rejects_invalid_fields(tmp_path, capsys, field, value, fmt):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}: malformed report entries\n"
+
+
+@pytest.mark.parametrize(
+    "data,reason",
+    [
+        (b"", "Expecting value: line 1 column 1 (char 0)"),
+        (b"schema: 2", "Expecting value: line 1 column 1 (char 0)"),
+        (b'{"schema": 2', "Expecting ',' delimiter: line 1 column 13 (char 12)"),
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ],
+)
+def test_cli_report_rejects_a_file_that_is_not_json(tmp_path, capsys, data, reason):
+    path = tmp_path / "notes.json"
+    path.write_bytes(data)
+    assert main(["report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: not a JSON report file ({reason})\n"
 
 
 def test_cli_report_missing_file(capsys):

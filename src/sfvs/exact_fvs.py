@@ -2,9 +2,10 @@
 
 tau_bruteforce enumerates deletion sets and induced forests by
 increasing size, whichever side has fewer subsets next, and is the
-ground-truth oracle for small graphs.  tau_bnb is a branch-and-bound
-search over a multigraph, parallel edges but never a loop, that supports
-the classic reductions:
+ground-truth oracle for small graphs; a deletion set whose degree sum
+leaves more edges than a forest on the rest can hold is skipped before
+its union-find.  tau_bnb is a branch-and-bound search over a multigraph,
+parallel edges but never a loop, that supports the classic reductions:
 
   * vertices of degree <= 1 are irrelevant and vanish
   * a degree-2 vertex is bypassed, its two edges fused into one, or,
@@ -15,11 +16,14 @@ the classic reductions:
   * a parallel pair with one endpoint barred from the solution forces the
     other endpoint
 
-Each node branches on a greedy clique through a busiest vertex: any
-solution leaves at most two of its vertices out, so the children are the
-ways to keep at most two, each kept vertex barred from the solution by a
-forbidden set that the reductions respect.  Without a triangle the
-clique is the vertex alone, and the children are "take it" and "bar it".
+The parallel pairs of a vertex are scanned only when its degree exceeds
+its number of neighbours.  Each node branches on a greedy clique through
+a busiest vertex: any solution leaves at most two of its vertices out,
+so the children are the ways to keep at most two, each kept vertex
+barred from the solution by a forbidden set that the reductions respect.
+Without a triangle the clique is the vertex alone, and the children are
+"take it" and "bar it".  The grower scores a candidate by the popcount
+of its neighbour bitmask and-ed with the candidates' bitmask.
 Components split off and are solved independently (feedback numbers add
 across components).  A node is pruned by the best of three lower bounds,
 tried cheapest first until one reaches the incumbent: an edge-density
@@ -115,10 +119,12 @@ def tau_bruteforce(g: LabeledGraph, cap: int = 22) -> FvsCertificate:
     Each step tries whichever side has fewer subsets at its next size:
     the deletion sets of size lo in increasing lo, the first that leaves a
     forest being the answer, or the induced forests of size n - hi + 1 in
-    decreasing hi, where finding none proves tau = hi.  Forests are
-    searched by growing acyclic sets, so a set with a cycle is never
-    extended.  The witness is the first deletion set of size tau in
-    lexicographic order either way.
+    decreasing hi, where finding none proves tau = hi.  A deletion set
+    whose degree sum is below m - max(n - lo - 1, 0), m the edge count,
+    keeps more edges than a forest on the rest can hold and is skipped
+    before its union-find.  Forests are searched by growing acyclic sets,
+    so a set with a cycle is never extended.  The witness is the first
+    deletion set of size tau in lexicographic order either way.
 
     Exponential; refuses graphs above cap vertices (use tau_bnb there).
     """
@@ -129,6 +135,7 @@ def tau_bruteforce(g: LabeledGraph, cap: int = 22) -> FvsCertificate:
         )
     labels = g.vertices()
     edges = [(u, v) for u, nbrs in enumerate(g._nbrs) for v in nbrs if u < v]
+    deg = list(map(len, g._nbrs))
     everyone = frozenset(range(n))
 
     def acyclic_without(removed) -> bool:
@@ -159,8 +166,14 @@ def tau_bruteforce(g: LabeledGraph, cap: int = 22) -> FvsCertificate:
     while True:
         size = n - hi + 1
         if lo == hi or math.comb(n, lo) <= math.comb(n, size):
-            for combo in itertools.combinations(range(n), lo):
-                if acyclic_without(set(combo)):
+            # deleting combo keeps at least m - (its degree sum) edges, and
+            # a forest on n - lo vertices has at most max(n - lo - 1, 0);
+            # the max keeps n = 0 from skipping its one empty set forever
+            need = len(edges) - max(n - lo - 1, 0)
+            for combo, degs in zip(
+                itertools.combinations(range(n), lo), itertools.combinations(deg, lo)
+            ):
+                if sum(degs) >= need and acyclic_without(set(combo)):
                     return FvsCertificate(lo, tuple(labels[i] for i in combo), True)
             lo += 1
         elif forest_of(size):
@@ -214,24 +227,26 @@ def _reduce(mg: Multigraph, live, forbidden, chosen):
             if not alive[v]:
                 continue
             nbrs = adj[v]
-            # a parallel pair is a 2-cycle: a barred endpoint forces the other
+            deg = degs[v]
+            # a parallel pair is a 2-cycle: a barred endpoint forces the
+            # other; with every multiplicity 1 there is no pair to scan
             forced = None
-            for u, mult in nbrs.items():
-                if mult >= 2:
-                    if v in forbidden and u in forbidden:
-                        return None
-                    if u in forbidden:
-                        forced = v
-                        break
-                    if v in forbidden:
-                        forced = u
-                        break
+            if deg != len(nbrs):
+                for u, mult in nbrs.items():
+                    if mult >= 2:
+                        if v in forbidden and u in forbidden:
+                            return None
+                        if u in forbidden:
+                            forced = v
+                            break
+                        if v in forbidden:
+                            forced = u
+                            break
             if forced is not None:
                 chosen.append(forced)
                 mg.remove_vertex(forced)
                 changed = True
                 continue
-            deg = degs[v]
             if deg <= 1:
                 mg.remove_vertex(v)
                 changed = True
@@ -380,17 +395,6 @@ def _lower_bound(mg: Multigraph, live, target: int) -> int:
     return max(best, (covered + 1) // 2)
 
 
-def _restrict(mg: Multigraph, comp) -> Multigraph:
-    """The subgraph on comp, a union of components of mg."""
-    keep = set(comp)
-    out = Multigraph(0)
-    out.adj = [dict(mg.adj[v]) if v in keep else {} for v in range(len(mg.adj))]
-    out.alive = [v in keep for v in range(len(mg.alive))]
-    out.deg = [d if v in keep else 0 for v, d in enumerate(mg.deg)]
-    out.size = sum(out.deg) // 2
-    return out
-
-
 def _branch_vertex(mg: Multigraph, candidates):
     multi = [v for v in candidates if any(m >= 2 for m in mg.adj[v].values())]
     pool = multi or candidates
@@ -400,20 +404,26 @@ def _branch_vertex(mg: Multigraph, candidates):
 
 def _grow_clique(mg: Multigraph, v, used=(), avoid=()) -> list:
     """Greedy maximal clique through v, preferring well-connected
-    extensions and avoiding the vertices in used and in avoid."""
-    adj = mg.adj
+    extensions and avoiding the vertices in used and in avoid.  A
+    candidate's score is the number of other candidates it is adjacent
+    to, the popcount of its neighbour bitmask and the candidates' mask;
+    the first candidate with the top score is taken."""
+    adj, bits = mg.adj, mg.bits
     cand = [u for u in adj[v] if u not in used and u not in avoid]
+    cand_mask = 0
+    for u in cand:
+        cand_mask |= 1 << u
     clique = [v]
     while len(cand) >= 2:
-        cand_set = set(cand)
         best_u = None
         best_score = -1
         for u in cand:
-            score = len(cand_set & adj[u].keys())
+            score = (cand_mask & bits[u]).bit_count()
             if score > best_score:
                 best_u, best_score = u, score
         clique.append(best_u)
         cand = [u for u in cand if u != best_u and u in adj[best_u]]
+        cand_mask &= bits[best_u]
     return clique + cand
 
 
@@ -436,14 +446,14 @@ def _search(mg: Multigraph, live, chosen, forbidden, best, ticker):
             # solved on its own; no witness means none fits the allowance
             # or the forbidden set blocks every solution
             sub = _Best(min(len(comp) + 1, best.tau - len(chosen)), None)
-            _search(_restrict(mg, comp), comp, [], forbidden, sub, ticker)
+            _search(mg.restrict(comp), comp, [], forbidden, sub, ticker)
             if sub.witness is None:
                 return
             chosen.extend(sub.witness)
             if len(chosen) >= best.tau:
                 return
         live = comps[-1]
-        mg = _restrict(mg, live)
+        mg = mg.restrict(live)
     bound = len(chosen) + _lower_bound(mg, live, best.tau - len(chosen))
     if bound >= best.tau:
         return

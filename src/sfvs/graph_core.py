@@ -24,7 +24,8 @@ compose the lists; build_graph maps arbitrary label pairs into them and
 deduplicates them.
 The int-indexed Multigraph at the bottom, the exact solver's scratch
 structure, is read straight off the neighbour tuples, holds parallel
-edges but never a loop, and is deliberately mutable.
+edges but never a loop, keeps an int neighbour bitmask per vertex beside
+its multiplicities, and is deliberately mutable.
 """
 
 from __future__ import annotations
@@ -388,15 +389,20 @@ class Multigraph:
     adj[v] maps neighbor -> multiplicity; the graph holds parallel edges
     but never a loop.  Vertices are never removed from the list, only
     marked dead in alive.  deg[v] and size (the edge count) are kept
-    current by add_edge and remove_vertex.
+    current by add_edge and remove_vertex, and so is bits[v], the int
+    bitmask of v's neighbours (0 at a dead vertex), which lets the
+    solver count common neighbours with one and.  copy() duplicates all
+    of them, and restrict(comp) keeps those of comp, a union of
+    components, with every other vertex dead.
     """
 
-    __slots__ = ("adj", "alive", "deg", "size")
+    __slots__ = ("adj", "alive", "deg", "bits", "size")
 
     def __init__(self, n: int):
         self.adj = [dict() for _ in range(n)]
         self.alive = [True] * n
         self.deg = [0] * n
+        self.bits = [0] * n
         self.size = 0
 
     @classmethod
@@ -407,6 +413,7 @@ class Multigraph:
         mg.adj = [dict.fromkeys(nbrs, 1) for nbrs in g._nbrs]
         mg.alive = [True] * g.order
         mg.deg = list(map(len, g._nbrs))
+        mg.bits = [sum(1 << u for u in nbrs) for nbrs in g._nbrs]
         mg.size = g.size
         return mg, g.vertices()
 
@@ -417,17 +424,22 @@ class Multigraph:
         self.adj[v][u] = self.adj[v].get(u, 0) + mult
         self.deg[u] += mult
         self.deg[v] += mult
+        self.bits[u] |= 1 << v
+        self.bits[v] |= 1 << u
         self.size += mult
 
     def remove_vertex(self, v: int):
-        adj, deg = self.adj, self.deg
+        adj, deg, bits = self.adj, self.deg, self.bits
         nbrs = adj[v]
         self.size -= deg[v]
+        clear = ~(1 << v)
         for u, mult in nbrs.items():
             del adj[u][v]
             deg[u] -= mult
+            bits[u] &= clear
         nbrs.clear()
         deg[v] = 0
+        bits[v] = 0
         self.alive[v] = False
 
     def degree(self, v: int) -> int:
@@ -441,5 +453,22 @@ class Multigraph:
         out.adj = list(map(dict.copy, self.adj))
         out.alive = list(self.alive)
         out.deg = list(self.deg)
+        out.bits = list(self.bits)
         out.size = self.size
+        return out
+
+    def restrict(self, comp) -> "Multigraph":
+        """The subgraph on comp, a union of components; every other
+        vertex is dead in it."""
+        n = len(self.adj)
+        out = Multigraph(n)
+        out.alive = [False] * n
+        size = 0
+        for v in comp:
+            out.adj[v] = self.adj[v].copy()
+            out.alive[v] = True
+            size += self.deg[v]
+            out.deg[v] = self.deg[v]
+            out.bits[v] = self.bits[v]
+        out.size = size // 2
         return out

@@ -149,6 +149,20 @@ def test_bruteforce_matches_reference_on_random_graphs(reference_bruteforce):
         assert tau_bruteforce(g) == reference_bruteforce(g)
 
 
+@pytest.mark.parametrize(
+    "family,builder",
+    [("s", sierpinski), ("plus", sierpinski_plus), ("pp", sierpinski_plusplus), ("hat", triangle)],
+)
+def test_bruteforce_matches_reference_on_families(reference_bruteforce, family, builder):
+    # dense instances, where the degree-sum test rejects most deletion
+    # sets before their union-find
+    for p in range(2, 17):
+        for n in range(0 if family in ("s", "hat") else 1, 5):
+            if expected_order(family, p, n) <= 16:
+                g = builder(p, n)
+                assert tau_bruteforce(g) == reference_bruteforce(g), (p, n)
+
+
 def test_bruteforce_closes_dense_graphs_at_its_cap():
     # no induced forest of 3 vertices settles K_22 after about 3,500
     # subsets; deletion sets alone took most of a minute

@@ -1,10 +1,10 @@
+import itertools
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sfvs.exact_fvs import _restrict
 from sfvs.generators import expected_order
 from sfvs.graph_core import (
     GraphError,
@@ -251,7 +251,13 @@ def _recount(mg):
 
 
 def _snapshot(mg):
-    return [dict(d) for d in mg.adj], list(mg.alive), list(mg.deg), mg.size
+    return [dict(d) for d in mg.adj], list(mg.alive), list(mg.deg), list(mg.bits), mg.size
+
+
+def assert_masks_current(mg):
+    # bits[v] is the mask of adj[v]'s keys, and a dead vertex reads 0
+    assert mg.bits == [sum(1 << u for u in nbrs) for nbrs in mg.adj]
+    assert all(mg.bits[v] == 0 for v, alive in enumerate(mg.alive) if not alive)
 
 
 def assert_counts_current(mg):
@@ -259,6 +265,7 @@ def assert_counts_current(mg):
     assert mg.deg == deg
     assert [mg.degree(v) for v in range(len(deg))] == deg
     assert mg.size == size
+    assert_masks_current(mg)
 
 
 _MULTIGRAPH_STEPS = st.lists(
@@ -298,7 +305,7 @@ def test_multigraph_counts_stay_current(n, steps):
             comps = [sorted(c) for c in _components(mg.adj, live, mg.alive)]
             comp = comps[a % len(comps)]
             before = _snapshot(mg)
-            sub = _restrict(mg, comp)
+            sub = mg.restrict(comp)
             assert _snapshot(mg) == before
             assert sub.live_vertices() == comp
             assert sub.adj == [mg.adj[x] if x in comp else {} for x in range(n)]
@@ -320,6 +327,41 @@ def _random_multigraph(rng, n):
     return mg
 
 
+def test_multigraph_masks_stay_current():
+    # a random history of new and parallel edges and removals, from an
+    # empty graph and from a labeled one, with copies and restrictions
+    rng = random.Random(18)
+    for trial in range(200):
+        n = rng.randint(2, 24)
+        if trial % 2:
+            mg = Multigraph(n)
+        else:
+            pairs = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3]
+            mg, _ = Multigraph.from_labeled(build_graph(range(n), pairs))
+        assert_masks_current(mg)
+        for _ in range(3 * n):
+            live = mg.live_vertices()
+            if len(live) < 2:
+                break
+            u = rng.choice(live)
+            step = rng.random()
+            if step < 0.15:
+                mg.remove_vertex(u)
+            elif step < 0.45 and mg.adj[u]:
+                mg.add_edge(u, rng.choice(list(mg.adj[u])), rng.randint(1, 2))
+            elif step < 0.85:
+                mg.add_edge(u, rng.choice([v for v in live if v != u]))
+            elif step < 0.92:
+                clone = mg.copy()
+                assert_masks_current(clone)
+                clone.remove_vertex(u)
+                assert_masks_current(clone)
+            else:
+                comps = [sorted(c) for c in _components(mg.adj, live, mg.alive)]
+                mg = mg.restrict(rng.choice(comps))
+            assert_masks_current(mg)
+
+
 def test_multigraph_components_match_the_reference(reference_multigraph_components):
     # the solver's split runs the graph core's search over adj and alive
     rng = random.Random(16)
@@ -330,7 +372,7 @@ def test_multigraph_components_match_the_reference(reference_multigraph_componen
         assert comps == reference_multigraph_components(mg, live)
         union = sorted(x for c in comps[::2] for x in c)
         for part in (comps[0], comps[-1], union):
-            sub = _restrict(mg, part)
+            sub = mg.restrict(part)
             got = [sorted(c) for c in _components(sub.adj, part, sub.alive)]
             assert got == reference_multigraph_components(sub, sub.live_vertices())
             assert sorted(x for c in got for x in c) == part

@@ -463,12 +463,10 @@ class Multigraph:
         n = len(self.adj)
         out = Multigraph(n)
         out.alive = [False] * n
-        size = 0
         for v in comp:
             out.adj[v] = self.adj[v].copy()
             out.alive[v] = True
-            size += self.deg[v]
             out.deg[v] = self.deg[v]
             out.bits[v] = self.bits[v]
-        out.size = size // 2
+        out.size = sum(out.deg) // 2
         return out

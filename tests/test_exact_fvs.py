@@ -154,8 +154,8 @@ def test_bruteforce_matches_reference_on_random_graphs(reference_bruteforce):
     [("s", sierpinski), ("plus", sierpinski_plus), ("pp", sierpinski_plusplus), ("hat", triangle)],
 )
 def test_bruteforce_matches_reference_on_families(reference_bruteforce, family, builder):
-    # dense instances, where the degree-sum test rejects most deletion
-    # sets before their union-find
+    # dense instances: the degree-sum test rejects about half of the
+    # deletion sets tried here before their union-find
     for p in range(2, 17):
         for n in range(0 if family in ("s", "hat") else 1, 5):
             if expected_order(family, p, n) <= 16:

@@ -14,7 +14,9 @@ minimum feedback vertex set.  Small alphabet variants for the plus and
 plusplus families are built on top.  The constructions close blocks on
 word ranks (a word read as a base-p number) and format only the ranks
 they keep with addressing.rank_labels; the public closures keep word
-tuples.  Both follow one closure rule, _child_pairs.
+tuples.  Both follow one closure rule, _child_pairs.  The constructions
+build no graph and check nothing: the command line checks each against
+the graph it built.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from .addressing import (
     rank_labels,
     word_labels,
 )
-from .generators import expected_order, sierpinski_plusplus
-from .graph_core import LabeledGraph, _forest_positions
 
 __all__ = [
     "NotPairableError",
@@ -239,16 +239,13 @@ def _copy_seed(p: int) -> tuple:
     return 0, 1
 
 
-def forest_plusplus(p: int, n: int, graph: LabeledGraph | None = None) -> set:
+def forest_plusplus(p: int, n: int) -> set:
     """Maximum induced forest of the extended family: the host forest plus
     a forest of the attached copy.
 
     The copy seed is chosen so that at most one attachment edge lands
     inside the union, and that one (p = 3 only) bridges two components.
-    At p = 2 the union is everything but the host's extreme 0^n.  The
-    union is checked for acyclicity; a graph of the wrong order or a
-    cycle raises GraphError, the cycle as witness.  Pass the prebuilt
-    graph to skip the internal construction.
+    At p = 2 the union is everything but the host's extreme 0^n.
     """
     if p < 2:
         raise ValueError(f"need at least 2 symbols, got {p}")
@@ -257,12 +254,8 @@ def forest_plusplus(p: int, n: int, graph: LabeledGraph | None = None) -> set:
     if p == 2:
         union = set(word_labels(p, n)) | set(copy_labels(p, n - 1))
         union.remove(format_word((0,) * n, p))
-    elif n < 2:
+        return union
+    if n < 2:
         raise ValueError("no level-1 construction: the copy collapses to a point")
-    else:
-        host = forest_sierpinski(p, n)
-        copy_ranks = _closed_ranks(*_copy_seed(p), p, n - 1)
-        union = host.union(rank_labels(p, n - 1, copy_ranks, copy=True))
-    g = sierpinski_plusplus(p, n) if graph is None else graph
-    _forest_positions(g, union, expected_order("pp", p, n))
-    return union
+    copy_ranks = _closed_ranks(*_copy_seed(p), p, n - 1)
+    return forest_sierpinski(p, n).union(rank_labels(p, n - 1, copy_ranks, copy=True))

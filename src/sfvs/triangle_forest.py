@@ -169,7 +169,8 @@ def _checked_forest(p: int, n: int, graph: LabeledGraph | None):
     """The labels of the large-alphabet linear forest, checked against the
     graph's order, then by a cycle search, then by a count of each kept
     vertex's marked neighbours; any failure raises GraphError.  Also
-    returns the forest's graph indices in ascending order and a bytearray
+    returns the graph checked against (triangle(p, n) when graph is
+    None), the forest's graph indices in ascending order and a bytearray
     marking them."""
     if p < 4:
         raise ValueError(f"need at least 4 symbols, got {p}")
@@ -186,7 +187,7 @@ def _checked_forest(p: int, n: int, graph: LabeledGraph | None):
                 degree += 1
         if degree > 2:
             raise GraphError(f"construction is not a linear forest at {g._labels[u]!r}")
-    return labels, keep, mark
+    return labels, g, keep, mark
 
 
 def forest_triangle(p: int, n: int, graph: LabeledGraph | None = None) -> set:
@@ -236,13 +237,11 @@ def structure_report(
     p: int, n: int, graph: LabeledGraph | None = None
 ) -> StructureReport:
     """Decompose the constructed forest into components and compare with
-    the predicted multiset of path orders.  Collects problems instead of
-    raising, so a report is always produced."""
-    g = triangle(p, n) if graph is None else graph
-    try:
-        labels, keep, mark = _checked_forest(p, n, g)
-    except ValueError as exc:
-        return StructureReport(p, n, 0, (), (), (str(exc),))
+    the predicted multiset of path orders and the recurrence.  The forest
+    is checked as forest_triangle checks it, and a failed check raises
+    the same GraphError (or ValueError outside p >= 4, n >= 2); problems
+    holds only the structure findings."""
+    labels, g, keep, mark = _checked_forest(p, n, graph)
     # acyclic with every induced degree at most 2: each component is a path
     actual = Counter(map(len, _components(g._nbrs, keep, mark)))
     problems = []

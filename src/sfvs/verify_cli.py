@@ -60,7 +60,6 @@ from .triangle_forest import (
 __all__ = [
     "SCHEMA_VERSION",
     "SUITES",
-    "VerificationError",
     "VerificationReport",
     "main",
     "render_json",
@@ -79,17 +78,6 @@ _BUILDERS = {
     "hat": triangle,
 }
 _GLYPH = {"match": "✓", "bound-only": "∙", "mismatch": "✗"}
-
-
-class VerificationError(RuntimeError):
-    """A construction failed its certificate; carries a witness cycle."""
-
-    def __init__(self, message: str, cycle=None):
-        super().__init__(message)
-        self.cycle = list(cycle) if cycle else []
-
-    def __reduce__(self):
-        return (type(self), (self.args[0], self.cycle))
 
 
 @dataclass(frozen=True)
@@ -149,13 +137,13 @@ def _forest(family, p, n, g):
     """The construction-backed induced forest of a family instance, as a
     set of labels of its graph g, checked once against g.  Raises
     ValueError where the instance has no construction, and GraphError on
-    a cycle."""
+    a graph of the wrong order or a cycle."""
     if family == "s":
         forest = forest_sierpinski(p, n)
     elif family == "plus":
         forest = forest_plus(p, n)
     elif family == "pp":
-        return forest_plusplus(p, n, graph=g)  # checked against g too
+        forest = forest_plusplus(p, n)
     elif p == 2:
         forest = set(g.vertices())
     elif p == 3:
@@ -192,10 +180,6 @@ def _tau_rows(suite, family, p, n, exact, budget):
 
 def _linear_forest_rows(suite, family, p, n, exact, budget):
     rep = structure_report(p, n, graph=triangle(p, n))
-    if not rep.total:
-        # the report of a construction that failed its checks holds only
-        # that failure
-        raise VerificationError(f"hat p={p} n={n}: {rep.problems[0]}")
     closed = forest_order_bound(p, n)
     recurrence = forest_order_recurrence(p, n)
     rows = [
@@ -281,9 +265,8 @@ def run_suite(suite, ps, ns, exact=False, budget=None, jobs=1):
 
     Rows come back sorted by (p, n, family); at most min(jobs, instances,
     CPUs) worker processes run.  Raises ValueError for unusable parameters
-    before any build, GraphError when a construction's forest fails its
-    check, and VerificationError when the thm4.1 structure report holds a
-    failed check.
+    before any build, and GraphError when a construction's forest fails
+    its check.
     """
     if suite not in _SUITE_TABLE:
         raise ValueError(f"unknown suite {suite!r}")
@@ -532,7 +515,7 @@ def main(argv=None) -> int:
         if "family" in args:  # generate, forest and tau build one instance
             _check_order(args.family, args.p, args.n)
         return args.func(args)
-    except (VerificationError, ValueError, GraphError, OSError) as e:
+    except (ValueError, GraphError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from sfvs import pairable_forest
+from sfvs import generators, verify_cli
 from sfvs.generators import sierpinski, sierpinski_plus, sierpinski_plusplus
 from sfvs.graph_core import GraphError, build_graph, find_cycle, is_forest
 from sfvs.pairable_forest import (
@@ -196,15 +196,16 @@ def test_extra_copy_forest_two_symbols_is_checked(monkeypatch):
         return real(g, keep, mark)
 
     monkeypatch.setattr(graph_core, "_cycle", spy)
-    forest = forest_plusplus(2, 3)
+    g = sierpinski_plusplus(2, 3)
+    forest = verify_cli._forest("pp", 2, 3, g)
+    assert forest == forest_plusplus(2, 3)
     assert calls == [len(forest)]
     with pytest.raises(GraphError, match="graph has order 6, expected 12"):
-        forest_plusplus(2, 3, graph=sierpinski_plusplus(2, 2))
-    g = sierpinski_plusplus(2, 3)
+        verify_cli._forest("pp", 2, 3, sierpinski_plusplus(2, 2))
     a, b, c = sorted(forest)[:3]
     cyclic = build_graph(g.vertices(), g.edges() + [(a, b), (b, c), (a, c)])
     with pytest.raises(GraphError, match="construction induced a cycle"):
-        forest_plusplus(2, 3, graph=cyclic)
+        verify_cli._forest("pp", 2, 3, cyclic)
 
 
 def test_extra_copy_forest_rejects_level_one():
@@ -213,6 +214,7 @@ def test_extra_copy_forest_rejects_level_one():
 
 
 def test_extra_copy_forest_uses_a_given_graph(monkeypatch):
+    # the construction builds no graph: the check runs on the one given
     g = sierpinski_plusplus(4, 3)
     builds = []
 
@@ -220,16 +222,17 @@ def test_extra_copy_forest_uses_a_given_graph(monkeypatch):
         builds.append((p, n))
         return sierpinski_plusplus(p, n)
 
-    monkeypatch.setattr(pairable_forest, "sierpinski_plusplus", spy)
-    assert forest_plusplus(4, 3, graph=g) == forest_plusplus(4, 3)
-    assert builds == [(4, 3)]
-    with pytest.raises(ValueError, match="graph has order 20, expected 80"):
-        forest_plusplus(4, 3, graph=sierpinski_plusplus(4, 2))
+    monkeypatch.setattr(generators, "sierpinski_plusplus", spy)
+    monkeypatch.setitem(verify_cli._BUILDERS, "pp", spy)
+    assert verify_cli._forest("pp", 4, 3, g) == forest_plusplus(4, 3)
+    assert builds == []
+    with pytest.raises(GraphError, match="graph has order 20, expected 80"):
+        verify_cli._forest("pp", 4, 3, sierpinski_plusplus(4, 2))
 
 
 def test_extra_copy_forest_still_checks_acyclicity():
     # two extra edges close the triangle 01, 02, 3:0 inside the forest
     g = sierpinski_plusplus(3, 2)
     host = build_graph(g.vertices(), g.edges() + [("01", "3:0"), ("02", "3:0")])
-    with pytest.raises(ValueError, match="construction induced a cycle"):
-        forest_plusplus(3, 2, graph=host)
+    with pytest.raises(GraphError, match="construction induced a cycle"):
+        verify_cli._forest("pp", 3, 2, host)

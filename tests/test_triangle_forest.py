@@ -3,7 +3,7 @@
 import pytest
 
 from sfvs.generators import expected_order, triangle
-from sfvs.graph_core import find_cycle
+from sfvs.graph_core import GraphError, find_cycle
 from sfvs.triangle_forest import (
     conjecture_gap,
     corner_path_base,
@@ -214,10 +214,8 @@ def test_structure_report_total_matches_recurrence():
 
 
 def test_structure_report_survives_bad_input():
-    rep = structure_report(4, 3, graph=triangle(4, 2))
-    assert not rep.ok
-    assert rep.total == 0
-    assert rep.problems
+    with pytest.raises(GraphError, match="^graph has order 34, expected 130$"):
+        structure_report(4, 3, graph=triangle(4, 2))
 
 
 # gap reports

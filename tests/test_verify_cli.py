@@ -1,17 +1,16 @@
 """Tests for the verification suites and the command line front end."""
 
 import json
-import pickle
 
 import pytest
 
 from sfvs import verify_cli
 from sfvs.addressing import FAMILIES
 from sfvs.generators import sierpinski, sierpinski_plus
+from sfvs.graph_core import GraphError
 from sfvs.verify_cli import (
     SCHEMA_VERSION,
     SUITES,
-    VerificationError,
     VerificationReport,
     _parse_values,
     main,
@@ -266,6 +265,24 @@ def test_suite_list_is_stable():
     )
 
 
+def test_every_exported_name_resolves():
+    # a public name deleted from a module must leave every __all__ too
+    import importlib
+    import pkgutil
+
+    import sfvs
+
+    modules = [sfvs] + [
+        importlib.import_module(f"sfvs.{info.name}")
+        for info in pkgutil.iter_modules(sfvs.__path__)
+        if info.name != "__main__"  # importing it runs the command line
+    ]
+    assert len(modules) >= 8
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__
+
+
 # rendering
 
 
@@ -355,12 +372,35 @@ def test_parse_values_refuses_unbounded_ranges(capsys):
 # errors
 
 
-def test_verification_error_pickles():
-    err = VerificationError("broken", cycle=["a", "b", "c", "a"])
-    clone = pickle.loads(pickle.dumps(err))
-    assert isinstance(clone, VerificationError)
-    assert clone.cycle == ["a", "b", "c", "a"]
-    assert "broken" in str(clone)
+@pytest.fixture
+def cyclic_linear_forest(monkeypatch):
+    """Put back into the hat linear forest the top vertex joining corners
+    0 and 2, which the construction removes to break the corner-to-corner
+    cycle."""
+    from sfvs import triangle_forest
+    from sfvs.addressing import hat_labels
+
+    real = triangle_forest._linear_forest
+    monkeypatch.setattr(
+        triangle_forest,
+        "_linear_forest",
+        lambda p, n: real(p, n) | {hat_labels(p, n).index(":{0,2}")},
+    )
+
+
+def assert_one_line_cycle_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: construction induced a cycle: [")
+    assert captured.err.count("\n") == 1
+
+
+def test_worker_failure_ends_in_one_line(cyclic_linear_forest, capsys):
+    # forked workers inherit the broken construction; the GraphError one
+    # of them raises comes back through the pool
+    argv = ["verify", "--suite", "thm4.1", "-p", "4:5", "-n", "3", "--jobs", "2"]
+    assert main(argv) == 2
+    assert_one_line_cycle_error(capsys)
 
 
 # command line
@@ -574,8 +614,6 @@ def test_cli_verify_rejects_bad_grid(capsys):
 
 
 def test_cor28_rows_build_each_pp_graph_once(monkeypatch):
-    from sfvs import pairable_forest
-
     builds = []
     real = verify_cli._BUILDERS["pp"]
 
@@ -584,7 +622,6 @@ def test_cor28_rows_build_each_pp_graph_once(monkeypatch):
         return real(p, n)
 
     monkeypatch.setitem(verify_cli._BUILDERS, "pp", spy)
-    monkeypatch.setattr(pairable_forest, "sierpinski_plusplus", spy)
     rows = run_suite("cor2.8", [3, 4], [2, 3])
     assert [r.status for r in rows] == ["match"] * 4
     assert sorted(builds) == [(3, 2), (3, 3), (4, 2), (4, 3)]
@@ -606,43 +643,22 @@ def test_thm41_rows_build_each_hat_forest_once(monkeypatch):
     assert sorted(builds) == [(4, 3), (5, 3)]
 
 
-def test_thm41_rejects_a_forest_with_a_cycle(monkeypatch, capsys):
-    from sfvs import triangle_forest
-    from sfvs.addressing import hat_labels
-
-    # the top vertex joining corners 0 and 2 is what the construction
-    # removes to break the corner-to-corner cycle; put it back
-    real = triangle_forest._linear_forest
-    monkeypatch.setattr(
-        triangle_forest,
-        "_linear_forest",
-        lambda p, n: real(p, n) | {hat_labels(p, n).index(":{0,2}")},
-    )
-    with pytest.raises(VerificationError, match="construction induced a cycle"):
+def test_thm41_rejects_a_forest_with_a_cycle(cyclic_linear_forest, capsys):
+    with pytest.raises(GraphError, match="^construction induced a cycle: \\["):
         run_suite("thm4.1", [4], [3])
     assert main(["verify", "--suite", "thm4.1", "-p", "4", "-n", "3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: hat p=4 n=3: construction induced a cycle: [")
+    assert_one_line_cycle_error(capsys)
 
 
-def test_cli_tau_fails_on_a_broken_construction(monkeypatch, capsys):
-    from sfvs import triangle_forest
-    from sfvs.addressing import hat_labels
+def test_cli_forest_structure_fails_on_a_broken_construction(cyclic_linear_forest, capsys):
+    assert main(["forest", "--family", "hat", "-p", "4", "-n", "3", "--structure"]) == 2
+    assert_one_line_cycle_error(capsys)
 
-    # put back the top vertex the construction removes to break a cycle:
+
+def test_cli_tau_fails_on_a_broken_construction(cyclic_linear_forest, capsys):
     # the seeded search must not drop the seed and go on unseeded
-    real = triangle_forest._linear_forest
-    monkeypatch.setattr(
-        triangle_forest,
-        "_linear_forest",
-        lambda p, n: real(p, n) | {hat_labels(p, n).index(":{0,2}")},
-    )
     assert main(["tau", "--family", "hat", "-p", "4", "-n", "2", "--budget", "50"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: construction induced a cycle: [")
-    assert captured.err.count("\n") == 1
+    assert_one_line_cycle_error(capsys)
 
 
 # each broken construction leaves every vertex of its graph in the forest,
@@ -664,10 +680,7 @@ def test_cli_fails_on_a_construction_that_closes_a_cycle(monkeypatch, capsys, fa
     else:
         argv = [verb, "--family", family, "-p", "3", "-n", "2"]
     assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: construction induced a cycle: [")
-    assert captured.err.count("\n") == 1
+    assert_one_line_cycle_error(capsys)
 
 
 def test_cli_tau_searches_unseeded_without_a_construction(monkeypatch, capsys):

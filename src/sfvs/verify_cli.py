@@ -23,14 +23,12 @@ certificate or the parameters were unusable.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable
 from dataclasses import asdict, astuple, dataclass, replace
-from typing import Callable
 
 from .addressing import FAMILIES
 from .exact_fvs import resolve_budget, tau_bnb, tau_bruteforce
@@ -264,7 +262,8 @@ def run_suite(suite, ps, ns, exact=False, budget=None, jobs=1):
     """Run one verification suite over the (p, n) grid.
 
     Rows come back sorted by (p, n, family); at most min(jobs, instances,
-    CPUs) worker processes run.  Raises ValueError for unusable parameters
+    CPUs) worker processes run, and the process pool's modules are loaded
+    only when more than one does.  Raises ValueError for unusable parameters
     before any build, and GraphError when a construction's forest fails
     its check.
     """
@@ -287,6 +286,8 @@ def run_suite(suite, ps, ns, exact=False, budget=None, jobs=1):
     tasks = [(suite, FAMILIES[f], p, n, exact, budget) for p, n, f in sorted(instances)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_instance, tasks))
     else:
@@ -448,6 +449,8 @@ def _cmd_report(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="sfvs",
         description="Generate self-similar graph families, build their "

@@ -1,9 +1,13 @@
 """Tests for the verification suites and the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sfvs
 from sfvs import verify_cli
 from sfvs.addressing import FAMILIES
 from sfvs.generators import sierpinski, sierpinski_plus
@@ -126,10 +130,49 @@ def test_parallel_runs_match_serial():
     assert strip_runtime(serial) == strip_runtime(parallel)
 
 
+# A bare interpreter (-S: no site, so nothing preloaded) imports the package,
+# checks what the import added, then runs a suite serially and on the pool.
+_IMPORT_PROBE = """
+import json, sys
+from dataclasses import replace
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import sfvs
+added = set(sys.modules) - before
+heavy = ("concurrent.futures", "multiprocessing", "argparse", "typing")
+serial = sfvs.run_suite("counts", [3], [1])
+pooled = sfvs.run_suite("counts", [3], [1], jobs=2)
+print(json.dumps({
+    "loaded": sorted(m for m in heavy if m in added),
+    "same_rows": [replace(r, runtime_ms=0) for r in serial]
+    == [replace(r, runtime_ms=0) for r in pooled],
+    "pool_loaded": "concurrent.futures.process" in sys.modules,
+}))
+"""
+
+
+def test_import_loads_no_pool_parser_or_typing():
+    src = os.path.dirname(os.path.dirname(sfvs.__file__))
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", _IMPORT_PROBE, src],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    probe = json.loads(child.stdout)
+    assert probe["loaded"] == []
+    assert probe["same_rows"]
+    # the pool's modules load exactly when more than one worker runs
+    assert probe["pool_loaded"] == ((os.cpu_count() or 1) > 1)
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Stand in for the worker pool on a 4-CPU machine: record each pool's
-    max_workers and map in this process, so no process is started."""
+    max_workers and map in this process, so no process is started.
+    `run_suite` imports the pool class only when it needs one, so the
+    stand-in replaces it in `concurrent.futures` itself."""
     sizes = []
 
     class SerialPool:
@@ -145,7 +188,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(verify_cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(verify_cli.os, "cpu_count", lambda: 4)
     return sizes
 

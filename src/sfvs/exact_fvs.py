@@ -149,16 +149,18 @@ def tau_bruteforce(g: LabeledGraph, cap: int = 22) -> FvsCertificate:
             parent[ru] = rv
         return True
 
-    def forest_of(size, kept=(), start=0) -> bool:
-        # some set of size vertices induces a forest: kept grows in index
-        # order and is dropped as soon as it holds a cycle
-        if len(kept) == size:
-            return True
-        return any(
-            acyclic_without(everyone.difference(kept + (v,)))
-            and forest_of(size, kept + (v,), v + 1)
-            for v in range(start, n - size + len(kept) + 1)
-        )
+    def forest_of(size) -> bool:
+        # some set of size vertices induces a forest: depth first over sets
+        # grown in index order, each dropped as soon as it holds a cycle; a
+        # stack, not a call to itself, so no reference cycle is left behind
+        stack = [(v,) for v in range(n - size, -1, -1)]
+        while stack:
+            kept = stack.pop()
+            if acyclic_without(everyone.difference(kept)):
+                if len(kept) == size:
+                    return True
+                stack.extend(kept + (v,) for v in range(n - size + len(kept), kept[-1], -1))
+        return False
 
     # lo <= tau <= hi: every deletion set of size < lo leaves a cycle, and
     # a forest of n - hi vertices exists, as any two vertices are one

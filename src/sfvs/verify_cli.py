@@ -28,7 +28,7 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from .addressing import FAMILIES
 from .exact_fvs import resolve_budget, tau_bnb, tau_bruteforce
@@ -76,10 +76,16 @@ _BUILDERS = {
     "hat": triangle,
 }
 _GLYPH = {"match": "✓", "bound-only": "∙", "mismatch": "✗"}
+# one flat report row in the C encoder, its fields at the depth indent=2 gives them
+_ROW_JSON = json.JSONEncoder(separators=(",\n      ", ": ")).encode
 
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """One checked claim: suite, family, p, n, check, the predicted, constructed
+    and exact values (None where absent), status, and runtime_ms, the run time
+    in milliseconds of the whole instance, which all rows of one instance share."""
+
     suite: str
     family: str
     p: int
@@ -103,18 +109,9 @@ def _status(predicted, constructed, exact, want_exact: bool) -> str:
 
 
 def _row(suite, family, p, n, check, predicted, constructed, exact, want_exact):
-    return VerificationReport(
-        suite,
-        family,
-        p,
-        n,
-        check,
-        predicted,
-        constructed,
-        exact,
-        _status(predicted, constructed, exact, want_exact),
-        0,
-    )
+    """A report row's fields up to its status; _run_instance adds runtime_ms."""
+    status = _status(predicted, constructed, exact, want_exact)
+    return (suite, family, p, n, check, predicted, constructed, exact, status)
 
 
 def _check_order(family, p, n):
@@ -187,12 +184,7 @@ def _linear_forest_rows(suite, family, p, n, exact, budget):
     expected_paths = sum(count for _, count in rep.expected_paths)
     actual_paths = sum(count for _, count in rep.actual_paths)
     status = "match" if rep.ok else "mismatch"
-    rows.append(
-        replace(
-            _row(suite, family, p, n, "structure", expected_paths, actual_paths, None, False),
-            status=status,
-        )
-    )
+    rows.append((suite, family, p, n, "structure", expected_paths, actual_paths, None, status))
     return rows
 
 
@@ -255,7 +247,7 @@ def _run_instance(task):
     start = time.perf_counter()
     rows = _SUITE_TABLE[task[0]].rows(*task)
     ms = int((time.perf_counter() - start) * 1000)
-    return [replace(r, runtime_ms=ms) for r in rows]
+    return [VerificationReport(*fields, ms) for fields in rows]
 
 
 def run_suite(suite, ps, ns, exact=False, budget=None, jobs=1):
@@ -296,8 +288,11 @@ def run_suite(suite, ps, ns, exact=False, budget=None, jobs=1):
 
 
 def render_json(reports) -> str:
-    payload = {"schema": SCHEMA_VERSION, "reports": [asdict(r) for r in reports]}
-    return json.dumps(payload, indent=2) + "\n"
+    """The schema-1 report file, byte-stable: json.dumps({"schema": 1, "reports": [asdict(r),
+    ...]}, indent=2) + "\n" exactly, with each row encoded flat by the C encoder."""
+    rows = ",\n    ".join("{\n      " + _ROW_JSON(vars(r))[1:-1] + "\n    }" for r in reports)
+    body = f"[\n    {rows}\n  ]" if rows else "[]"
+    return f'{{\n  "schema": {SCHEMA_VERSION},\n  "reports": {body}\n}}\n'
 
 
 def render_table(reports) -> str:
@@ -307,7 +302,7 @@ def render_table(reports) -> str:
     rows = [header]
     for r in reports:
         # the columns after the glyph are the report fields in order
-        rows.append((_GLYPH[r.status], *("-" if v is None else str(v) for v in astuple(r))))
+        rows.append((_GLYPH[r.status], *("-" if v is None else str(v) for v in vars(r).values())))
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     lines = [
         "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
@@ -433,7 +428,8 @@ def _load_reports(path: str):
             payload = json.load(fh)
     except ValueError as exc:  # not UTF-8 or not JSON
         raise ValueError(f"{path}: not a JSON report file ({exc})") from None
-    if not isinstance(payload, dict) or payload.get("schema") != SCHEMA_VERSION:
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if type(schema) is not int or schema != SCHEMA_VERSION:  # true and 1.0 are not 1
         raise ValueError(f"{path}: expected a schema {SCHEMA_VERSION} report file")
     try:
         reports = [VerificationReport(**entry) for entry in payload["reports"]]

@@ -1,5 +1,6 @@
 """Tests for the exact feedback vertex number solvers."""
 
+import gc
 import itertools
 import random
 from collections import Counter
@@ -171,6 +172,20 @@ def test_bruteforce_closes_dense_graphs_at_its_cap():
     g = sierpinski_plusplus(21, 1)
     cert = tau_bruteforce(g)
     assert cert.tau == 20 and verify_certificate(g, cert)
+
+
+def test_bruteforce_leaves_no_reference_cycle():
+    # K_9 (tau 7) searches the forest side as well as the deletion side;
+    # with the collector off, anything one call leaves in a cycle would
+    # still be there for gc.collect to find
+    g = complete_graph(9)
+    gc.collect()
+    gc.disable()
+    try:
+        assert tau_bruteforce(g).tau == 7
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # certificates

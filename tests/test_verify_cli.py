@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, astuple
 
 import pytest
 
@@ -347,6 +348,66 @@ def test_render_table_glyphs_and_columns():
     assert " - " in text  # missing exact renders as a dash
 
 
+def reference_render_json(reports):
+    payload = {"schema": SCHEMA_VERSION, "reports": [asdict(r) for r in reports]}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def reference_render_table(reports):
+    if not reports:
+        return ""
+    header = ("", "suite", "family", "p", "n", "check", "predicted", "constructed", "exact", "status", "ms")
+    rows = [header]
+    for r in reports:
+        rows.append((verify_cli._GLYPH[r.status], *("-" if v is None else str(v) for v in astuple(r))))
+    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+    lines = [
+        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
+        for row in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+# small grids of every suite, with the solver where the suite can use it
+SUITE_GRIDS = {
+    "counts": ([2, 3], [1, 2], False),
+    "thm2.4": ([2, 3], [1, 2], True),
+    "cor2.7": ([2, 3], [2], True),
+    "cor2.8": ([2, 3], [2], True),
+    "thm3.2": ([3], [0, 1, 2], True),
+    "thm4.1": ([4], [3], False),
+    "conjecture": ([4], [2], False),
+}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_renderers_match_their_references_on_suite_rows(suite):
+    ps, ns, exact = SUITE_GRIDS[suite]
+    rows = run_suite(suite, ps, ns, exact=exact)
+    assert render_json(rows) == reference_render_json(rows)
+    assert render_table(rows) == reference_render_table(rows)
+
+
+# a quote, a backslash, a newline, a Latin-1 letter and a non-BMP character
+ESCAPES = ['say "hi"', "back\\slash", "two\nlines", "café", "clef 𝄞", 'all "\\\né𝄞']
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [sample_report(predicted=None, constructed=None, exact=None, status="bound-only")],
+        [sample_report(check=text) for text in ESCAPES],
+        [sample_report(suite=text, family=text, check=text) for text in ESCAPES],
+        [sample_report(), sample_report(exact=9, p=10, n=0, runtime_ms=12345)],
+    ],
+    ids=["empty", "nulls", "escaped-check", "escaped-strings", "two"],
+)
+def test_renderers_match_their_references(rows):
+    assert render_json(rows) == reference_render_json(rows)
+    assert render_table(rows) == reference_render_table(rows)
+
+
 def test_render_json_round_trip():
     rows = [sample_report()]
     payload = json.loads(render_json(rows))
@@ -578,6 +639,17 @@ def test_cli_verify_json_and_report_round_trip(tmp_path, capsys):
     assert "✓" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_report_json_reproduces_the_saved_file(tmp_path, capsys, jobs):
+    path = tmp_path / "run.json"
+    argv = ["verify", "--suite", "counts", "-p", "2:3", "-n", "1:2", "--jobs", jobs]
+    assert main([*argv, "--format", "json", "--out", str(path)]) == 0
+    assert main(["report", str(path), "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode("utf-8") == path.read_bytes()
+
+
 def test_cli_report_flags_mismatch(tmp_path, capsys):
     bad = sample_report(constructed=10, status="mismatch")
     path = tmp_path / "bad.json"
@@ -591,6 +663,16 @@ def test_cli_report_rejects_wrong_schema(tmp_path, capsys):
     path.write_text(json.dumps({"schema": 99, "reports": []}), encoding="utf-8")
     assert main(["report", str(path)]) == 2
     assert "schema" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("schema", ["true", "1.0"])
+def test_cli_report_rejects_a_schema_that_is_not_the_int_one(tmp_path, capsys, schema):
+    path = tmp_path / "near.json"
+    path.write_text(f'{{"schema": {schema}, "reports": []}}', encoding="utf-8")
+    assert main(["report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: expected a schema 1 report file\n"
 
 
 def test_cli_report_rejects_malformed_entries(tmp_path, capsys):

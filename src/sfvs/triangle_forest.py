@@ -30,13 +30,10 @@ from itertools import combinations
 
 from .addressing import hat_rank_labels
 from .generators import _hat_tables, expected_order, triangle
-from .exact_fvs import tau_bnb
 from .graph_core import GraphError, LabeledGraph, _components, _forest_positions
 
 __all__ = [
-    "GapReport",
     "StructureReport",
-    "conjecture_gap",
     "corner_path_base",
     "forest_order_bound",
     "forest_order_recurrence",
@@ -265,56 +262,3 @@ def structure_report(
         tuple(sorted(actual.items())),
         tuple(problems),
     )
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Conjectured-versus-known summary for one triangle-family instance."""
-
-    p: int
-    n: int
-    order: int
-    forest_lower: int
-    tau_upper: int
-    tau_exact: int | None
-    gap: int | None
-    status: str  # bound-only | confirmed | gap
-
-
-def conjecture_gap(
-    p: int, n: int, solve: bool = False, budget: int | None = None
-) -> GapReport:
-    """Report how the constructed forest bound relates to the exact
-    feedback number, when the exact solver can supply one.
-
-    Without solve (or when the budget runs out) the report carries the
-    bound alone, status "bound-only".  A finished exact run yields
-    "confirmed" on a zero gap and "gap" otherwise.
-    """
-    if p < 4:
-        raise ValueError(f"the open cases start at 4 symbols, got {p}")
-    order = expected_order("hat", p, n)
-    graph = None
-    forest: set | None = None
-    if n <= 1:
-        forest_lower = forest_order_small(p, n)
-    else:
-        graph = triangle(p, n)
-        forest = forest_triangle(p, n, graph=graph)
-        forest_lower = len(forest)
-        if n >= 3:
-            assert forest_lower == forest_order_bound(p, n)
-    tau_upper = order - forest_lower
-    tau_exact = None
-    gap = None
-    status = "bound-only"
-    if solve:
-        if graph is None:
-            graph = triangle(p, n)
-        seed = sorted(set(graph.vertices()) - forest) if forest is not None else None
-        cert = tau_bnb(graph, budget=budget, seed=seed)
-        if cert.optimal:
-            tau_exact = cert.tau
-            gap = tau_upper - tau_exact
-            status = "confirmed" if gap == 0 else "gap"
-    return GapReport(p, n, order, forest_lower, tau_upper, tau_exact, gap, status)

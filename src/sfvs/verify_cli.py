@@ -47,7 +47,6 @@ from .pairable_forest import (
     forest_sierpinski,
 )
 from .triangle_forest import (
-    conjecture_gap,
     forest_order_bound,
     forest_order_recurrence,
     forest_triangle,
@@ -160,21 +159,28 @@ def _counts_rows(suite, family, p, n, exact, budget):
     ]
 
 
-def _tau_rows(suite, family, p, n, exact, budget):
-    """Constructed tau is the order minus the certified forest; an exact
-    solve starts from the forest's complement."""
+def _solved(family, p, n, exact, budget):
+    """A family instance built once, its certified forest and, when exact,
+    its feedback number from a search seeded by the forest's complement
+    (None when the budget runs out): every suite's one build and solve."""
     g = _BUILDERS[family](p, n)
     forest = _forest(family, p, n, g)
-    exact_val = None
+    tau = None
     if exact:
         cert = tau_bnb(g, budget=budget, seed=sorted(set(g.vertices()) - forest))
-        exact_val = cert.tau if cert.optimal else None
+        tau = cert.tau if cert.optimal else None
+    return g, forest, tau
+
+
+def _tau_rows(suite, family, p, n, exact, budget):
+    """Constructed tau is the order minus the certified forest."""
+    g, forest, tau = _solved(family, p, n, exact, budget)
     predicted = _SUITE_TABLE[suite].tau(p, n)
-    return [_row(suite, family, p, n, "tau", predicted, g.order - len(forest), exact_val, exact)]
+    return [_row(suite, family, p, n, "tau", predicted, g.order - len(forest), tau, exact)]
 
 
 def _linear_forest_rows(suite, family, p, n, exact, budget):
-    rep = structure_report(p, n, graph=triangle(p, n))
+    rep = structure_report(p, n, graph=_BUILDERS[family](p, n))
     closed = forest_order_bound(p, n)
     recurrence = forest_order_recurrence(p, n)
     rows = [
@@ -189,12 +195,11 @@ def _linear_forest_rows(suite, family, p, n, exact, budget):
 
 
 def _conjecture_rows(suite, family, p, n, exact, budget):
-    gap = conjecture_gap(p, n, solve=exact, budget=budget)
-    exact_val = None
-    if gap.tau_exact is not None:
-        exact_val = gap.order - gap.tau_exact
+    """The tau rows read from the forest side: f = order - tau."""
+    g, forest, tau = _solved(family, p, n, exact, budget)
     predicted = forest_order_bound(p, n) if n >= 3 else forest_order_recurrence(p, n)
-    return [_row(suite, family, p, n, "forest", predicted, gap.forest_lower, exact_val, True)]
+    exact_val = None if tau is None else g.order - tau
+    return [_row(suite, family, p, n, "forest", predicted, len(forest), exact_val, True)]
 
 
 @dataclass(frozen=True)
@@ -354,7 +359,7 @@ def _cmd_forest(args) -> int:
             raise ValueError("--structure only applies to the hat family")
         if p < 4 or n < 2:
             raise ValueError(f"--structure needs p >= 4 and n >= 2, got ({p},{n})")
-        rep = structure_report(p, n)
+        rep = structure_report(p, n, graph=_BUILDERS[family](p, n))
         payload = {**asdict(rep), "ok": rep.ok}
         _write_out(json.dumps(payload, indent=2) + "\n", args.out)
         return 0 if rep.ok else 1

@@ -27,7 +27,7 @@ from sfvs.pairable_forest import (
     forest_sierpinski,
     pairable_partition,
 )
-from sfvs.triangle_forest import conjecture_gap, fvs_triangle3
+from sfvs.triangle_forest import fvs_triangle3
 from sfvs.verify_cli import _BUILDERS, run_suite
 
 
@@ -278,10 +278,10 @@ def test_criterion_10_open_cases_stay_bounds(capsys):
     for r, want in zip(rows, (65, 124)):
         if r.status != "bound-only" or r.constructed != want or r.exact is not None:
             problems.append(f"({r.p},{r.n}) status={r.status} constructed={r.constructed}")
-    attempt = conjecture_gap(4, 3, solve=True, budget=20_000)
-    if attempt.tau_exact is not None and attempt.tau_exact > attempt.tau_upper:
+    (attempt,) = run_suite("conjecture", [4], [3], exact=True, budget=20_000)
+    if attempt.exact is not None and attempt.exact < attempt.constructed:
         problems.append(
-            f"exact {attempt.tau_exact} exceeds the construction bound {attempt.tau_upper}"
+            f"exact forest {attempt.exact} is below the constructed {attempt.constructed}"
         )
     announce(
         capsys,

@@ -2,10 +2,10 @@
 
 import pytest
 
-from sfvs.generators import expected_order, triangle
+from sfvs.exact_fvs import tau_bnb
+from sfvs.generators import triangle
 from sfvs.graph_core import GraphError, find_cycle
 from sfvs.triangle_forest import (
-    conjecture_gap,
     corner_path_base,
     forest_order_bound,
     forest_order_recurrence,
@@ -72,6 +72,15 @@ def test_triangle3_fvs_rejects_negative_level():
 )
 def test_forest_order_small(p, values):
     assert tuple(forest_order_small(p, n) for n in range(3)) == values
+
+
+@pytest.mark.parametrize("p", [4, 5])
+def test_forest_order_small_is_tight_at_level_one(p):
+    # the exact feedback number leaves no larger induced forest
+    g = triangle(p, 1)
+    cert = tau_bnb(g)
+    assert cert.optimal
+    assert cert.tau == g.order - forest_order_small(p, 1)
 
 
 def test_forest_order_small_rejects():
@@ -216,51 +225,6 @@ def test_structure_report_total_matches_recurrence():
 def test_structure_report_survives_bad_input():
     with pytest.raises(GraphError, match="^graph has order 34, expected 130$"):
         structure_report(4, 3, graph=triangle(4, 2))
-
-
-# gap reports
-
-
-def test_conjecture_gap_bound_only():
-    rep = conjecture_gap(4, 2)
-    assert (rep.order, rep.forest_lower, rep.tau_upper) == (34, 18, 16)
-    assert rep.tau_exact is None
-    assert rep.gap is None
-    assert rep.status == "bound-only"
-
-
-def test_conjecture_gap_small_level():
-    rep = conjecture_gap(5, 1)
-    assert rep.forest_lower == 7
-    assert rep.tau_upper == 8
-    assert rep.status == "bound-only"
-
-
-def test_conjecture_gap_rejects_negative_level():
-    with pytest.raises(ValueError, match="level must be at least 0, got -1"):
-        conjecture_gap(4, -1)
-
-
-@pytest.mark.parametrize("p,n,tau", [(4, 1, 4), (5, 1, 8)])
-def test_conjecture_gap_solved(p, n, tau):
-    rep = conjecture_gap(p, n, solve=True)
-    assert rep.tau_exact == tau
-    assert rep.gap == 0
-    assert rep.status == "confirmed"
-
-
-def test_conjecture_gap_budget_runs_out():
-    # the root bound on hat(4,3) is 64, one short of the construction
-    rep = conjecture_gap(4, 3, solve=True, budget=10)
-    assert rep.tau_exact is None
-    assert rep.status == "bound-only"
-
-
-def test_conjecture_gap_rejects():
-    with pytest.raises(ValueError):
-        conjecture_gap(3, 2)
-    with pytest.raises(ValueError):
-        conjecture_gap(4, -1)
 
 
 def test_forest_checks_never_induce_a_subgraph(monkeypatch):

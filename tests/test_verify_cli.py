@@ -125,6 +125,14 @@ def test_conjecture_suite_with_solver():
         assert row.status == "match"
 
 
+def test_conjecture_suite_budget_runs_out():
+    # the root bound on hat(4,3) is 64, one short of the construction
+    (row,) = run_suite("conjecture", [4], [3], exact=True, budget=10)
+    assert row.constructed == 65
+    assert row.exact is None
+    assert row.status == "bound-only"
+
+
 def test_parallel_runs_match_serial():
     serial = run_suite("counts", [3], [1, 2])
     parallel = run_suite("counts", [3], [1, 2], jobs=2)
@@ -235,8 +243,6 @@ def no_builds(monkeypatch):
 
     for family in FAMILIES:
         monkeypatch.setitem(verify_cli._BUILDERS, family, refuse)
-    for name in ("triangle", "structure_report", "conjecture_gap"):
-        monkeypatch.setattr(verify_cli, name, refuse)
 
 
 @pytest.mark.parametrize("verb", [["generate"], ["forest"], ["forest", "--structure"], ["tau"]])
@@ -490,6 +496,21 @@ def cyclic_linear_forest(monkeypatch):
         "_linear_forest",
         lambda p, n: real(p, n) | {hat_labels(p, n).index(":{0,2}")},
     )
+
+
+@pytest.fixture
+def short_linear_forest(monkeypatch):
+    """Drop the largest index from the hat linear forest: still a linear
+    forest, one vertex short of the closed form."""
+    from sfvs import triangle_forest
+
+    real = triangle_forest._linear_forest
+
+    def short(p, n):
+        level = real(p, n)
+        return level - {max(level)}
+
+    monkeypatch.setattr(triangle_forest, "_linear_forest", short)
 
 
 def assert_one_line_cycle_error(capsys):
@@ -773,6 +794,23 @@ def test_thm41_rejects_a_forest_with_a_cycle(cyclic_linear_forest, capsys):
         run_suite("thm4.1", [4], [3])
     assert main(["verify", "--suite", "thm4.1", "-p", "4", "-n", "3"]) == 2
     assert_one_line_cycle_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "suite,n,check,predicted",
+    [("conjecture", 3, "forest", 65), ("conjecture", 2, "forest", 18), ("thm4.1", 3, "order", 65)],
+)
+def test_a_short_linear_forest_is_a_mismatch_row(short_linear_forest, capsys, suite, n, check, predicted):
+    # a forest one vertex short of its prediction is reported, not raised
+    row = run_suite(suite, [4], [n])[0]
+    assert (row.check, row.predicted, row.constructed, row.status) == (
+        check,
+        predicted,
+        predicted - 1,
+        "mismatch",
+    )
+    assert main(["verify", "--suite", suite, "-p", "4", "-n", str(n)]) == 1
+    assert "✗" in capsys.readouterr().out
 
 
 def test_cli_forest_structure_fails_on_a_broken_construction(cyclic_linear_forest, capsys):

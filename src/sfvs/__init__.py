@@ -1,142 +1,33 @@
 """Self-similar graph families, their maximum induced forests, and an
 exact feedback vertex set solver with verification tooling."""
 
-from .addressing import (
-    APEX_LABEL,
-    EMPTY_WORD_LABEL,
-    FAMILIES,
-    Contracted,
-    Hat,
-    ParseError,
-    Prefixed,
-    format_vertex,
-    format_word,
-    parse_vertex,
-    parse_word,
+from . import (
+    addressing,
+    exact_fvs,
+    generators,
+    graph_core,
+    pairable_forest,
+    triangle_forest,
+    verify_cli,
 )
-from .exact_fvs import (
-    BUDGET_ENV_VAR,
-    DEFAULT_BUDGET,
-    FvsCertificate,
-    resolve_budget,
-    tau_bnb,
-    tau_bruteforce,
-    verify_certificate,
-)
-from .generators import (
-    expected_order,
-    expected_size,
-    nonclique_edges,
-    sierpinski,
-    sierpinski_plus,
-    sierpinski_plusplus,
-    triangle,
-)
-from .graph_core import (
-    GraphError,
-    LabeledGraph,
-    Multigraph,
-    build_graph,
-    contract_edges,
-    export_dot,
-    export_edgelist,
-    find_cycle,
-    import_edgelist,
-    is_forest,
-    relabel,
-)
-from .pairable_forest import (
-    NotPairableError,
-    PairablePartition,
-    closure,
-    closure_block,
-    closure_split,
-    forest_plus,
-    forest_plusplus,
-    forest_sierpinski,
-    fvs_sierpinski,
-    pairable_partition,
-)
-from .triangle_forest import (
-    StructureReport,
-    corner_path_base,
-    forest_order_bound,
-    forest_order_recurrence,
-    forest_order_small,
-    forest_triangle,
-    fvs_triangle3,
-    structure_report,
-    tail_path_base,
-)
-from .verify_cli import (
-    SUITES,
-    VerificationReport,
-    render_json,
-    render_table,
-    run_suite,
-)
+from .addressing import *
+from .exact_fvs import *
+from .generators import *
+from .graph_core import *
+from .pairable_forest import *
+from .triangle_forest import *
+from .verify_cli import *
 
 __version__ = "0.1.0"
 
+# each module's __all__ is the one declaration of its public names
 __all__ = [
-    "APEX_LABEL",
-    "BUDGET_ENV_VAR",
-    "Contracted",
-    "DEFAULT_BUDGET",
-    "EMPTY_WORD_LABEL",
-    "FAMILIES",
-    "FvsCertificate",
-    "GraphError",
-    "Hat",
-    "LabeledGraph",
-    "Multigraph",
-    "NotPairableError",
-    "PairablePartition",
-    "ParseError",
-    "Prefixed",
-    "StructureReport",
-    "SUITES",
-    "VerificationReport",
-    "build_graph",
-    "closure",
-    "closure_block",
-    "closure_split",
-    "contract_edges",
-    "corner_path_base",
-    "expected_order",
-    "expected_size",
-    "export_dot",
-    "export_edgelist",
-    "find_cycle",
-    "forest_order_bound",
-    "forest_order_recurrence",
-    "forest_order_small",
-    "forest_plus",
-    "forest_plusplus",
-    "forest_sierpinski",
-    "forest_triangle",
-    "format_vertex",
-    "format_word",
-    "fvs_sierpinski",
-    "fvs_triangle3",
-    "import_edgelist",
-    "is_forest",
-    "nonclique_edges",
-    "parse_vertex",
-    "parse_word",
-    "pairable_partition",
-    "relabel",
-    "render_json",
-    "render_table",
-    "resolve_budget",
-    "run_suite",
-    "sierpinski",
-    "sierpinski_plus",
-    "sierpinski_plusplus",
-    "structure_report",
-    "tau_bnb",
-    "tau_bruteforce",
-    "triangle",
-    "verify_certificate",
+    *addressing.__all__,
+    *exact_fvs.__all__,
+    *generators.__all__,
+    *graph_core.__all__,
+    *pairable_forest.__all__,
+    *triangle_forest.__all__,
+    *verify_cli.__all__,
     "__version__",
 ]

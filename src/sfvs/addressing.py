@@ -12,6 +12,8 @@ label grammar, with P = {0, ..., p-1}:
   * contracted vertices  "prefix:{i,j}" with i < j, e.g. "0:{1,2}"; the
                          prefix may be empty (":{1,2}")
 
+Symbols are written as ASCII decimals without leading zeros.
+
 parse_vertex(format_vertex(v, p), family, p, n) == v for every valid vertex,
 and malformed labels raise ParseError naming the offending position.
 """
@@ -26,6 +28,7 @@ __all__ = [
     "APEX_LABEL",
     "Contracted",
     "EMPTY_WORD_LABEL",
+    "FAMILIES",
     "Hat",
     "ParseError",
     "Prefixed",
@@ -62,6 +65,12 @@ def word_separator(p: int) -> str:
     return "" if p <= 10 else ","
 
 
+def _is_symbol(text: str) -> bool:
+    """Whether text is a symbol in canonical form: ASCII digits with no
+    leading zero."""
+    return text.isascii() and text.isdigit() and (text[0] != "0" or text == "0")
+
+
 def _check_p(p: int) -> None:
     if p < 1:
         raise ValueError(f"alphabet size must be positive, got {p}")
@@ -85,7 +94,7 @@ def parse_word(text: str, p: int, *, offset: int = 0) -> Word:
     if p <= 10:
         out = []
         for i, ch in enumerate(text):
-            if not ch.isdigit():
+            if not _is_symbol(ch):
                 raise ParseError(f"invalid character {ch!r} in word", offset + i)
             k = int(ch)
             if k >= p:
@@ -95,7 +104,7 @@ def parse_word(text: str, p: int, *, offset: int = 0) -> Word:
     out = []
     pos = 0
     for token in text.split(","):
-        if not token or not token.isdigit():
+        if not _is_symbol(token):
             raise ParseError(f"invalid symbol {token!r} in word", offset + pos)
         k = int(token)
         if k >= p:
@@ -242,7 +251,7 @@ def _parse_pair(text: str, p: int, offset: int) -> tuple:
         raise ParseError("expected ',' inside a symbol pair", offset + 1)
     left, right = body[:comma], body[comma + 1 :]
     for part, at in ((left, offset + 1), (right, offset + 2 + comma)):
-        if not part.isdigit():
+        if not _is_symbol(part):
             raise ParseError(f"invalid symbol {part!r} in pair", at)
     i, j = int(left), int(right)
     if j >= p:
@@ -303,7 +312,7 @@ def parse_vertex(label: str, family: str, p: int, n: int):
     # family == "hat"
     if label.startswith("^"):
         body = label[1:]
-        if not body.isdigit():
+        if not _is_symbol(body):
             raise ParseError("expected a symbol after '^'", 1)
         k = int(body)
         if k >= p:

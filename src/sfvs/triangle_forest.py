@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .addressing import hat_rank_labels
-from .generators import _hat_tables, expected_order, triangle
+from .generators import _hat_tables, expected_order
 from .graph_core import GraphError, LabeledGraph, _components, _forest_positions
 
 __all__ = [
@@ -162,39 +162,36 @@ def forest_order_bound(p: int, n: int) -> int:
     return p**n - num // 8
 
 
-def _checked_forest(p: int, n: int, graph: LabeledGraph | None):
+def _checked_forest(p: int, n: int, graph: LabeledGraph):
     """The labels of the large-alphabet linear forest, checked against the
     graph's order, then by a cycle search, then by a count of each kept
     vertex's marked neighbours; any failure raises GraphError.  Also
-    returns the graph checked against (triangle(p, n) when graph is
-    None), the forest's graph indices in ascending order and a bytearray
+    returns the forest's graph indices in ascending order and a bytearray
     marking them."""
     if p < 4:
         raise ValueError(f"need at least 4 symbols, got {p}")
     if n < 2:
         raise ValueError(f"level must be at least 2, got {n}")
     labels = _labels(_linear_forest(p, n), p, n)
-    g = triangle(p, n) if graph is None else graph
-    keep, mark = _forest_positions(g, labels, expected_order("hat", p, n))
-    nbrs = g._nbrs
+    keep, mark = _forest_positions(graph, labels, expected_order("hat", p, n))
+    nbrs = graph._nbrs
     for u in keep:
         degree = 0
         for v in nbrs[u]:
             if mark[v]:
                 degree += 1
         if degree > 2:
-            raise GraphError(f"construction is not a linear forest at {g._labels[u]!r}")
-    return labels, g, keep, mark
+            raise GraphError(f"construction is not a linear forest at {graph._labels[u]!r}")
+    return labels, keep, mark
 
 
-def forest_triangle(p: int, n: int, graph: LabeledGraph | None = None) -> set:
+def forest_triangle(p: int, n: int, graph: LabeledGraph) -> set:
     """An induced linear forest of the triangle family, as labels.
 
     Size follows forest_order_recurrence (equals forest_order_bound for
-    n >= 3).  The result is verified against the graph: a graph of the
-    wrong order, a cycle or a vertex of induced degree 3 raises
-    GraphError.  Pass the prebuilt graph to skip the internal
-    construction.
+    n >= 3).  The result is verified against graph, the triangle graph
+    triangle(p, n): a graph of the wrong order, a cycle or a vertex of
+    induced degree 3 raises GraphError.
     """
     return _checked_forest(p, n, graph)[0]
 
@@ -230,17 +227,15 @@ def _expected_path_multiset(p: int, n: int) -> Counter:
     return expected
 
 
-def structure_report(
-    p: int, n: int, graph: LabeledGraph | None = None
-) -> StructureReport:
+def structure_report(p: int, n: int, graph: LabeledGraph) -> StructureReport:
     """Decompose the constructed forest into components and compare with
     the predicted multiset of path orders and the recurrence.  The forest
     is checked as forest_triangle checks it, and a failed check raises
     the same GraphError (or ValueError outside p >= 4, n >= 2); problems
     holds only the structure findings."""
-    labels, g, keep, mark = _checked_forest(p, n, graph)
+    labels, keep, mark = _checked_forest(p, n, graph)
     # acyclic with every induced degree at most 2: each component is a path
-    actual = Counter(map(len, _components(g._nbrs, keep, mark)))
+    actual = Counter(map(len, _components(graph._nbrs, keep, mark)))
     problems = []
     expected = _expected_path_multiset(p, n)
     if actual != expected:

@@ -449,7 +449,7 @@ def _cmd_report(args) -> int:
     return _emit(_load_reports(args.path), args)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
     import argparse
 
     parser = argparse.ArgumentParser(

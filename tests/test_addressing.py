@@ -9,6 +9,7 @@ from sfvs.addressing import (
     APEX_LABEL,
     Contracted,
     EMPTY_WORD_LABEL,
+    FAMILIES,
     Hat,
     ParseError,
     Prefixed,
@@ -136,6 +137,15 @@ def test_parse_vertex(label, family, p, n, vertex):
         (":{1;2}", "hat", 3, 2, 2),
         (":{1,2}", "hat", 3, 0, 0),
         ("01", "hat", 3, 2, 0),
+        # digits int() reads that the grammar does not write
+        ("²", "s", 3, 1, 0),
+        ("^²", "hat", 3, 1, 1),
+        (":{1,²}", "hat", 3, 1, 4),
+        ("^٣", "hat", 4, 1, 1),
+        # leading zeros
+        ("^03", "hat", 4, 1, 1),
+        ("0:{01,2}", "hat", 4, 2, 3),
+        ("1,02", "s", 12, 2, 2),
     ],
 )
 def test_parse_vertex_rejects(label, family, p, n, position):
@@ -159,6 +169,27 @@ def test_parse_vertex_rejects_long_contraction_prefix():
 def test_parse_vertex_unknown_family():
     with pytest.raises(ValueError):
         parse_vertex("0", "nope", 3, 1)
+
+
+# symbols canonical and not, and every other character of the grammar
+_LABEL_PIECES = [
+    "0", "1", "2", "3", "4", "01", "02", "10", "11", "²", "٣",
+    ",", ":", "{", "}", "^", "w", EMPTY_WORD_LABEL,
+]
+
+
+@given(
+    st.lists(st.sampled_from(_LABEL_PIECES), max_size=7).map("".join),
+    st.sampled_from(FAMILIES),
+    st.sampled_from([2, 3, 4, 5, 11, 12]),
+    st.integers(0, 3),
+)
+def test_accepted_labels_are_canonical(label, family, p, n):
+    try:
+        vertex = parse_vertex(label, family, p, n)
+    except ParseError:
+        return
+    assert format_vertex(vertex, p) == label
 
 
 def test_prefix_triangle_corner_rules(reference_forests):

@@ -149,7 +149,7 @@ def test_tail_path_rejects():
     ],
 )
 def test_forest_triangle_sizes(p, n, size):
-    assert len(forest_triangle(p, n)) == size
+    assert len(forest_triangle(p, n, graph=triangle(p, n))) == size
 
 
 @pytest.mark.parametrize("p,n", [(4, 3), (5, 3), (6, 2), (7, 2)])
@@ -164,9 +164,9 @@ def test_forest_triangle_is_linear_forest(p, n):
 
 def test_forest_triangle_rejects():
     with pytest.raises(ValueError):
-        forest_triangle(3, 2)
+        forest_triangle(3, 2, graph=triangle(3, 2))
     with pytest.raises(ValueError):
-        forest_triangle(4, 1)
+        forest_triangle(4, 1, graph=triangle(4, 1))
     with pytest.raises(ValueError):
         forest_triangle(4, 3, graph=triangle(4, 2))
 
@@ -208,7 +208,7 @@ def test_forest_order_guards():
     ],
 )
 def test_structure_report_path_multisets(p, n, paths):
-    rep = structure_report(p, n)
+    rep = structure_report(p, n, graph=triangle(p, n))
     assert rep.ok
     assert rep.problems == ()
     assert rep.actual_paths == paths
@@ -217,7 +217,7 @@ def test_structure_report_path_multisets(p, n, paths):
 
 
 def test_structure_report_total_matches_recurrence():
-    rep = structure_report(6, 3)
+    rep = structure_report(6, 3, graph=triangle(6, 3))
     assert rep.ok
     assert rep.total == forest_order_recurrence(6, 3)
 

@@ -315,22 +315,62 @@ def test_suite_list_is_stable():
     )
 
 
-def test_every_exported_name_resolves():
-    # a public name deleted from a module must leave every __all__ too
+def _layers():
+    """Every module of the package."""
     import importlib
     import pkgutil
 
     import sfvs
 
-    modules = [sfvs] + [
+    return [
         importlib.import_module(f"sfvs.{info.name}")
         for info in pkgutil.iter_modules(sfvs.__path__)
         if info.name != "__main__"  # importing it runs the command line
     ]
+
+
+def test_every_exported_name_resolves():
+    # a public name deleted from a module must leave every __all__ too
+    import sfvs
+
+    modules = [sfvs] + _layers()
     assert len(modules) >= 8
     for module in modules:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], module.__name__
+
+
+def test_package_exports_each_module_all():
+    import sfvs
+
+    names = [name for module in _layers() for name in module.__all__]
+    assert sorted(sfvs.__all__) == sorted(names + ["__version__"])
+    assert len(set(sfvs.__all__)) == len(sfvs.__all__)
+    assert {"FAMILIES", "tail_path_base"} <= set(sfvs.__all__)
+
+
+def test_no_name_is_public_in_two_modules():
+    # the package star-imports every module; a shared name would let the
+    # later module shadow the earlier one
+    owners = {}
+    for module in _layers():
+        for name in module.__all__:
+            assert name not in owners, (name, owners.get(name), module.__name__)
+            owners[name] = module.__name__
+
+
+def test_every_annotation_resolves():
+    import inspect
+    import typing
+
+    for module in _layers():
+        for value in vars(module).values():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = vars(value).values() if inspect.isclass(value) else [value]
+            for fn in members:
+                if inspect.isfunction(fn):
+                    typing.get_type_hints(fn)
 
 
 # rendering

@@ -445,15 +445,13 @@ def _search(mg: Multigraph, live, chosen, forbidden, best, ticker):
     if len(comps) > 1:
         comps.sort(key=lambda c: (len(c), c[0]))
         for comp in comps[:-1]:
-            # solved on its own; no witness means none fits the allowance
-            # or the forbidden set blocks every solution
+            # solved on its own, below what best still allows; no witness
+            # means none fits or the forbidden set blocks every solution
             sub = _Best(min(len(comp) + 1, best.tau - len(chosen)), None)
             _search(mg.restrict(comp), comp, [], forbidden, sub, ticker)
             if sub.witness is None:
                 return
             chosen.extend(sub.witness)
-            if len(chosen) >= best.tau:
-                return
         live = comps[-1]
         mg = mg.restrict(live)
     bound = len(chosen) + _lower_bound(mg, live, best.tau - len(chosen))

@@ -30,7 +30,6 @@ from itertools import combinations, product
 
 from .addressing import (
     APEX_LABEL,
-    FAMILIES,
     copy_labels,
     hat_labels,
     word_labels,
@@ -57,12 +56,13 @@ def _check_params(p: int, n: int, n_min: int) -> None:
 
 
 def _check_family(family: str, p: int, n: int) -> None:
-    """The parameter checks of the family's builder."""
-    if family not in FAMILIES:
+    """The parameter checks of the family's builder, read from _FAMILY_TABLE."""
+    if family not in _FAMILY_TABLE:
         raise ValueError(f"unknown family {family!r}")
-    _check_params(p, n, 1 if family in ("plus", "pp") else 0)
-    if family == "hat" and p < 2:
-        raise ValueError(f"the quotient family needs at least 2 symbols, got {p}")
+    _, p_min, n_min, _, _ = _FAMILY_TABLE[family]
+    _check_params(p, n, n_min)
+    if p < p_min:  # only the quotient needs more than one symbol
+        raise ValueError(f"the quotient family needs at least {p_min} symbols, got {p}")
 
 
 def _one(p: int, m: int) -> int:
@@ -211,28 +211,34 @@ def expected_order(family: str, p: int, n: int) -> int:
     """Closed-form vertex count for a family at (p, n); raises ValueError
     where the family's builder does."""
     _check_family(family, p, n)
-    if family == "s":
-        return p**n
-    if family == "plus":
-        return p**n + 1
-    if family == "pp":
-        return (p + 1) * p ** (n - 1)
-    num = p * (p**n + 1)
-    assert num % 2 == 0
-    return num // 2
+    return _FAMILY_TABLE[family][3](p, n)
 
 
 def expected_size(family: str, p: int, n: int) -> int:
     """Closed-form edge count for a family at (p, n); raises ValueError
     where the family's builder does."""
     _check_family(family, p, n)
-    if family == "s":
-        num = p * (p**n - 1)
-    elif family == "plus":
-        num = p * (p**n + 1)
-    elif family == "pp":
-        num = (p + 1) * p**n
-    else:
-        num = (p - 1) * p ** (n + 1)
-    assert num % 2 == 0
-    return num // 2
+    return _FAMILY_TABLE[family][4](p, n)
+
+
+# What each family is, in FAMILIES order: its builder, least p, least n,
+# and closed-form order and size at (p, n).  Each halving is exact: for
+# odd p, p^n - 1, p^n + 1, p + 1 and p - 1 are even.
+_FAMILY_TABLE = {
+    "s": (sierpinski, 1, 0, lambda p, n: p**n, lambda p, n: p * (p**n - 1) // 2),
+    "plus": (sierpinski_plus, 1, 1, lambda p, n: p**n + 1, lambda p, n: p * (p**n + 1) // 2),
+    "pp": (
+        sierpinski_plusplus,
+        1,
+        1,
+        lambda p, n: (p + 1) * p ** (n - 1),
+        lambda p, n: (p + 1) * p**n // 2,
+    ),
+    "hat": (
+        triangle,
+        2,
+        0,
+        lambda p, n: p * (p**n + 1) // 2,
+        lambda p, n: (p - 1) * p ** (n + 1) // 2,
+    ),
+}

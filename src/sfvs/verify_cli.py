@@ -32,14 +32,7 @@ from dataclasses import asdict, dataclass
 
 from .addressing import FAMILIES
 from .exact_fvs import resolve_budget, tau_bnb, tau_bruteforce
-from .generators import (
-    expected_order,
-    expected_size,
-    sierpinski,
-    sierpinski_plus,
-    sierpinski_plusplus,
-    triangle,
-)
+from .generators import _FAMILY_TABLE, expected_order, expected_size
 from .graph_core import GraphError, _forest_positions, export_dot, export_edgelist
 from .pairable_forest import (
     forest_plus,
@@ -65,15 +58,12 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-# no verb or suite builds more vertices; hat(9,5), the largest in use, has 265,725
+# no verb or suite builds more vertices or edges; hat(9,5), the largest in
+# use, has 265,725 vertices and 2,125,764 edges
 MAX_ORDER = 1_000_000
+MAX_SIZE = 3_000_000
 
-_BUILDERS = {
-    "s": sierpinski,
-    "plus": sierpinski_plus,
-    "pp": sierpinski_plusplus,
-    "hat": triangle,
-}
+_BUILDERS = {family: entry[0] for family, entry in _FAMILY_TABLE.items()}
 _GLYPH = {"match": "✓", "bound-only": "∙", "mismatch": "✗"}
 # one flat report row in the C encoder, its fields at the depth indent=2 gives them
 _ROW_JSON = json.JSONEncoder(separators=(",\n      ", ": ")).encode
@@ -114,9 +104,10 @@ def _row(suite, family, p, n, check, predicted, constructed, exact, want_exact):
 
 
 def _check_order(family, p, n):
-    """Refuse, before any build, an instance above MAX_ORDER vertices, or
-    at p = 1 (order at most 2, build still growing with n) above level 20.
-    For p >= 2 every family has 2^n or more, so a large n needs no p**n."""
+    """Refuse, before any build, an instance above MAX_ORDER vertices or
+    MAX_SIZE edges, or at p = 1 (order at most 2, build still growing with
+    n) above level 20.  For p >= 2 every family has 2^n or more vertices,
+    so a large n needs no p**n."""
     levels = MAX_ORDER.bit_length()
     if p == 1 and n > levels:
         raise ValueError(f"{family} p={p} n={n} is above the level limit of {levels}")
@@ -125,6 +116,9 @@ def _check_order(family, p, n):
         if order is None or order > MAX_ORDER:
             shown = f"more than {MAX_ORDER:,}" if order is None else f"{order:,}"
             raise ValueError(f"{family} p={p} n={n} has {shown} vertices, the limit is {MAX_ORDER:,}")
+        size = expected_size(family, p, n)
+        if size > MAX_SIZE:
+            raise ValueError(f"{family} p={p} n={n} has {size:,} edges, the limit is {MAX_SIZE:,}")
 
 
 def _forest(family, p, n, g):

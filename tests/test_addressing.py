@@ -107,6 +107,19 @@ def test_format_vertex(vertex, p, label):
 
 
 @pytest.mark.parametrize(
+    "vertex,error,message",
+    [
+        (Hat(3), ValueError, "symbol 3 out of range for p=3"),
+        (Contracted((), (0, 3)), ValueError, "symbol 3 out of range for p=3"),
+        (object(), TypeError, "not a vertex"),
+    ],
+)
+def test_format_vertex_rejects(vertex, error, message):
+    with pytest.raises(error, match=message):
+        format_vertex(vertex, 3)
+
+
+@pytest.mark.parametrize(
     "label,family,p,n,vertex",
     [
         (EMPTY_WORD_LABEL, "s", 3, 0, ()),
@@ -135,6 +148,7 @@ def test_parse_vertex(label, family, p, n, vertex):
         (":{2,1}", "hat", 3, 2, 2),
         (":{1,5}", "hat", 3, 2, 4),
         (":{1;2}", "hat", 3, 2, 2),
+        (":{1,2", "hat", 3, 1, 4),  # "expected '}' to close a symbol pair"
         (":{1,2}", "hat", 3, 0, 0),
         ("01", "hat", 3, 2, 0),
         # digits int() reads that the grammar does not write

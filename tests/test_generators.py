@@ -3,6 +3,7 @@ import tracemalloc
 import pytest
 
 from sfvs import generators
+from sfvs.addressing import FAMILIES
 from sfvs.graph_core import GraphError, is_forest, relabel
 from sfvs.generators import (
     expected_order,
@@ -186,6 +187,12 @@ def test_generated_graphs_match_count_formulas(family, p, n):
     g = {"s": s, "plus": plus, "pp": pp, "hat": hat}[family](p, n)
     assert g.order == expected_order(family, p, n)
     assert g.size == expected_size(family, p, n)
+
+
+def test_family_table_follows_families_and_feeds_the_cli():
+    assert tuple(generators._FAMILY_TABLE) == FAMILIES
+    assert tuple(_BUILDERS) == FAMILIES
+    assert all(_BUILDERS[f] is entry[0] for f, entry in generators._FAMILY_TABLE.items())
 
 
 def test_count_formulas_reject_unknown_family():

@@ -69,6 +69,10 @@ def test_closure_block_validation():
         closure_block(("01", "11"), 3)  # different heads
     with pytest.raises(ValueError):
         closure_block(("1", "2"), 2)
+    with pytest.raises(ValueError, match="a block has exactly 2 words, got 1"):
+        closure_block(("1",), 5)
+    with pytest.raises(ValueError, match="a block has exactly 2 words, got 3"):
+        closure_block(("0", "1", "2"), 5)
 
 
 def test_closure_multiplies_by_p_and_extends_heads():

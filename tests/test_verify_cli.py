@@ -11,6 +11,7 @@ import pytest
 import sfvs
 from sfvs import verify_cli
 from sfvs.addressing import FAMILIES
+from sfvs.exact_fvs import FvsCertificate
 from sfvs.generators import sierpinski, sierpinski_plus
 from sfvs.graph_core import GraphError
 from sfvs.verify_cli import (
@@ -160,6 +161,19 @@ print(json.dumps({
 """
 
 
+def test_module_entry_point_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(sfvs.__file__))
+    child = subprocess.run(
+        [sys.executable, "-m", "sfvs", "tau", "--family", "s", "-p", "3", "-n", "2"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout == "tau=3 optimal=true witness=00,10,20\n"
+
+
 def test_import_loads_no_pool_parser_or_typing():
     src = os.path.dirname(os.path.dirname(sfvs.__file__))
     child = subprocess.run(
@@ -253,6 +267,27 @@ def test_cli_refuses_oversized_instances(no_builds, capsys, verb, p, n, order):
     assert main([verb[0], "--family", "hat", "-p", p, "-n", n, *verb[1:]]) == 2
     err = capsys.readouterr().err
     assert err == f"error: hat p={p} n={n} has {order} vertices, the limit is 1,000,000\n"
+
+
+@pytest.mark.parametrize("verb", [["generate"], ["forest"], ["forest", "--structure"], ["tau"]])
+@pytest.mark.parametrize(
+    "family,p,n,size",
+    [
+        ("s", "1000000", "1", "499,999,500,000"),
+        ("s", "1000", "2", "499,999,500"),
+        ("hat", "1000", "1", "499,500,000"),
+    ],
+)
+def test_cli_refuses_instances_with_too_many_edges(no_builds, capsys, verb, family, p, n, size):
+    assert main([verb[0], "--family", family, "-p", p, "-n", n, *verb[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {family} p={p} n={n} has {size} edges, the limit is 3,000,000\n"
+
+
+def test_cli_verify_refuses_instances_with_too_many_edges(no_builds, capsys):
+    assert main(["verify", "--suite", "thm2.4", "-p", "1000000", "-n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: s p=1000000 n=1 has 499,999,500,000 edges, the limit is 3,000,000\n"
 
 
 @pytest.mark.parametrize("verb", ["generate", "forest", "tau"])
@@ -675,6 +710,19 @@ def test_cli_verify_table(capsys):
     out = capsys.readouterr().out
     assert out.count("✓") == 2
     assert "thm2.4" in out
+
+
+def test_cli_verify_flags_an_exact_value_off_the_prediction(monkeypatch, capsys):
+    real = verify_cli.tau_bnb
+
+    def one_too_many(g, **kwargs):
+        cert = real(g, **kwargs)
+        return FvsCertificate(cert.tau + 1, cert.witness, True)
+
+    monkeypatch.setattr(verify_cli, "tau_bnb", one_too_many)
+    assert main(["verify", "--suite", "thm2.4", "-p", "3", "-n", "2", "--exact"]) == 1
+    (row,) = capsys.readouterr().out.splitlines()[1:]
+    assert row.split()[:10] == ["✗", "thm2.4", "s", "3", "2", "tau", "3", "3", "4", "mismatch"]
 
 
 def test_cli_verify_json_and_report_round_trip(tmp_path, capsys):

@@ -12,16 +12,19 @@ run on the indices; the cycle and component searches are private cores
 over (ascending indices, bytearray mark) that callers holding indices
 use directly, the component search over any neighbour table and mark,
 the solver's multigraph and its alive list included.  Every walk over a
-mark (these two searches, induced() and the linear forest's degree count
-in triangle_forest) tests mark[v] inline for each neighbour: most
-neighbour lists are short, and a filter or map object per vertex costs
-more than the test.  _forest_positions is the one certificate check of
-a construction's forest: the graph's order, then a cycle search.  A
-build takes the label index of _label_index and one list of neighbour
-indices per vertex, which _from_rows replaces by its sorted tuple in
-place, so it peaks little above the graph it returns.  The generators
-compose the lists; build_graph maps arbitrary label pairs into them and
-deduplicates them.
+mark (these two searches, the linear-forest walk and induced()) tests
+mark[v] inline for each neighbour: most neighbour lists are short, and
+a filter or map object per vertex costs more than the test.  Two
+functions check a construction's forest: _forest_positions checks the
+graph's order, then runs a cycle search; _path_orders checks a linear
+forest in one depth-first walk, which finds a non-tree edge, counts
+each vertex's marked neighbours and sizes each component in one pass
+over the neighbour rows, running the cycle search only to name the
+cycle it found.  A build takes the label index of _label_index and one
+list of neighbour indices per vertex, which _from_rows replaces by its
+sorted tuple in place, so it peaks little above the graph it returns.
+The generators compose the lists; build_graph maps arbitrary label
+pairs into them and deduplicates them.
 The int-indexed Multigraph at the bottom, the exact solver's scratch
 structure, is read straight off the neighbour tuples, holds parallel
 edges but never a loop, keeps an int neighbour bitmask per vertex beside
@@ -242,6 +245,48 @@ def _cycle(g: LabeledGraph, keep, mark):
     return None
 
 
+def _path_orders(g: LabeledGraph, subset, order: int):
+    """The certificate check of a linear forest in one depth-first walk
+    over the subset: g has the construction's order, the subset induces
+    no cycle and each of its vertices has at most two neighbours in it.
+    Returns the order of each component (a path), in order of least
+    index.  A GraphError names the order, else the cycle _cycle finds
+    when the walk meets a non-tree edge, else the least vertex of
+    induced degree above 2."""
+    if g.order != order:
+        raise GraphError(f"graph has order {g.order}, expected {order}")
+    keep, mark = _subset_positions(g, subset)
+    nbrs = g._nbrs
+    parent = [-1] * len(nbrs)
+    over = len(nbrs)
+    orders = []
+    for start in keep:
+        if parent[start] >= 0:
+            continue
+        parent[start] = start
+        stack = [start]
+        size = 0
+        while stack:
+            u = stack.pop()
+            size += 1
+            from_v = parent[u]
+            degree = 0
+            for v in nbrs[u]:
+                if mark[v]:
+                    degree += 1
+                    if parent[v] < 0:
+                        parent[v] = u
+                        stack.append(v)
+                    elif v != from_v:
+                        raise GraphError(f"construction induced a cycle: {_cycle(g, keep, mark)}")
+            if degree > 2 and u < over:
+                over = u
+        orders.append(size)
+    if over < len(nbrs):
+        raise GraphError(f"construction is not a linear forest at {g._labels[over]!r}")
+    return orders
+
+
 def _components(nbrs, keep, mark):
     """The components of the subgraph induced by the marked vertices, as
     index lists in breadth-first order.  nbrs[u] holds u's neighbour
@@ -413,7 +458,14 @@ class Multigraph:
         mg.adj = [dict.fromkeys(nbrs, 1) for nbrs in g._nbrs]
         mg.alive = [True] * g.order
         mg.deg = list(map(len, g._nbrs))
-        mg.bits = [sum(1 << u for u in nbrs) for nbrs in g._nbrs]
+        # or-ing entries of one table of powers of two makes no new
+        # shifted int per neighbour
+        power = [1 << u for u in range(g.order)]
+        for nbrs in g._nbrs:
+            mask = 0
+            for u in nbrs:
+                mask |= power[u]
+            mg.bits.append(mask)
         mg.size = g.size
         return mg, g.vertices()
 

@@ -16,9 +16,10 @@ Both are computed as sets of vertex indices in addressing.hat_labels
 order, carried one level up through the quotient's per-copy index tables
 (the tables generators.triangle builds with), and only the kept indices
 are formatted, by addressing.hat_rank_labels.  The linear forest is then
-checked in one pass over the graph's indices: a cycle search, a count of
-marked neighbours per vertex, and, for structure_report, the components
-of the marked indices; no induced subgraph is built.
+checked in one walk over the graph's indices, graph_core._path_orders,
+which finds any cycle, checks every induced degree and returns the
+orders of the paths that structure_report compares with the prediction;
+no induced subgraph is built.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from itertools import combinations
 
 from .addressing import hat_rank_labels
 from .generators import _hat_tables, expected_order
-from .graph_core import GraphError, LabeledGraph, _components, _forest_positions
+from .graph_core import LabeledGraph, _path_orders
 
 __all__ = [
     "StructureReport",
@@ -163,26 +164,15 @@ def forest_order_bound(p: int, n: int) -> int:
 
 
 def _checked_forest(p: int, n: int, graph: LabeledGraph):
-    """The labels of the large-alphabet linear forest, checked against the
-    graph's order, then by a cycle search, then by a count of each kept
-    vertex's marked neighbours; any failure raises GraphError.  Also
-    returns the forest's graph indices in ascending order and a bytearray
-    marking them."""
+    """The labels of the large-alphabet linear forest and the orders of
+    its paths, checked against the graph by _path_orders (order, then
+    cycle, then induced degree); any failure raises GraphError."""
     if p < 4:
         raise ValueError(f"need at least 4 symbols, got {p}")
     if n < 2:
         raise ValueError(f"level must be at least 2, got {n}")
     labels = _labels(_linear_forest(p, n), p, n)
-    keep, mark = _forest_positions(graph, labels, expected_order("hat", p, n))
-    nbrs = graph._nbrs
-    for u in keep:
-        degree = 0
-        for v in nbrs[u]:
-            if mark[v]:
-                degree += 1
-        if degree > 2:
-            raise GraphError(f"construction is not a linear forest at {graph._labels[u]!r}")
-    return labels, keep, mark
+    return labels, _path_orders(graph, labels, expected_order("hat", p, n))
 
 
 def forest_triangle(p: int, n: int, graph: LabeledGraph) -> set:
@@ -233,9 +223,8 @@ def structure_report(p: int, n: int, graph: LabeledGraph) -> StructureReport:
     is checked as forest_triangle checks it, and a failed check raises
     the same GraphError (or ValueError outside p >= 4, n >= 2); problems
     holds only the structure findings."""
-    labels, keep, mark = _checked_forest(p, n, graph)
-    # acyclic with every induced degree at most 2: each component is a path
-    actual = Counter(map(len, _components(graph._nbrs, keep, mark)))
+    labels, orders = _checked_forest(p, n, graph)
+    actual = Counter(orders)
     problems = []
     expected = _expected_path_multiset(p, n)
     if actual != expected:

@@ -275,7 +275,7 @@ def run_suite(suite, ps, ns, exact=False, budget=None, jobs=1):
     if exact:
         budget = resolve_budget(budget)
     tasks = [(suite, FAMILIES[f], p, n, exact, budget) for p, n, f in sorted(instances)]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = 1 if jobs == 1 else min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -1538,3 +1538,37 @@ def reference_forests():
         structure_report=_structure_report,
         prefix_triangle=_prefix_triangle,
     )
+
+
+# Two broken linear forests of the hat family.
+
+
+@pytest.fixture
+def cyclic_linear_forest(monkeypatch):
+    """Put back into the hat linear forest the top vertex joining corners
+    0 and 2, which the construction removes to break the corner-to-corner
+    cycle."""
+    from sfvs import triangle_forest
+    from sfvs.addressing import hat_labels
+
+    real = triangle_forest._linear_forest
+    monkeypatch.setattr(
+        triangle_forest,
+        "_linear_forest",
+        lambda p, n: real(p, n) | {hat_labels(p, n).index(":{0,2}")},
+    )
+
+
+@pytest.fixture
+def short_linear_forest(monkeypatch):
+    """Drop the largest index from the hat linear forest: still a linear
+    forest, one vertex short of the closed form."""
+    from sfvs import triangle_forest
+
+    real = triangle_forest._linear_forest
+
+    def short(p, n):
+        level = real(p, n)
+        return level - {max(level)}
+
+    monkeypatch.setattr(triangle_forest, "_linear_forest", short)

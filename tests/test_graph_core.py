@@ -12,6 +12,7 @@ from sfvs.graph_core import (
     Multigraph,
     _components,
     _label_index,
+    _path_orders,
     _subset_positions,
     build_graph,
     contract_edges,
@@ -23,7 +24,7 @@ from sfvs.graph_core import (
     relabel,
 )
 from sfvs.pairable_forest import forest_plus, forest_plusplus, forest_sierpinski
-from sfvs.triangle_forest import forest_triangle, fvs_triangle3, structure_report
+from sfvs.triangle_forest import StructureReport, forest_triangle, fvs_triangle3, structure_report
 from sfvs.verify_cli import _BUILDERS
 
 
@@ -328,8 +329,11 @@ def _random_multigraph(rng, n):
 
 
 def test_multigraph_masks_stay_current():
-    # a random history of new and parallel edges and removals, from an
-    # empty graph and from a labeled one, with copies and restrictions
+    # s(6,4) as built, then a random history of new and parallel edges
+    # and removals, from an empty graph and from a labeled one, with
+    # copies and restrictions
+    g = _BUILDERS["s"](6, 4)
+    assert Multigraph.from_labeled(g)[0].bits == [sum(1 << u for u in row) for row in g._nbrs]
     rng = random.Random(18)
     for trial in range(200):
         n = rng.randint(2, 24)
@@ -546,3 +550,94 @@ def test_certificate_walks_match_the_filter_reference(family, p, n, reference_ma
     )
     paths = sorted(Counter(map(len, ref_sub.components())).items())
     assert (rep.total, rep.actual_paths, rep.problems) == (len(forest), tuple(paths), ())
+
+
+# The linear forest check in one walk against the walks it replaces: the
+# order check, the cycle search, the induced-degree count and the
+# component search, failing in that order.
+
+
+def _reference_path_orders(g, subset, order, ref):
+    if g.order != order:
+        raise GraphError(f"graph has order {g.order}, expected {order}")
+    keep, mark = _subset_positions(g, subset)
+    cycle = ref.cycle(g, keep, mark)
+    if cycle is not None:
+        raise GraphError(f"construction induced a cycle: {cycle}")
+    ref.linear_degrees(g, keep, mark)
+    return map(len, _components(g._nbrs, keep, mark))
+
+
+def _outcome(check, *args):
+    """The Counter of path orders check returns, or its GraphError text."""
+    try:
+        return Counter(check(*args))
+    except GraphError as exc:
+        return str(exc)
+
+
+def _same_paths(g, subset, ref, order=None):
+    order = g.order if order is None else order
+    want = _outcome(_reference_path_orders, g, subset, order, ref)
+    assert _outcome(_path_orders, g, subset, order) == want
+    return want
+
+
+def test_path_walk_matches_the_reference_on_random_graphs(reference_mark_walks):
+    rng = random.Random(25)
+    kinds = Counter()
+    for _ in range(800):
+        k = rng.randint(1, 14)
+        # labels drawn at random, so index order is not insertion order
+        labels = rng.sample(range(100), k)
+        if rng.random() < 0.5:
+            density = rng.choice((0.1, 0.2, 0.35))
+            edges = [e for e in itertools.combinations(labels, 2) if rng.random() < density]
+        else:
+            # a random forest: acyclic, often with vertices of degree 3
+            edges = [(v, rng.choice(labels[:i])) for i, v in enumerate(labels[1:], 1)]
+            edges = [e for e in edges if rng.random() < 0.8]
+        g = build_graph(labels, edges)
+        subset = rng.sample(g.vertices(), rng.randint(0, k))
+        out = _same_paths(g, subset, reference_mark_walks)
+        if isinstance(out, str):
+            kinds["cycle" if "cycle" in out else "degree"] += 1
+        else:
+            kinds["several paths" if len(out) > 1 else "paths"] += 1
+        wrong = _same_paths(g, subset, reference_mark_walks, k + 1)
+        assert wrong == f"graph has order {k}, expected {k + 1}"
+    assert set(kinds) == {"paths", "several paths", "cycle", "degree"}
+    assert min(kinds.values()) >= 50, kinds
+
+
+@pytest.mark.parametrize("p,n", [(4, 2), (4, 3), (5, 3), (6, 4)])
+@pytest.mark.parametrize("mutant", ["cyclic_linear_forest", "short_linear_forest"])
+def test_path_walk_matches_the_reference_on_broken_forests(
+    request, mutant, p, n, reference_mark_walks
+):
+    from sfvs import triangle_forest
+
+    request.getfixturevalue(mutant)
+    g = _BUILDERS["hat"](p, n)
+    labels = triangle_forest._labels(triangle_forest._linear_forest(p, n), p, n)
+    want = _same_paths(g, labels, reference_mark_walks)
+    if mutant == "cyclic_linear_forest":
+        assert want.startswith("construction induced a cycle: [")
+        for check in (forest_triangle, structure_report):
+            with pytest.raises(GraphError) as got:
+                check(p, n, graph=g)
+            assert str(got.value) == want
+    else:
+        rep = structure_report(p, n, graph=g)
+        assert (rep.total, rep.actual_paths) == (len(labels), tuple(sorted(want.items())))
+        assert not rep.ok
+
+
+@pytest.mark.parametrize("p", range(4, 10))
+def test_structure_reports_match_the_reference_walks(p, reference_mark_walks):
+    for n in range(2, 6):
+        g = _BUILDERS["hat"](p, n)
+        rep = structure_report(p, n, graph=g)
+        forest = forest_triangle(p, n, graph=g)
+        paths = tuple(sorted(_same_paths(g, forest, reference_mark_walks).items()))
+        assert rep == StructureReport(p, n, len(forest), paths, paths, ())

@@ -231,6 +231,11 @@ def test_jobs_are_capped(pool_sizes, suite, jobs, sizes):
     assert strip_runtime(rows) == strip_runtime(run_suite(suite, [3], [1, 2]))
 
 
+def test_one_job_reads_no_cpu_count(monkeypatch):
+    monkeypatch.setattr(verify_cli.os, "cpu_count", lambda: pytest.fail("CPU count read"))
+    assert run_suite("counts", [3], [1])[0].status == "match"
+
+
 def test_jobs_without_a_cpu_count_run_in_process(pool_sizes, monkeypatch):
     monkeypatch.setattr(verify_cli.os, "cpu_count", lambda: None)
     run_suite("counts", [3], [1, 2], jobs=8)
@@ -555,37 +560,6 @@ def test_parse_values_refuses_unbounded_ranges(capsys):
 
 
 # errors
-
-
-@pytest.fixture
-def cyclic_linear_forest(monkeypatch):
-    """Put back into the hat linear forest the top vertex joining corners
-    0 and 2, which the construction removes to break the corner-to-corner
-    cycle."""
-    from sfvs import triangle_forest
-    from sfvs.addressing import hat_labels
-
-    real = triangle_forest._linear_forest
-    monkeypatch.setattr(
-        triangle_forest,
-        "_linear_forest",
-        lambda p, n: real(p, n) | {hat_labels(p, n).index(":{0,2}")},
-    )
-
-
-@pytest.fixture
-def short_linear_forest(monkeypatch):
-    """Drop the largest index from the hat linear forest: still a linear
-    forest, one vertex short of the closed form."""
-    from sfvs import triangle_forest
-
-    real = triangle_forest._linear_forest
-
-    def short(p, n):
-        level = real(p, n)
-        return level - {max(level)}
-
-    monkeypatch.setattr(triangle_forest, "_linear_forest", short)
 
 
 def assert_one_line_cycle_error(capsys):
@@ -965,19 +939,25 @@ def test_cli_tau_searches_unseeded_without_a_construction(monkeypatch, capsys):
     ],
 )
 def test_each_forest_is_checked_once(monkeypatch, capsys, argv, passes):
-    # one cycle search for the construction's forest, and one more for
-    # the solver's certificate when the command solves
-    from sfvs import exact_fvs, graph_core
+    # one cycle search (or, for the linear forest, one walk) for the
+    # construction's forest, and one more for the solver's certificate
+    # when the command solves
+    from sfvs import exact_fvs, graph_core, triangle_forest
 
     calls = []
-    real = graph_core._cycle
+    real_cycle, real_walk = graph_core._cycle, graph_core._path_orders
 
-    def spy(g, keep, mark):
+    def cycle_spy(g, keep, mark):
         calls.append(len(keep))
-        return real(g, keep, mark)
+        return real_cycle(g, keep, mark)
+
+    def walk_spy(g, subset, order):
+        calls.append(len(subset))
+        return real_walk(g, subset, order)
 
     for module in (graph_core, exact_fvs):
-        monkeypatch.setattr(module, "_cycle", spy)
+        monkeypatch.setattr(module, "_cycle", cycle_spy)
+    monkeypatch.setattr(triangle_forest, "_path_orders", walk_spy)
     assert main(argv) == 0
     assert "✗" not in capsys.readouterr().out
     assert len(calls) == passes

@@ -71,6 +71,18 @@ def _is_symbol(text: str) -> bool:
     return text.isascii() and text.isdigit() and (text[0] != "0" or text == "0")
 
 
+def _decimal(text: str) -> int:
+    """The int that text spells as ASCII digits, with an optional sign
+    and surrounding whitespace; ValueError for anything else, such as the
+    underscores and non-ASCII digits that int() also takes."""
+    digits = text.strip()
+    if digits[:1] in ("-", "+"):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def _check_p(p: int) -> None:
     if p < 1:
         raise ValueError(f"alphabet size must be positive, got {p}")

@@ -29,7 +29,11 @@ across components).  A node is pruned by the best of three lower bounds,
 tried cheapest first until one reaches the incumbent: an edge-density
 argument; greedy vertex-disjoint cliques, each needing all but two of its
 vertices, plus the density of what they leave; and half of what a greedy
-cover by cliques needs, a cover that uses each vertex at most twice.  On
+cover by cliques needs, a cover that uses each vertex at most twice.
+Both packings replay the parent node's: a vertex grows cliques only
+when its closed neighbourhood changed (Multigraph.dirty) or the packing
+state on it differs from the parent's, and otherwise takes the cliques
+it grew there, which a pack from scratch would grow again.  On
 the quotient family hat(p, n), whose p^n cliques K_p meet at most two at
 a vertex, the cover gives ceil(p^n (p - 2) / 2) at the root.  A search
 that runs out of budget still returns its incumbent, flagged
@@ -46,6 +50,7 @@ import os
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
+from .addressing import _decimal
 from .graph_core import LabeledGraph, Multigraph, _components, _cycle
 
 __all__ = [
@@ -70,7 +75,7 @@ def resolve_budget(budget: int | None = None) -> int:
         if not text:
             return DEFAULT_BUDGET
         try:
-            budget = int(text)
+            budget = _decimal(text)
         except ValueError:
             raise ValueError(
                 f"{BUDGET_ENV_VAR} must be an integer, got {text!r}"
@@ -343,33 +348,97 @@ def _density_bound(order: int, edge_count: int, degs_desc) -> int:
     return t
 
 
-def _pack_cliques(mg: Multigraph, live, cap: int):
+def _mask(vertices) -> int:
+    mask = 0
+    for u in vertices:
+        mask |= 1 << u
+    return mask
+
+
+def _pack_cliques(mg: Multigraph, live, cap: int, prev=None, log=None):
     """Greedy cliques of size >= 3 that use each vertex at most cap
     times, grown from each vertex in turn until it is used up; the second
     clique grown from a vertex leaves out the rest of its first.  Returns
-    the sum of size - 2 over the cliques and the vertices used cap times."""
+    the sum of size - 2 over the cliques and the vertices used cap times.
+
+    log, when given, is an empty list, list and dict.  They receive the
+    cliques in the order they are grown, each starting with the vertex
+    it was grown from; the cliques' masks, when prev is given; and each
+    vertex's first clique, its home.  prev is that log of the same pack
+    on the graph mg was copied from.  The grows from v read only adj[v],
+    the masks of v's neighbours on N(v), which vertices of N[v] are full
+    or have a home, and v's home.  When v is not in mg.dirty and all of
+    these equal what prev had reached before its grows from v, those
+    grows gave the cliques v would grow here, so they are replayed."""
+    bits = mg.bits
     full = set()
-    home = {}  # vertex -> its first clique, while it has only one
+    grown, masks, home = ([], [], {}) if log is None else log
     total = 0
+    if prev is not None:
+        dirty = mg.dirty
+        was_grown, was_masks, was_home = prev
+        if len(was_masks) < len(was_grown):
+            was_masks = list(map(_mask, was_grown))
+        # the vertex each clique of prev was grown from, then one past all
+        sources = [clique[0] for clique in was_grown]
+        sources.append(len(bits))
+        # masks of the full vertices and of those with a home (at cap 1 a
+        # clique fills every vertex, as if each had one), here and in prev
+        # before its grows from v
+        full_bits = was_full = 0
+        home_bits = was_homed = -1 if cap == 1 else 0
+        j = 0
     for v in live:
+        if v in full:
+            continue
+        k = None
+        if prev is not None:
+            while sources[j] < v:
+                was_full |= was_masks[j] & was_homed
+                was_homed |= was_masks[j]
+                j += 1
+            diff = (full_bits ^ was_full) | (home_bits ^ was_homed)
+            if (
+                not (dirty | was_full | diff) >> v & 1
+                and not diff & bits[v]
+                and (v not in home or home[v] == was_home[v])
+            ):
+                k = j
         while v not in full:
-            clique = _grow_clique(mg, v, full, home.get(v, ()))
-            if len(clique) < 3:
+            if k is None:
+                clique = _grow_clique(mg, v, full, home.get(v, ()))
+                if len(clique) < 3:
+                    break
+            elif sources[k] == v:
+                clique = was_grown[k]
+                k += 1
+            else:
                 break
+            grown.append(clique)
             total += len(clique) - 2
-            for u in clique:
-                if cap == 1 or u in home:
-                    full.add(u)
-                else:
-                    home[u] = clique
+            if cap == 1:
+                full.update(clique)
+            else:
+                for u in clique:
+                    if u in home:
+                        full.add(u)
+                    else:
+                        home[u] = clique
+            if prev is not None:
+                mask = _mask(clique) if k is None else was_masks[k - 1]
+                masks.append(mask)
+                full_bits |= mask & home_bits
+                home_bits |= mask
     return total, full
 
 
-def _lower_bound(mg: Multigraph, live, target: int) -> int:
+def _lower_bound(mg: Multigraph, live, target: int, prev=(None, None), logs=None) -> int:
     """A lower bound on the deletions mg still needs.  Tries the density
     bound, then disjoint cliques plus the density of what they leave,
     then cliques that may share vertices, and stops at the first that
-    reaches target."""
+    reaches target.  prev holds the logs of the two packs on the graph
+    mg was copied from, None for one that did not run there; logs, a
+    list of two, receives this call's."""
     order = len(live)
     if order == 0:
         return 0
@@ -377,7 +446,10 @@ def _lower_bound(mg: Multigraph, live, target: int) -> int:
     best = _density_bound(order, mg.size, degs)
     if best >= target:
         return best
-    packed, used = _pack_cliques(mg, live, 1)
+    if logs is None:
+        logs = [None, None]
+    logs[0] = [], [], {}
+    packed, used = _pack_cliques(mg, live, 1, prev[0], logs[0])
     if not packed:
         # no triangle, so no clique for the cover either
         return best
@@ -393,7 +465,8 @@ def _lower_bound(mg: Multigraph, live, target: int) -> int:
         return best
     # any solution holds all but two vertices of each clique, and each of
     # its vertices lies in at most two cliques
-    covered, _ = _pack_cliques(mg, live, 2)
+    logs[1] = [], [], {}
+    covered, _ = _pack_cliques(mg, live, 2, prev[1], logs[1])
     return max(best, (covered + 1) // 2)
 
 
@@ -429,8 +502,9 @@ def _grow_clique(mg: Multigraph, v, used=(), avoid=()) -> list:
     return clique + cand
 
 
-def _search(mg: Multigraph, live, chosen, forbidden, best, ticker):
-    # the caller hands over ownership of mg and chosen; live as in _reduce
+def _search(mg: Multigraph, live, chosen, forbidden, best, ticker, prev=(None, None)):
+    # the caller hands over ownership of mg and chosen; live as in _reduce;
+    # prev holds the parent node's pack logs, which mg.dirty is relative to
     ticker.tick()
     live = _reduce(mg, live, forbidden, chosen)
     if live is None:
@@ -448,13 +522,14 @@ def _search(mg: Multigraph, live, chosen, forbidden, best, ticker):
             # solved on its own, below what best still allows; no witness
             # means none fits or the forbidden set blocks every solution
             sub = _Best(min(len(comp) + 1, best.tau - len(chosen)), None)
-            _search(mg.restrict(comp), comp, [], forbidden, sub, ticker)
+            _search(mg.restrict(comp), comp, [], forbidden, sub, ticker, prev)
             if sub.witness is None:
                 return
             chosen.extend(sub.witness)
         live = comps[-1]
         mg = mg.restrict(live)
-    bound = len(chosen) + _lower_bound(mg, live, best.tau - len(chosen))
+    logs = [None, None]
+    bound = len(chosen) + _lower_bound(mg, live, best.tau - len(chosen), prev, logs)
     if bound >= best.tau:
         return
     candidates = [v for v in live if v not in forbidden]
@@ -478,7 +553,7 @@ def _search(mg: Multigraph, live, chosen, forbidden, best, ticker):
             child = mg.copy()
             for u in include:
                 child.remove_vertex(u)
-            _search(child, live, chosen + include, forbidden | excl, best, ticker)
+            _search(child, live, chosen + include, forbidden | excl, best, ticker, logs)
             if bound >= best.tau:
                 return
 

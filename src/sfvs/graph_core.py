@@ -28,7 +28,8 @@ pairs into them and deduplicates them.
 The int-indexed Multigraph at the bottom, the exact solver's scratch
 structure, is read straight off the neighbour tuples, holds parallel
 edges but never a loop, keeps an int neighbour bitmask per vertex beside
-its multiplicities, and is deliberately mutable.
+its multiplicities and a mask of the vertices whose neighbourhood
+changed since it was copied, and is deliberately mutable.
 """
 
 from __future__ import annotations
@@ -439,9 +440,16 @@ class Multigraph:
     solver count common neighbours with one and.  copy() duplicates all
     of them, and restrict(comp) keeps those of comp, a union of
     components, with every other vertex dead.
+
+    dirty is the int mask of the vertices whose closed neighbourhood,
+    the keys of adj[v] in their order and the edges among them, may
+    differ from the graph this one was copied from: copy() starts it at
+    0 and restrict() keeps it.  remove_vertex(v) marks v and its
+    neighbours, and an add_edge that joins two vertices not yet adjacent
+    marks both and their common neighbours; a parallel edge marks none.
     """
 
-    __slots__ = ("adj", "alive", "deg", "bits", "size")
+    __slots__ = ("adj", "alive", "deg", "bits", "size", "dirty")
 
     def __init__(self, n: int):
         self.adj = [dict() for _ in range(n)]
@@ -449,46 +457,56 @@ class Multigraph:
         self.deg = [0] * n
         self.bits = [0] * n
         self.size = 0
+        self.dirty = 0
 
     @classmethod
     def from_labeled(cls, g: LabeledGraph):
         """Build a Multigraph plus the index -> label table, indices in
         label order."""
-        mg = cls(0)
+        mg = cls.__new__(cls)
         mg.adj = [dict.fromkeys(nbrs, 1) for nbrs in g._nbrs]
         mg.alive = [True] * g.order
         mg.deg = list(map(len, g._nbrs))
         # or-ing entries of one table of powers of two makes no new
         # shifted int per neighbour
         power = [1 << u for u in range(g.order)]
+        mg.bits = bits = []
         for nbrs in g._nbrs:
             mask = 0
             for u in nbrs:
                 mask |= power[u]
-            mg.bits.append(mask)
+            bits.append(mask)
         mg.size = g.size
+        mg.dirty = 0
         return mg, g.vertices()
 
     def add_edge(self, u: int, v: int, mult: int = 1):
         if u == v:
             raise GraphError(f"self-loop at {u}")
-        self.adj[u][v] = self.adj[u].get(v, 0) + mult
-        self.adj[v][u] = self.adj[v].get(u, 0) + mult
+        adj_u, adj_v = self.adj[u], self.adj[v]
+        if v in adj_u:
+            adj_u[v] += mult
+            adj_v[u] += mult
+        else:
+            adj_u[v] = adj_v[u] = mult
+            bits = self.bits
+            self.dirty |= bits[u] & bits[v] | 1 << u | 1 << v
+            bits[u] |= 1 << v
+            bits[v] |= 1 << u
         self.deg[u] += mult
         self.deg[v] += mult
-        self.bits[u] |= 1 << v
-        self.bits[v] |= 1 << u
         self.size += mult
 
     def remove_vertex(self, v: int):
         adj, deg, bits = self.adj, self.deg, self.bits
         nbrs = adj[v]
         self.size -= deg[v]
-        clear = ~(1 << v)
+        bit = 1 << v
+        self.dirty |= bits[v] | bit
         for u, mult in nbrs.items():
             del adj[u][v]
             deg[u] -= mult
-            bits[u] &= clear
+            bits[u] ^= bit
         nbrs.clear()
         deg[v] = 0
         bits[v] = 0
@@ -501,12 +519,15 @@ class Multigraph:
         return [v for v in range(len(self.alive)) if self.alive[v]]
 
     def copy(self) -> "Multigraph":
-        out = Multigraph(0)
+        # __new__, as in from_labeled: __init__ would build lists only for
+        # them to be replaced
+        out = Multigraph.__new__(Multigraph)
         out.adj = list(map(dict.copy, self.adj))
         out.alive = list(self.alive)
         out.deg = list(self.deg)
         out.bits = list(self.bits)
         out.size = self.size
+        out.dirty = 0
         return out
 
     def restrict(self, comp) -> "Multigraph":
@@ -521,4 +542,5 @@ class Multigraph:
             out.deg[v] = self.deg[v]
             out.bits[v] = self.bits[v]
         out.size = sum(out.deg) // 2
+        out.dirty = self.dirty
         return out

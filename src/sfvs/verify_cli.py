@@ -30,7 +30,7 @@ import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
-from .addressing import FAMILIES
+from .addressing import FAMILIES, _decimal
 from .exact_fvs import resolve_budget, tau_bnb, tau_bruteforce
 from .generators import _FAMILY_TABLE, expected_order, expected_size
 from .graph_core import GraphError, _forest_positions, export_dot, export_edgelist
@@ -319,8 +319,8 @@ def _parse_values(text: str):
             raise ValueError(f"empty entry in {text!r}")
         lo, colon, hi = part.partition(":")
         try:
-            lo = int(lo)
-            hi = int(hi) if colon else lo
+            lo = _decimal(lo)
+            hi = _decimal(hi) if colon else lo
         except ValueError:
             raise ValueError(f"bad entry {part!r} in {text!r}: expected N or LO:HI") from None
         if hi < lo:
@@ -453,10 +453,17 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
+    def integer(text):
+        # int() also takes underscores and non-ASCII digits
+        try:
+            return _decimal(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
     def family_params(sp):
         sp.add_argument("--family", choices=FAMILIES, required=True)
-        sp.add_argument("-p", type=int, required=True, help="number of symbols")
-        sp.add_argument("-n", type=int, required=True, help="recursion level")
+        sp.add_argument("-p", type=integer, required=True, help="number of symbols")
+        sp.add_argument("-n", type=integer, required=True, help="recursion level")
 
     gen = sub.add_parser("generate", help="emit a graph as an edge list or DOT")
     family_params(gen)
@@ -477,7 +484,7 @@ def _build_parser():
     tau = sub.add_parser("tau", help="solve for the exact feedback vertex number")
     family_params(tau)
     tau.add_argument("--method", choices=("bnb", "brute"), default="bnb")
-    tau.add_argument("--budget", type=int, default=None, help="search node budget")
+    tau.add_argument("--budget", type=integer, default=None, help="search node budget")
     tau.add_argument(
         "--seed",
         choices=("auto", "none"),
@@ -492,8 +499,8 @@ def _build_parser():
     verify.add_argument("-p", required=True, help="values like 4, 3:6, or 2,5")
     verify.add_argument("-n", required=True, help="values like 2, 1:5, or 1,3")
     verify.add_argument("--exact", action="store_true", help="confirm with the solver")
-    verify.add_argument("--budget", type=int, default=None)
-    verify.add_argument("--jobs", type=int, default=1)
+    verify.add_argument("--budget", type=integer, default=None)
+    verify.add_argument("--jobs", type=integer, default=1)
     verify.add_argument("--format", choices=("table", "json"), default="table")
     verify.add_argument("--out")
     verify.set_defaults(func=_cmd_verify)

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from sfvs import exact_fvs
 from sfvs.exact_fvs import (
     BUDGET_ENV_VAR,
     DEFAULT_BUDGET,
@@ -91,7 +92,7 @@ def test_resolve_budget_env(monkeypatch):
     assert resolve_budget() == 4567
 
 
-@pytest.mark.parametrize("bad", ["nope", "1.5", "0"])
+@pytest.mark.parametrize("bad", ["nope", "1.5", "0", "\u0663", "\uff13", "1_0"])
 def test_resolve_budget_env_garbage(monkeypatch, bad):
     monkeypatch.setenv(BUDGET_ENV_VAR, bad)
     with pytest.raises(ValueError):
@@ -499,6 +500,76 @@ def test_search_matches_reference_on_random_graphs(reference_search):
     for _ in range(60):
         g = random_triangle_free_graph(rng, rng.randint(12, 24), rng.uniform(0.4, 1.0))
         assert tau_bnb(g, budget=300) == reference_search(g, 300)
+
+
+# the packs a search replays from its parent node's against packs from
+# scratch, at every node of the instances the reference tests above search
+
+
+def search_instances():
+    """(graph, budget, seed) for the searches of the reference tests."""
+    g = triangle(4, 3)
+    seed = sorted(set(g.vertices()) - forest_triangle(4, 3, graph=g))
+    for budget in (1, 2, 10, 100, 800):
+        yield g, budget, seed
+    for builder, p, n in [(triangle, 4, 1), (triangle, 4, 2), (sierpinski, 6, 3)]:
+        yield builder(p, n), DEFAULT_BUDGET, None
+    rng = random.Random(1618)
+    for _ in range(200):
+        yield random_graph(rng, rng.randint(0, 30), rng.uniform(0.05, 0.6)), 300, None
+    for _ in range(60):
+        yield random_triangle_free_graph(rng, rng.randint(12, 24), rng.uniform(0.4, 1.0)), 300, None
+
+
+def pack_against_scratch(monkeypatch):
+    """Make every _pack_cliques call pack again from scratch.  The
+    returned Counter counts the calls, those given a parent's log, the
+    cliques they replayed from it and the calls whose (total, full)
+    differs from the pack from scratch."""
+    real = exact_fvs._pack_cliques
+    seen = Counter()
+
+    def checked(mg, live, cap, prev=None, log=None):
+        log = log or ([], [], {})
+        got = real(mg, live, cap, prev, log)
+        seen["calls"] += 1
+        if prev is not None:
+            seen["with a log"] += 1
+            replayed = {id(clique) for clique in prev[0]}
+            seen["replayed"] += sum(id(clique) in replayed for clique in log[0])
+        seen["wrong"] += got != real(mg, live, cap)
+        return got
+
+    monkeypatch.setattr(exact_fvs, "_pack_cliques", checked)
+    return seen
+
+
+def test_replayed_packs_match_packs_from_scratch(monkeypatch):
+    seen = pack_against_scratch(monkeypatch)
+    for g, budget, seed in search_instances():
+        tau_bnb(g, budget=budget, seed=seed)
+        assert seen["wrong"] == 0, (g, budget)
+    # most packs replay, and most of their cliques come from the parent
+    assert seen["with a log"] > 0.8 * seen["calls"] > 1000
+    assert seen["replayed"] > 10_000
+
+
+def test_replay_needs_every_removal_marked_dirty(monkeypatch):
+    # a removal that leaves dirty as it was lets a stale clique replay
+    real = Multigraph.remove_vertex
+
+    def unmarked(mg, v):
+        dirty = mg.dirty
+        real(mg, v)
+        mg.dirty = dirty
+
+    monkeypatch.setattr(Multigraph, "remove_vertex", unmarked)
+    seen = pack_against_scratch(monkeypatch)
+    for g, budget, seed in search_instances():
+        tau_bnb(g, budget=budget, seed=seed)
+        if seen["wrong"]:
+            break
+    assert seen["wrong"] > 0
 
 
 def test_grow_clique_does_not_count_a_loop():

@@ -328,13 +328,34 @@ def _random_multigraph(rng, n):
     return mg
 
 
+def _closed_views(mg):
+    """What a clique grown from each vertex reads: its neighbours in adj
+    order and the masks of those neighbours on its neighbourhood."""
+    return [
+        (tuple(nbrs), tuple(mg.bits[u] & mg.bits[v] for u in nbrs))
+        for v, nbrs in enumerate(mg.adj)
+    ]
+
+
+def assert_dirty_covers(mg, views):
+    # every live vertex whose view differs from views, taken when mg or
+    # the graph it was copied from was made, is dirty; restrict() kills
+    # other components without marking them, and no clique grows from a
+    # dead vertex
+    for v, view in enumerate(_closed_views(mg)):
+        if mg.alive[v] and view != views[v]:
+            assert mg.dirty >> v & 1, v
+
+
 def test_multigraph_masks_stay_current():
     # s(6,4) as built, then a random history of new and parallel edges
     # and removals, from an empty graph and from a labeled one, with
-    # copies and restrictions
+    # copies and restrictions; the dirty mask covers every vertex whose
+    # closed neighbourhood changed since the last copy
     g = _BUILDERS["s"](6, 4)
     assert Multigraph.from_labeled(g)[0].bits == [sum(1 << u for u in row) for row in g._nbrs]
     rng = random.Random(18)
+    marked = 0
     for trial in range(200):
         n = rng.randint(2, 24)
         if trial % 2:
@@ -343,6 +364,8 @@ def test_multigraph_masks_stay_current():
             pairs = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3]
             mg, _ = Multigraph.from_labeled(build_graph(range(n), pairs))
         assert_masks_current(mg)
+        assert mg.dirty == 0
+        views = _closed_views(mg)
         for _ in range(3 * n):
             live = mg.live_vertices()
             if len(live) < 2:
@@ -358,12 +381,20 @@ def test_multigraph_masks_stay_current():
             elif step < 0.92:
                 clone = mg.copy()
                 assert_masks_current(clone)
+                assert clone.dirty == 0
+                views = _closed_views(clone)
                 clone.remove_vertex(u)
                 assert_masks_current(clone)
+                assert_dirty_covers(clone, views)
+                # the history goes on from the copy
+                mg = clone
             else:
                 comps = [sorted(c) for c in _components(mg.adj, live, mg.alive)]
                 mg = mg.restrict(rng.choice(comps))
             assert_masks_current(mg)
+            assert_dirty_covers(mg, views)
+            marked += mg.dirty.bit_count()
+    assert marked > 1000
 
 
 def test_multigraph_components_match_the_reference(reference_multigraph_components):

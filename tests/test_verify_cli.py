@@ -540,6 +540,10 @@ _BAD_VALUES = [
     ("2:", "bad entry '2:' in '2:': expected N or LO:HI"),
     ("3, :3", "bad entry ':3' in '3, :3': expected N or LO:HI"),
     ("1:2:3", "bad entry '1:2:3' in '1:2:3': expected N or LO:HI"),
+    # int() takes these, but entries are ASCII decimals
+    ("\uff13", "bad entry '\uff13' in '\uff13': expected N or LO:HI"),
+    ("1_0", "bad entry '1_0' in '1_0': expected N or LO:HI"),
+    ("4:\u0666", "bad entry '4:\u0666' in '4:\u0666': expected N or LO:HI"),
 ]
 
 
@@ -985,6 +989,31 @@ def test_cli_rejects_a_bad_budget_before_any_build(no_builds, monkeypatch, capsy
     monkeypatch.setenv("SFVS_BUDGET", "abc")
     assert main(argv[:-2]) == 2
     assert capsys.readouterr().err == "error: SFVS_BUDGET must be an integer, got 'abc'\n"
+
+
+def test_cli_reads_integers_as_ascii_decimals(no_builds, monkeypatch, capsys):
+    # int() would take a fullwidth or Arabic-Indic digit and an underscore
+    argv = ["verify", "--suite", "counts", "-p", "\uff13", "-n", "1_0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: bad entry '\uff13' in '\uff13': expected N or LO:HI\n"
+    assert main(["verify", "--suite", "counts", "-p", "3", "-n", "1_0"]) == 2
+    assert capsys.readouterr().err == "error: bad entry '1_0' in '1_0': expected N or LO:HI\n"
+    monkeypatch.setenv("SFVS_BUDGET", "\u0663")
+    assert main(["tau", "--family", "hat", "-p", "4", "-n", "2", "--seed", "none"]) == 2
+    assert capsys.readouterr().err == "error: SFVS_BUDGET must be an integer, got '\u0663'\n"
+    monkeypatch.delenv("SFVS_BUDGET")
+    for option, bad, argv in [
+        ("--budget", "\uff13", ["tau", "--family", "hat", "-p", "4", "-n", "2"]),
+        ("--budget", "1_0", ["verify", "--suite", "cor2.8", "-p", "4", "-n", "3", "--exact"]),
+        ("--jobs", "\u0662", ["verify", "--suite", "counts", "-p", "3", "-n", "1"]),
+        ("-p", "\u0664", ["tau", "--family", "hat", "-n", "2"]),
+        ("-n", "1_0", ["generate", "--family", "s", "-p", "3"]),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [option, bad])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.endswith(f"error: argument {option}: invalid int value: {bad!r}")
 
 
 def test_budget_is_unchecked_without_a_solve(capsys):

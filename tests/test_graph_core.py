@@ -386,7 +386,9 @@ def test_multigraph_masks_stay_current():
                 clone.remove_vertex(u)
                 assert_masks_current(clone)
                 assert_dirty_covers(clone, views)
-                # the history goes on from the copy
+                # the history goes on from the copy, once the original is
+                # seen to be current after the copy's removal
+                assert_masks_current(mg)
                 mg = clone
             else:
                 comps = [sorted(c) for c in _components(mg.adj, live, mg.alive)]

@@ -16,20 +16,28 @@ parallel edges but never a loop, that supports the classic reductions:
   * a parallel pair with one endpoint barred from the solution forces the
     other endpoint
 
-The parallel pairs of a vertex are scanned only when its degree exceeds
-its number of neighbours.  Each node branches on a greedy clique through
-a busiest vertex: any solution leaves at most two of its vertices out,
-so the children are the ways to keep at most two, each kept vertex
-barred from the solution by a forbidden set that the reductions respect.
-Without a triangle the clique is the vertex alone, and the children are
-"take it" and "bar it".  The grower scores a candidate by the popcount
-of its neighbour bitmask and-ed with the candidates' bitmask.
-Components split off and are solved independently (feedback numbers add
-across components).  A node is pruned by the best of three lower bounds,
-tried cheapest first until one reaches the incumbent: an edge-density
-argument; greedy vertex-disjoint cliques, each needing all but two of its
-vertices, plus the density of what they leave; and half of what a greedy
-cover by cliques needs, a cover that uses each vertex at most twice.
+A vertex has a parallel pair exactly when its degree exceeds its number
+of neighbours.  So the reductions skip a vertex of degree > 2 without
+one before any other test, as no rule applies to it, and scan a vertex's
+pairs only when it has one; the branch rule finds its parallel pairs by
+that test alone; and a vertex without one counts its degree into a
+vertex set as one popcount of its neighbour bitmask.  Each node branches
+on a greedy clique through a busiest vertex: any solution leaves at most
+two of its vertices out, so the children are the ways to keep at most
+two, each kept vertex barred from the solution by a forbidden set that
+the reductions respect.  Without a triangle the clique is the vertex
+alone, and the children are "take it" and "bar it".  Each child works on
+a copy of the node's graph but the last, which takes the graph over.
+The grower scores a candidate by the popcount of its neighbour bitmask
+and-ed with the candidates' bitmask.  Components split off and are
+solved independently (feedback numbers add across components).  A node
+floods the neighbour bitmasks from one live vertex and runs the
+component search only when the flood misses a live vertex.  A node is
+pruned by the best of three lower bounds, tried cheapest first until one
+reaches the incumbent: an edge-density argument; greedy vertex-disjoint
+cliques, each needing all but two of its vertices, plus the density of
+what they leave; and half of what a greedy cover by cliques needs, a
+cover that uses each vertex at most twice.
 Both packings replay the parent node's: a vertex grows cliques only
 when its closed neighbourhood changed (Multigraph.dirty) or the packing
 state on it differs from the parent's, and otherwise takes the cliques
@@ -231,10 +239,14 @@ def _reduce(mg: Multigraph, live, forbidden, chosen):
         live = [v for v in live if alive[v]]
         changed = False
         for v in live:
-            if not alive[v]:
-                continue
             nbrs = adj[v]
             deg = degs[v]
+            # no rule applies to a vertex of degree > 2 without a parallel
+            # pair; a dead vertex has degree 0 and falls through
+            if deg > 2 and deg == len(nbrs):
+                continue
+            if not alive[v]:
+                continue
             # a parallel pair is a 2-cycle: a barred endpoint forces the
             # other; with every multiplicity 1 there is no pair to scan
             forced = None
@@ -455,8 +467,7 @@ def _lower_bound(mg: Multigraph, live, target: int, prev=(None, None), logs=None
         return best
     rest = [v for v in live if v not in used]
     if rest:
-        rest_set = set(rest)
-        rest_degs = [sum(m for u, m in mg.adj[v].items() if u in rest_set) for v in rest]
+        rest_degs = _degrees_within(mg, rest)
         packed += _density_bound(
             len(rest), sum(rest_degs) // 2, sorted(rest_degs, reverse=True)
         )
@@ -470,11 +481,28 @@ def _lower_bound(mg: Multigraph, live, target: int, prev=(None, None), logs=None
     return max(best, (covered + 1) // 2)
 
 
+def _degrees_within(mg: Multigraph, vertices) -> list:
+    """Each vertex's degree in the subgraph the vertices induce: the
+    popcount of its neighbour mask and-ed with theirs, or, when it has a
+    parallel pair, the sum of its multiplicities into them."""
+    adj, deg, bits = mg.adj, mg.deg, mg.bits
+    mask = _mask(vertices)
+    return [
+        (bits[v] & mask).bit_count()
+        if deg[v] == len(adj[v])
+        else sum(m for u, m in adj[v].items() if mask >> u & 1)
+        for v in vertices
+    ]
+
+
 def _branch_vertex(mg: Multigraph, candidates):
-    multi = [v for v in candidates if any(m >= 2 for m in mg.adj[v].values())]
+    # a vertex has a parallel pair exactly when its degree exceeds its
+    # number of neighbours
+    adj, deg = mg.adj, mg.deg
+    multi = [v for v in candidates if deg[v] != len(adj[v])]
     pool = multi or candidates
     # pool is in index order, so max keeps the lowest index on ties
-    return max(pool, key=mg.deg.__getitem__)
+    return max(pool, key=deg.__getitem__)
 
 
 def _grow_clique(mg: Multigraph, v, used=(), avoid=()) -> list:
@@ -502,6 +530,21 @@ def _grow_clique(mg: Multigraph, v, used=(), avoid=()) -> list:
     return clique + cand
 
 
+def _flood(bits, v) -> int:
+    """The mask of the vertices reachable from v, bits[u] being the
+    neighbour mask of u."""
+    seen = frontier = 1 << v
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= bits[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen
+
+
 def _search(mg: Multigraph, live, chosen, forbidden, best, ticker, prev=(None, None)):
     # the caller hands over ownership of mg and chosen; live as in _reduce;
     # prev holds the parent node's pack logs, which mg.dirty is relative to
@@ -514,9 +557,10 @@ def _search(mg: Multigraph, live, chosen, forbidden, best, ticker, prev=(None, N
     if not live:
         best.offer(chosen)
         return
-    # reductions leave minimum degree 2, so every component has a cycle
-    comps = [sorted(comp) for comp in _components(mg.adj, live, mg.alive)]
-    if len(comps) > 1:
+    # reductions leave minimum degree 2, so every component has a cycle;
+    # most nodes are connected, which one flood of the masks shows
+    if _flood(mg.bits, live[0]).bit_count() < len(live):
+        comps = [sorted(comp) for comp in _components(mg.adj, live, mg.alive)]
         comps.sort(key=lambda c: (len(c), c[0]))
         for comp in comps[:-1]:
             # solved on its own, below what best still allows; no witness
@@ -544,18 +588,28 @@ def _search(mg: Multigraph, live, chosen, forbidden, best, ticker, prev=(None, N
     # every barred vertex of it stays out
     locked = tuple(u for u in clique if u in forbidden)
     free = [u for u in clique if u not in forbidden]
-    for k in range(3 - len(locked)):
-        for extra in itertools.combinations(free, k):
-            excl = frozenset(locked + extra)
-            include = [u for u in clique if u not in excl]
-            if len(chosen) + len(include) >= best.tau:
-                continue
+    options = [
+        frozenset(locked + extra)
+        for k in range(3 - len(locked))
+        for extra in itertools.combinations(free, k)
+    ]
+    last = len(options) - 1
+    for i, excl in enumerate(options):
+        include = [u for u in clique if u not in excl]
+        if len(chosen) + len(include) >= best.tau:
+            continue
+        if i == last:
+            # nothing here reads mg after its last child, which takes it
+            # over as it would a copy
+            child = mg
+            child.dirty = 0
+        else:
             child = mg.copy()
-            for u in include:
-                child.remove_vertex(u)
-            _search(child, live, chosen + include, forbidden | excl, best, ticker, logs)
-            if bound >= best.tau:
-                return
+        for u in include:
+            child.remove_vertex(u)
+        _search(child, live, chosen + include, forbidden | excl, best, ticker, logs)
+        if bound >= best.tau:
+            return
 
 
 def tau_bnb(

@@ -13,9 +13,12 @@ from sfvs.exact_fvs import (
     DEFAULT_BUDGET,
     FvsCertificate,
     _branch_vertex,
+    _degrees_within,
+    _flood,
     _greedy_fvs,
     _grow_clique,
     _lower_bound,
+    _mask,
     _minimalize,
     _pack_cliques,
     _reduce,
@@ -31,7 +34,14 @@ from sfvs.generators import (
     sierpinski_plusplus,
     triangle,
 )
-from sfvs.graph_core import GraphError, Multigraph, build_graph, find_cycle, is_forest
+from sfvs.graph_core import (
+    GraphError,
+    Multigraph,
+    _components,
+    build_graph,
+    find_cycle,
+    is_forest,
+)
 from sfvs.triangle_forest import forest_triangle
 
 
@@ -650,3 +660,118 @@ def test_search_never_adds_a_loop(monkeypatch):
                     tau_bnb(builder(p, n), budget=100)
     assert added
     assert all(u != v for u, v in added)
+
+
+# the search's cheaper node tests against the code they replace
+
+
+def test_flood_matches_the_components():
+    # multigraphs as the search meets them: parallel edges, some fused by
+    # bypasses, dead vertices and restrictions to unions of components;
+    # a flood reaches exactly the component it starts in, and from a dead
+    # or restricted-away vertex nothing else
+    rng = random.Random(2727)
+    parallel = split = 0
+    for trial in range(400):
+        mg = random_multigraph(rng, rng.randint(1, 30), rng.uniform(0.05, 0.3))
+        live = mg.live_vertices()
+        if trial % 2:
+            live = _reduce(mg, live, frozenset(), [])
+        comps = [sorted(c) for c in _components(mg.adj, live, mg.alive)]
+        parts = [(mg, live, comps)]
+        if len(comps) > 1:
+            union = sorted(v for comp in comps[::2] for v in comp)
+            parts.append((mg.restrict(union), union, comps[::2]))
+        for sub, part, sub_comps in parts:
+            parallel += any(sub.deg[v] != len(sub.adj[v]) for v in part)
+            split += len(sub_comps) > 1
+            reach = {v: _mask(comp) for comp in sub_comps for v in comp}
+            for v in range(len(sub.adj)):
+                assert _flood(sub.bits, v) == reach.get(v, 1 << v)
+            if part:
+                connected = _flood(sub.bits, part[0]).bit_count() == len(part)
+                assert connected == (len(sub_comps) == 1)
+    assert parallel > 250
+    assert split > 80
+
+
+def test_search_splits_and_copies_only_where_needed(reference_search, monkeypatch):
+    # the flood leaves the component search to the nodes that split, and
+    # the last child of a node takes over its graph instead of a copy, its
+    # packs replaying as a copy's would; before, this search made 559
+    # component searches and 775 copies, and grew the same cliques
+    g = triangle(4, 3)
+    seed = sorted(set(g.vertices()) - forest_triangle(4, 3, graph=g))
+    want = reference_search(g, 800, seed)
+    calls = Counter()
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(exact_fvs, "_components", counted("components", exact_fvs._components))
+    monkeypatch.setattr(Multigraph, "copy", counted("copy", Multigraph.copy))
+    monkeypatch.setattr(exact_fvs, "_grow_clique", counted("grow", exact_fvs._grow_clique))
+    assert tau_bnb(g, budget=800, seed=seed) == want
+    assert calls == {"components": 25, "copy": 657, "grow": 3482}
+
+
+def scanned_degrees_within(mg, vertices):
+    inside = set(vertices)
+    return [sum(m for u, m in mg.adj[v].items() if u in inside) for v in vertices]
+
+
+def scanned_branch_vertex(mg, candidates):
+    multi = [v for v in candidates if any(m >= 2 for m in mg.adj[v].values())]
+    return max(multi or candidates, key=mg.deg.__getitem__)
+
+
+def test_simple_vertex_tests_match_the_multiplicity_scans(monkeypatch):
+    # the parallel-pair test of _branch_vertex (degree above the number
+    # of neighbours) and the popcount degrees of _degrees_within against
+    # the scans of the multiplicities they replace: on random multigraphs
+    # and random vertex sets, and at every node of real searches
+    rng = random.Random(2728)
+    parallel = 0
+    for _ in range(300):
+        mg = random_multigraph(rng, rng.randint(0, 20), rng.uniform(0.1, 0.9))
+        live = mg.live_vertices()
+        for v in live:
+            has_pair = any(m >= 2 for m in mg.adj[v].values())
+            assert (mg.deg[v] != len(mg.adj[v])) == has_pair
+            parallel += has_pair
+        for part in (live, [v for v in live if rng.random() < 0.5]):
+            assert _degrees_within(mg, part) == scanned_degrees_within(mg, part)
+            if part:
+                pool = sorted(rng.sample(part, rng.randint(1, len(part))))
+                assert _branch_vertex(mg, pool) == scanned_branch_vertex(mg, pool)
+    assert parallel > 1000
+
+    seen = Counter()
+    real_degrees, real_branch = exact_fvs._degrees_within, exact_fvs._branch_vertex
+
+    def degrees(mg, vertices):
+        got = real_degrees(mg, vertices)
+        seen["degrees"] += 1
+        seen["parallel"] += any(mg.deg[v] != len(mg.adj[v]) for v in vertices)
+        assert got == scanned_degrees_within(mg, vertices)
+        return got
+
+    def branch(mg, candidates):
+        got = real_branch(mg, candidates)
+        seen["branch"] += 1
+        assert got == scanned_branch_vertex(mg, candidates)
+        return got
+
+    monkeypatch.setattr(exact_fvs, "_degrees_within", degrees)
+    monkeypatch.setattr(exact_fvs, "_branch_vertex", branch)
+    g = triangle(4, 3)
+    seed = sorted(set(g.vertices()) - forest_triangle(4, 3, graph=g))
+    tau_bnb(g, budget=800, seed=seed)
+    tau_bnb(triangle(4, 2))
+    for _ in range(60):
+        tau_bnb(random_graph(rng, rng.randint(8, 24), rng.uniform(0.1, 0.5)), budget=300)
+    assert seen["degrees"] > 1000 and seen["branch"] > 500 and seen["parallel"] > 100

@@ -724,16 +724,12 @@ def scanned_degrees_within(mg, vertices):
     return [sum(m for u, m in mg.adj[v].items() if u in inside) for v in vertices]
 
 
-def scanned_branch_vertex(mg, candidates):
-    multi = [v for v in candidates if any(m >= 2 for m in mg.adj[v].values())]
-    return max(multi or candidates, key=mg.deg.__getitem__)
-
-
-def test_simple_vertex_tests_match_the_multiplicity_scans(monkeypatch):
+def test_simple_vertex_tests_match_the_multiplicity_scans(monkeypatch, reference_loop_guards):
     # the parallel-pair test of _branch_vertex (degree above the number
     # of neighbours) and the popcount degrees of _degrees_within against
     # the scans of the multiplicities they replace: on random multigraphs
     # and random vertex sets, and at every node of real searches
+    scanned_branch_vertex = reference_loop_guards.branch_vertex
     rng = random.Random(2728)
     parallel = 0
     for _ in range(300):

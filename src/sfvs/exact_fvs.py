@@ -43,7 +43,11 @@ when its closed neighbourhood changed (Multigraph.dirty) or the packing
 state on it differs from the parent's, and otherwise takes the cliques
 it grew there, which a pack from scratch would grow again.  On
 the quotient family hat(p, n), whose p^n cliques K_p meet at most two at
-a vertex, the cover gives ceil(p^n (p - 2) / 2) at the root.  A search
+a vertex, the cover gives ceil(p^n (p - 2) / 2) at the root.  Without
+a seed the search starts from the greedy's set, and where its root
+bound first falls short of that it tries a second incumbent once: the
+complement of the maximal forest grown in reverse index order, which
+meets the cover bound on every even-p hat(p, n) tried.  A search
 that runs out of budget still returns its incumbent, flagged
 non-optimal.  A seed is checked by the union-find that minimalizes it,
 and every certificate is re-verified against the input graph before
@@ -214,13 +218,16 @@ class _Ticker:
 
 
 class _Best:
-    """Incumbent solution; offer() keeps the smaller one."""
+    """Incumbent solution; offer() keeps the smaller one.  spare, when
+    not None, computes a second candidate that the search offers once,
+    where its bound first falls short of the incumbent."""
 
-    __slots__ = ("tau", "witness")
+    __slots__ = ("tau", "witness", "spare")
 
     def __init__(self, tau: int, witness):
         self.tau = tau
         self.witness = witness
+        self.spare = None
 
     def offer(self, chosen):
         if len(chosen) < self.tau:
@@ -291,8 +298,8 @@ def _reduce(mg: Multigraph, live, forbidden, chosen):
 
 
 def _minimalize(mg: Multigraph, chosen) -> list | None:
-    """Drop redundant vertices from a deletion set, last in first
-    reconsidered, or None when the set leaves a cycle.  mg must be simple
+    """Drop redundant vertices from a deletion set, reconsidered by
+    descending index, or None when the set leaves a cycle.  mg must be simple
     (Multigraph.from_labeled): a vertex rejoins the forest, kept as one
     union-find, when its forest neighbours lie in pairwise distinct
     trees."""
@@ -576,6 +583,13 @@ def _search(mg: Multigraph, live, chosen, forbidden, best, ticker, prev=(None, N
     bound = len(chosen) + _lower_bound(mg, live, best.tau - len(chosen), prev, logs)
     if bound >= best.tau:
         return
+    if best.spare is not None:
+        # the bound fell short of the old incumbent, so it is the best of
+        # all three and holds against the new one
+        spare, best.spare = best.spare, None
+        best.offer(spare())
+        if bound >= best.tau:
+            return
     candidates = [v for v in live if v not in forbidden]
     if not candidates:
         return
@@ -618,9 +632,12 @@ def tau_bnb(
     """Branch-and-bound feedback number.
 
     seed, when given, must be a valid feedback vertex set (by label); it
-    becomes the starting incumbent.  The certificate is optimal unless
-    the node budget ran out, in which case the incumbent is returned
-    with optimal False.
+    becomes the starting incumbent.  Without one the greedy's set does,
+    and every vertex minimalized, the complement of the maximal forest
+    grown in reverse index order, is computed and offered once if the
+    root's bound falls short of the greedy's.  The certificate is
+    optimal unless the node budget ran out, in which case the incumbent
+    is returned with optimal False.
     """
     budget = resolve_budget(budget)
     mg, labels = Multigraph.from_labeled(g)
@@ -636,6 +653,10 @@ def tau_bnb(
     else:
         incumbent = _greedy_fvs(mg)
     best = _Best(len(incumbent), tuple(sorted(incumbent)))
+    if seed is None:
+        # the reverse-index forest's complement, on a graph of its own, as
+        # the search reduces mg in place
+        best.spare = lambda: _minimalize(Multigraph.from_labeled(g)[0], range(g.order))
     ticker = _Ticker(budget)
     optimal = True
     try:

@@ -440,6 +440,12 @@ def _search(mg: _RecountingMultigraph, chosen, forbidden, best, ticker):
     bound = len(chosen) + _lower_bound(mg)
     if bound >= best.tau:
         return
+    if best.spare is not None:
+        # the second incumbent, offered once, where the root would branch
+        spare, best.spare = best.spare, None
+        best.offer(spare())
+        if bound >= best.tau:
+            return
     candidates = [v for v in mg.live_vertices() if v not in forbidden]
     if not candidates:
         return
@@ -478,6 +484,10 @@ def _reference_tau(g, budget, seed=None) -> FvsCertificate:
         index = {v: i for i, v in enumerate(labels)}
         incumbent = _minimalize(mg, [index[v] for v in sorted(set(seed))])
     best = _Best(len(incumbent), tuple(sorted(incumbent)))
+    if seed is None:
+        # the unseeded search's second incumbent: every vertex minimalized,
+        # on the graph before the root's reductions
+        best.spare = lambda: _minimalize(mg, list(range(len(labels))))
     optimal = True
     try:
         _search(mg.copy(), [], frozenset(), best, _Ticker(budget))
@@ -490,7 +500,8 @@ def _reference_tau(g, budget, seed=None) -> FvsCertificate:
 @pytest.fixture
 def reference_search():
     """Reference tau_bnb(g, budget, seed) over the recounting multigraph,
-    with the rescanning incumbent above."""
+    with the rescanning incumbent above and, unseeded, its minimalizer of
+    every vertex as the second incumbent."""
     return _reference_tau
 
 

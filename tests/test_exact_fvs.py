@@ -281,10 +281,11 @@ def test_bnb_deterministic():
 
 
 def test_bnb_budget_exhaustion_keeps_incumbent():
-    g = triangle(4, 2)
+    # hat(4,2) closes at the root; hat(5,2) still branches
+    g = triangle(5, 2)
     cert = tau_bnb(g, budget=5)
     assert not cert.optimal
-    assert cert.tau >= 16
+    assert cert.tau >= 38
     assert verify_certificate(g, cert)
 
 
@@ -307,6 +308,69 @@ def test_bnb_seeded_quotient_closes_at_the_root(p, tau):
     assert cert.optimal
     assert cert.tau == tau
     assert verify_certificate(g, cert)
+
+
+@pytest.mark.parametrize("p,n", [(4, 1), (4, 2), (4, 3), (6, 1), (6, 2), (8, 1), (8, 2)])
+def test_bnb_unseeded_even_quotient_closes_at_the_root(p, n):
+    # the forest grown in reverse index order meets the cover bound, so the
+    # root needs no child even where the greedy starts above it
+    g = triangle(p, n)
+    cert = tau_bnb(g, budget=1)
+    assert cert.optimal
+    assert cert.tau == p**n * (p - 2) // 2
+    assert verify_certificate(g, cert)
+
+
+def count_spares(monkeypatch):
+    """tau_bnb with _minimalize spied on, returning the certificate and
+    how often the search computed its second incumbent: every search
+    minimalizes its starting incumbent once, the greedy's or the seed's,
+    and the second incumbent is the only other call."""
+    calls = []
+    real = exact_fvs._minimalize
+
+    def spy(mg, chosen):
+        calls.append(chosen)
+        return real(mg, chosen)
+
+    monkeypatch.setattr(exact_fvs, "_minimalize", spy)
+
+    def run(g, **kwargs):
+        calls.clear()
+        cert = tau_bnb(g, **kwargs)
+        return cert, len(calls) - 1
+
+    return run
+
+
+def test_spare_is_computed_only_where_the_root_would_branch(monkeypatch):
+    run = count_spares(monkeypatch)
+    assert run(triangle(4, 2)) == (tau_bnb(triangle(4, 2), budget=1), 1)
+    # once, though hat(5,2) goes on to branch at the root and below it
+    assert run(triangle(5, 2), budget=50)[1] == 1
+    assert run(sierpinski(6, 4))[1] == 0
+    # a seed is the only starting incumbent
+    for p, n in [(4, 2), (4, 3), (5, 2)]:
+        g = triangle(p, n)
+        seed = sorted(set(g.vertices()) - forest_triangle(p, n, graph=g))
+        assert run(g, budget=50, seed=seed)[1] == 0
+    # random graphs as the solve benchmark draws them, G(10, 16)
+    rng = random.Random(2808)
+    pairs = list(itertools.combinations(range(10), 2))
+    closed = computed = 0
+    for _ in range(300):
+        g = build_graph(range(10), rng.sample(pairs, 16))
+        mg, labels = Multigraph.from_labeled(g)
+        greedy = [labels[v] for v in _greedy_fvs(mg)]
+        cert, spares = run(g)
+        assert spares <= 1
+        assert run(g, seed=greedy) == (cert, 0)
+        # one node on the greedy alone: the root closes without the spare
+        if tau_bnb(g, budget=1, seed=greedy).optimal:
+            closed += 1
+            assert spares == 0
+        computed += spares
+    assert closed > 150 and computed > 0
 
 
 def test_bnb_seed_is_minimalized():
@@ -497,6 +561,29 @@ def test_search_matches_reference_to_optimality(reference_search, builder, p, n)
     cert = tau_bnb(g)
     assert cert.optimal
     assert cert == reference_search(g, DEFAULT_BUDGET)
+
+
+@pytest.mark.parametrize(
+    "p,n,budget",
+    [(3, 1, DEFAULT_BUDGET), (3, 2, DEFAULT_BUDGET), (3, 3, DEFAULT_BUDGET), (5, 2, 5), (5, 2, 300)],
+)
+def test_odd_quotients_match_the_reference(reference_search, p, n, budget):
+    # at odd p the root computes the second incumbent, which the greedy
+    # already matches
+    g = triangle(p, n)
+    assert tau_bnb(g, budget=budget) == reference_search(g, budget)
+
+
+@pytest.mark.parametrize("p,n", [(4, 2), (4, 3), (6, 2)])
+def test_even_quotients_take_the_reference_witness(reference_search, p, n):
+    # the reference's bound has no clique cover, so past hat(4,2) it does
+    # not close (its root bound on hat(6,2) is 58); its root offers the
+    # same second incumbent, which nothing beats
+    g = triangle(p, n)
+    cert = tau_bnb(g)
+    want = reference_search(g, 10)
+    assert cert.optimal and not want.optimal
+    assert (cert.tau, cert.witness) == (want.tau, want.witness)
 
 
 def test_search_matches_reference_on_random_graphs(reference_search):
@@ -768,6 +855,7 @@ def test_simple_vertex_tests_match_the_multiplicity_scans(monkeypatch, reference
     seed = sorted(set(g.vertices()) - forest_triangle(4, 3, graph=g))
     tau_bnb(g, budget=800, seed=seed)
     tau_bnb(triangle(4, 2))
+    tau_bnb(triangle(5, 2), budget=100)
     for _ in range(60):
         tau_bnb(random_graph(rng, rng.randint(8, 24), rng.uniform(0.1, 0.5)), budget=300)
     assert seen["degrees"] > 1000 and seen["branch"] > 500 and seen["parallel"] > 100

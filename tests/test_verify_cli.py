@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, astuple
@@ -11,8 +12,8 @@ import pytest
 import sfvs
 from sfvs import verify_cli
 from sfvs.addressing import FAMILIES
-from sfvs.exact_fvs import FvsCertificate
-from sfvs.generators import sierpinski, sierpinski_plus
+from sfvs.exact_fvs import FvsCertificate, verify_certificate
+from sfvs.generators import sierpinski, sierpinski_plus, triangle
 from sfvs.graph_core import GraphError
 from sfvs.verify_cli import (
     SCHEMA_VERSION,
@@ -676,6 +677,19 @@ def test_cli_tau(capsys):
     witness = out.strip().split("witness=")[1].split(",")
     assert len(witness) == 9
     assert all(len(w) == 3 for w in witness)
+
+
+def test_cli_tau_unseeded_closes_the_open_case(capsys):
+    # unseeded, the reverse-index forest meets the cover bound of hat(4,3);
+    # seeded by the linear forest, the search still stops on its budget
+    assert main(["tau", "--family", "hat", "-p", "4", "-n", "3", "--seed", "none"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("tau=64 optimal=true witness=")
+    # a hat label holds a comma inside its braces
+    witness = tuple(re.split(r",(?![^{]*\})", out.strip().split("witness=")[1]))
+    assert verify_certificate(triangle(4, 3), FvsCertificate(64, witness, True))
+    assert main(["tau", "--family", "hat", "-p", "4", "-n", "3", "--budget", "10"]) == 0
+    assert capsys.readouterr().out.startswith("tau=65 optimal=false witness=")
 
 
 def test_cli_tau_brute(capsys):

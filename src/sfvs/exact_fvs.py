@@ -297,15 +297,14 @@ def _reduce(mg: Multigraph, live, forbidden, chosen):
     return live
 
 
-def _minimalize(mg: Multigraph, chosen) -> list | None:
-    """Drop redundant vertices from a deletion set, reconsidered by
-    descending index, or None when the set leaves a cycle.  mg must be simple
-    (Multigraph.from_labeled): a vertex rejoins the forest, kept as one
-    union-find, when its forest neighbours lie in pairwise distinct
-    trees."""
-    parent = list(range(len(mg.adj)))
+def _minimalize(g: LabeledGraph, chosen) -> list | None:
+    """Drop redundant vertices from a deletion set of g's indices,
+    reconsidered by descending index, or None when the set leaves a
+    cycle.  A vertex rejoins the forest, kept as one union-find, when its
+    forest neighbours lie in pairwise distinct trees."""
+    parent = list(range(g.order))
     out = set(chosen)
-    for v, nbrs in enumerate(mg.adj):
+    for v, nbrs in enumerate(g._nbrs):
         if v not in out:
             for u in nbrs:
                 if u < v and u not in out:
@@ -314,7 +313,7 @@ def _minimalize(mg: Multigraph, chosen) -> list | None:
                         return None
                     parent[ru] = rv
     for v in sorted(out, reverse=True):
-        roots = [_root(parent, u) for u in mg.adj[v] if u not in out]
+        roots = [_root(parent, u) for u in g._nbrs[v] if u not in out]
         if len(set(roots)) == len(roots):
             out.remove(v)
             for r in roots:
@@ -322,13 +321,14 @@ def _minimalize(mg: Multigraph, chosen) -> list | None:
     return [v for v in chosen if v in out]
 
 
-def _greedy_fvs(mg: Multigraph) -> list:
-    """Quick feasible solution: peel to the 2-core, delete a maximum-degree
-    vertex (lowest index on ties), repeat; minimalized before returning.
-    mg must be simple (Multigraph.from_labeled), so what is left is a
-    forest exactly when its 2-core is empty.  The pick pops a max-heap of
-    (-degree, vertex) entries, skipping those whose degree is stale."""
-    deg = {v: len(mg.adj[v]) for v in mg.live_vertices()}
+def _greedy_fvs(g: LabeledGraph) -> list:
+    """Quick feasible solution, as g's indices: peel to the 2-core, delete
+    a maximum-degree vertex (lowest index on ties), repeat; minimalized
+    before returning.  What is left is a forest exactly when its 2-core
+    is empty.  The pick pops a max-heap of (-degree, vertex) entries,
+    skipping those whose degree is stale."""
+    nbrs = g._nbrs
+    deg = dict(enumerate(map(len, nbrs)))
     stack = [v for v, d in deg.items() if d <= 1]
     heap = [(-d, v) for v, d in deg.items() if d >= 2]
     heapify(heap)
@@ -337,7 +337,7 @@ def _greedy_fvs(mg: Multigraph) -> list:
         while stack:
             v = stack.pop()
             del deg[v]
-            for u in mg.adj[v]:
+            for u in nbrs[v]:
                 if u in deg:
                     d = deg[u] = deg[u] - 1
                     if d == 1:
@@ -349,7 +349,7 @@ def _greedy_fvs(mg: Multigraph) -> list:
             if deg.get(v) == -d:
                 break
         else:
-            return _minimalize(mg, chosen)
+            return _minimalize(g, chosen)
         chosen.append(v)
         stack.append(v)
 
@@ -382,30 +382,29 @@ def _pack_cliques(mg: Multigraph, live, cap: int, prev=None, log=None):
 
     log, when given, is an empty list, list and dict.  They receive the
     cliques in the order they are grown, each starting with the vertex
-    it was grown from; the cliques' masks, when prev is given; and each
-    vertex's first clique, its home.  prev is that log of the same pack
-    on the graph mg was copied from.  The grows from v read only adj[v],
-    the masks of v's neighbours on N(v), which vertices of N[v] are full
-    or have a home, and v's home.  When v is not in mg.dirty and all of
-    these equal what prev had reached before its grows from v, those
-    grows gave the cliques v would grow here, so they are replayed."""
+    it was grown from; the cliques' masks; and each vertex's first
+    clique, its home.  prev is that log of the same pack on the graph mg
+    was copied from.  The grows from v read only adj[v], the masks of v's
+    neighbours on N(v), which vertices of N[v] are full or have a home,
+    and v's home.  When v is not in mg.dirty and all of these equal what
+    prev had reached before its grows from v, those grows gave the
+    cliques v would grow here, so they are replayed."""
     bits = mg.bits
     full = set()
     grown, masks, home = ([], [], {}) if log is None else log
     total = 0
+    # masks of the full vertices and of those with a home (at cap 1 a
+    # clique fills every vertex, as if each had one), here and in prev
+    # before its grows from v
+    full_bits = 0
+    home_bits = -1 if cap == 1 else 0
     if prev is not None:
         dirty = mg.dirty
         was_grown, was_masks, was_home = prev
-        if len(was_masks) < len(was_grown):
-            was_masks = list(map(_mask, was_grown))
         # the vertex each clique of prev was grown from, then one past all
         sources = [clique[0] for clique in was_grown]
         sources.append(len(bits))
-        # masks of the full vertices and of those with a home (at cap 1 a
-        # clique fills every vertex, as if each had one), here and in prev
-        # before its grows from v
-        full_bits = was_full = 0
-        home_bits = was_homed = -1 if cap == 1 else 0
+        was_full, was_homed = full_bits, home_bits
         j = 0
     for v in live:
         if v in full:
@@ -443,11 +442,10 @@ def _pack_cliques(mg: Multigraph, live, cap: int, prev=None, log=None):
                         full.add(u)
                     else:
                         home[u] = clique
-            if prev is not None:
-                mask = _mask(clique) if k is None else was_masks[k - 1]
-                masks.append(mask)
-                full_bits |= mask & home_bits
-                home_bits |= mask
+            mask = _mask(clique) if k is None else was_masks[k - 1]
+            masks.append(mask)
+            full_bits |= mask & home_bits
+            home_bits |= mask
     return total, full
 
 
@@ -635,30 +633,29 @@ def tau_bnb(
     becomes the starting incumbent.  Without one the greedy's set does,
     and every vertex minimalized, the complement of the maximal forest
     grown in reverse index order, is computed and offered once if the
-    root's bound falls short of the greedy's.  The certificate is
-    optimal unless the node budget ran out, in which case the incumbent
-    is returned with optimal False.
+    root's bound falls short of the greedy's.  These incumbents read g
+    itself; the search reduces the one Multigraph built from g.  The
+    certificate is optimal unless the node budget ran out, in which case
+    the incumbent is returned with optimal False.
     """
     budget = resolve_budget(budget)
-    mg, labels = Multigraph.from_labeled(g)
     index = g._index
     if seed is not None:
         seed_labels = sorted({str(v) for v in seed})
         for v in seed_labels:
             if v not in index:
                 raise ValueError(f"seed contains unknown vertex {v!r}")
-        incumbent = _minimalize(mg, [index[v] for v in seed_labels])
+        incumbent = _minimalize(g, [index[v] for v in seed_labels])
         if incumbent is None:
             raise ValueError("seed is not a feedback vertex set")
     else:
-        incumbent = _greedy_fvs(mg)
+        incumbent = _greedy_fvs(g)
     best = _Best(len(incumbent), tuple(sorted(incumbent)))
     if seed is None:
-        # the reverse-index forest's complement, on a graph of its own, as
-        # the search reduces mg in place
-        best.spare = lambda: _minimalize(Multigraph.from_labeled(g)[0], range(g.order))
+        best.spare = lambda: _minimalize(g, range(g.order))
     ticker = _Ticker(budget)
     optimal = True
+    mg, labels = Multigraph.from_labeled(g)
     try:
         _search(mg, mg.live_vertices(), [], frozenset(), best, ticker)
     except _BudgetExhausted:

@@ -97,8 +97,8 @@ def _feasible(mg: Multigraph, removed) -> bool:
 
 
 def _minimalize(mg: Multigraph, chosen) -> list:
-    """Drop redundant vertices from a feasible deletion set, last in
-    first reconsidered."""
+    """Drop redundant vertices from a feasible deletion set, reconsidered
+    by descending index."""
     keep = list(chosen)
     for v in sorted(set(chosen), reverse=True):
         trial = [x for x in keep if x != v]

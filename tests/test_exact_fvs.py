@@ -360,8 +360,8 @@ def test_spare_is_computed_only_where_the_root_would_branch(monkeypatch):
     closed = computed = 0
     for _ in range(300):
         g = build_graph(range(10), rng.sample(pairs, 16))
-        mg, labels = Multigraph.from_labeled(g)
-        greedy = [labels[v] for v in _greedy_fvs(mg)]
+        labels = g.vertices()
+        greedy = [labels[v] for v in _greedy_fvs(g)]
         cert, spares = run(g)
         assert spares <= 1
         seeded, seeded_spares = run(g, seed=greedy)
@@ -372,6 +372,30 @@ def test_spare_is_computed_only_where_the_root_would_branch(monkeypatch):
             assert spares == 0
         computed += spares
     assert closed > 150 and computed > 0
+
+
+def test_bnb_builds_one_multigraph(monkeypatch):
+    # the incumbents, the spare among them, read the input graph, so only
+    # the search builds a Multigraph
+    run = count_spares(monkeypatch)
+    built = []
+    real = Multigraph.from_labeled
+
+    def spy(g):
+        built.append(g)
+        return real(g)
+
+    monkeypatch.setattr(Multigraph, "from_labeled", spy)
+    hat43 = triangle(4, 3)
+    seed = sorted(set(hat43.vertices()) - forest_triangle(4, 3, graph=hat43))
+    for g, kwargs, spares in [
+        (triangle(4, 2), {}, 1),
+        (sierpinski(6, 4), {}, 0),
+        (hat43, {"budget": 800, "seed": seed}, 0),
+    ]:
+        built.clear()
+        assert run(g, **kwargs)[1] == spares
+        assert built == [g]
 
 
 def test_bnb_seed_is_minimalized():
@@ -504,14 +528,14 @@ def assert_incumbent_matches_reference(g, reference, rng):
     superset of the incumbent) return the reference lists, and each is a
     feedback vertex set none of whose vertices can be dropped."""
     mg, labels = Multigraph.from_labeled(g)
-    incumbent = _greedy_fvs(mg)
+    incumbent = _greedy_fvs(g)
     assert incumbent == reference.greedy_fvs(mg)
     everything = list(range(len(labels)))
     superset = [v for v in everything if v in incumbent or rng.random() < 0.3]
     rng.shuffle(superset)
     results = [incumbent]
     for chosen in (everything, superset):
-        results.append(_minimalize(mg, chosen))
+        results.append(_minimalize(g, chosen))
         assert results[-1] == reference.minimalize(mg, chosen)
     for fvs in results:
         forest = set(labels) - {labels[v] for v in fvs}
@@ -640,6 +664,17 @@ def pack_against_scratch(monkeypatch):
 
     monkeypatch.setattr(exact_fvs, "_pack_cliques", checked)
     return seen
+
+
+@pytest.mark.parametrize("builder,p,n", [(triangle, 4, 2), (sierpinski, 4, 3)])
+@pytest.mark.parametrize("cap", [1, 2])
+def test_root_pack_logs_every_mask(builder, p, n, cap):
+    # a pack with no parent's log still logs each clique's mask, so its
+    # children replay from the masks without recomputing them
+    mg, _ = Multigraph.from_labeled(builder(p, n))
+    log = [], [], {}
+    _pack_cliques(mg, mg.live_vertices(), cap, None, log)
+    assert log[0] and log[1] == list(map(_mask, log[0]))
 
 
 def test_replayed_packs_match_packs_from_scratch(monkeypatch):

@@ -692,6 +692,32 @@ def test_cli_tau_unseeded_closes_the_open_case(capsys):
     assert capsys.readouterr().out.startswith("tau=65 optimal=false witness=")
 
 
+def tau_witness(capsys, family, p, n):
+    """sfvs tau's tau and its witness split on commas outside braces; an
+    empty witness is no vertex."""
+    assert main(["tau", "--family", family, "-p", str(p), "-n", str(n)]) == 0
+    tau, _, witness = capsys.readouterr().out.split()
+    witness = witness.removeprefix("witness=")
+    return int(tau.removeprefix("tau=")), re.split(r",(?![^{]*\})", witness) if witness else []
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("p", [2, 3, 10])
+def test_cli_tau_witness_splits_on_commas_outside_braces(capsys, family, p):
+    # up to 10 symbols a word label holds no comma and a hat label holds
+    # one only inside its braces
+    tau, witness = tau_witness(capsys, family, p, 2)
+    g = verify_cli._BUILDERS[family](p, 2)
+    assert verify_certificate(g, FvsCertificate(tau, tuple(witness), True))
+
+
+def test_cli_tau_witness_cannot_be_split_past_ten_symbols(capsys):
+    # past 10 symbols the commas between word symbols and between labels
+    # are the same byte, so the split yields symbols
+    tau, witness = tau_witness(capsys, "s", 11, 2)
+    assert len(witness) == 2 * tau
+
+
 def test_cli_tau_brute(capsys):
     assert main(["tau", "--family", "s", "-p", "3", "-n", "2", "--method", "brute"]) == 0
     assert capsys.readouterr().out.startswith("tau=3 optimal=true")

@@ -47,11 +47,12 @@ a vertex, the cover gives ceil(p^n (p - 2) / 2) at the root.  Without
 a seed the search starts from the greedy's set, and where its root
 bound first falls short of that it tries a second incumbent once: the
 complement of the maximal forest grown in reverse index order, which
-meets the cover bound on every even-p hat(p, n) tried.  A search
-that runs out of budget still returns its incumbent, flagged
-non-optimal.  A seed is checked by the union-find that minimalizes it,
-and every certificate is re-verified against the input graph before
-being returned.
+meets the cover bound on every even-p hat(p, n) tried.  A density
+bound on the input's degrees that reaches the starting incumbent proves
+it optimal before any multigraph is built.  A search that runs out of
+budget still returns its incumbent, flagged non-optimal.  A seed is
+checked by the union-find that minimalizes it, and every certificate is
+re-verified against the input graph before being returned.
 """
 
 from __future__ import annotations
@@ -328,17 +329,18 @@ def _greedy_fvs(g: LabeledGraph) -> list:
     is empty.  The pick pops a max-heap of (-degree, vertex) entries,
     skipping those whose degree is stale."""
     nbrs = g._nbrs
-    deg = dict(enumerate(map(len, nbrs)))
-    stack = [v for v, d in deg.items() if d <= 1]
-    heap = [(-d, v) for v, d in deg.items() if d >= 2]
+    deg = list(map(len, nbrs))
+    gone = bytearray(len(deg))
+    stack = [v for v, d in enumerate(deg) if d <= 1]
+    heap = [(-d, v) for v, d in enumerate(deg) if d >= 2]
     heapify(heap)
     chosen = []
     while True:
         while stack:
             v = stack.pop()
-            del deg[v]
+            gone[v] = 1
             for u in nbrs[v]:
-                if u in deg:
+                if not gone[u]:
                     d = deg[u] = deg[u] - 1
                     if d == 1:
                         stack.append(u)
@@ -346,7 +348,7 @@ def _greedy_fvs(g: LabeledGraph) -> list:
                         heappush(heap, (-d, u))
         while heap:
             d, v = heappop(heap)
-            if deg.get(v) == -d:
+            if not gone[v] and deg[v] == -d:
                 break
         else:
             return _minimalize(g, chosen)
@@ -634,9 +636,11 @@ def tau_bnb(
     and every vertex minimalized, the complement of the maximal forest
     grown in reverse index order, is computed and offered once if the
     root's bound falls short of the greedy's.  These incumbents read g
-    itself; the search reduces the one Multigraph built from g.  The
-    certificate is optimal unless the node budget ran out, in which case
-    the incumbent is returned with optimal False.
+    itself.  When the density bound on g's degrees reaches the starting
+    incumbent, it is returned as optimal with no search; otherwise the
+    search reduces the one Multigraph built from g.  The certificate is
+    optimal unless the node budget ran out, in which case the incumbent
+    is returned with optimal False.
     """
     budget = resolve_budget(budget)
     index = g._index
@@ -651,16 +655,17 @@ def tau_bnb(
     else:
         incumbent = _greedy_fvs(g)
     best = _Best(len(incumbent), tuple(sorted(incumbent)))
-    if seed is None:
-        best.spare = lambda: _minimalize(g, range(g.order))
-    ticker = _Ticker(budget)
     optimal = True
-    mg, labels = Multigraph.from_labeled(g)
-    try:
-        _search(mg, mg.live_vertices(), [], frozenset(), best, ticker)
-    except _BudgetExhausted:
-        optimal = False
-    witness = tuple(sorted(labels[i] for i in best.witness))
+    # tau is at least the density bound, so an incumbent it reaches is optimal
+    if _density_bound(g.order, g.size, sorted(map(len, g._nbrs), reverse=True)) < best.tau:
+        if seed is None:
+            best.spare = lambda: _minimalize(g, range(g.order))
+        mg, _ = Multigraph.from_labeled(g)
+        try:
+            _search(mg, mg.live_vertices(), [], frozenset(), best, _Ticker(budget))
+        except _BudgetExhausted:
+            optimal = False
+    witness = tuple(sorted(map(g._labels.__getitem__, best.witness)))
     cert = FvsCertificate(best.tau, witness, optimal)
     if not verify_certificate(g, cert):
         raise RuntimeError("solver produced an invalid certificate")

@@ -467,15 +467,10 @@ class Multigraph:
         mg.adj = [dict.fromkeys(nbrs, 1) for nbrs in g._nbrs]
         mg.alive = [True] * g.order
         mg.deg = list(map(len, g._nbrs))
-        # or-ing entries of one table of powers of two makes no new
-        # shifted int per neighbour
+        # a row's neighbours are distinct, so summing entries of one table
+        # of powers of two gives its mask with no new shifted int each
         power = [1 << u for u in range(g.order)]
-        mg.bits = bits = []
-        for nbrs in g._nbrs:
-            mask = 0
-            for u in nbrs:
-                mask |= power[u]
-            bits.append(mask)
+        mg.bits = [sum(map(power.__getitem__, nbrs)) for nbrs in g._nbrs]
         mg.size = g.size
         mg.dirty = 0
         return mg, g.vertices()

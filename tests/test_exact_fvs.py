@@ -6,6 +6,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sfvs import exact_fvs
 from sfvs.exact_fvs import (
@@ -14,6 +15,7 @@ from sfvs.exact_fvs import (
     FvsCertificate,
     _branch_vertex,
     _degrees_within,
+    _density_bound,
     _flood,
     _greedy_fvs,
     _grow_clique,
@@ -43,6 +45,7 @@ from sfvs.graph_core import (
     is_forest,
 )
 from sfvs.triangle_forest import forest_triangle
+from sfvs.verify_cli import _BUILDERS
 
 
 def complete_graph(k):
@@ -289,6 +292,21 @@ def test_bnb_budget_exhaustion_keeps_incumbent():
     assert verify_certificate(g, cert)
 
 
+def test_bnb_two_components_close_on_the_input_degrees():
+    # the input's degrees prove the greedy's 2 optimal, so no budget is
+    # spent; a search would split the root into its two components and
+    # run out of nodes at budget 1 or 2
+    edges = [
+        (0, 1), (0, 7), (1, 5), (10, 2), (10, 3), (10, 5), (11, 6),
+        (11, 8), (11, 9), (2, 7), (3, 7), (4, 8), (4, 9), (6, 9),
+    ]
+    g = build_graph(range(12), edges)
+    assert len(g.components()) == 2
+    assert tau_bruteforce(g).tau == 2
+    for budget in (1, 2):
+        assert tau_bnb(g, budget=budget) == FvsCertificate(2, ("10", "11"), True)
+
+
 def test_bnb_seeded_incumbent_survives_budget():
     # the root bound on hat(4,3) is 64, one short of the seed
     g = triangle(4, 3)
@@ -396,6 +414,43 @@ def test_bnb_builds_one_multigraph(monkeypatch):
         built.clear()
         assert run(g, **kwargs)[1] == spares
         assert built == [g]
+
+
+def input_bound(g):
+    """The density bound on the input graph's own degrees."""
+    return _density_bound(g.order, g.size, sorted(map(len, g._nbrs), reverse=True))
+
+
+def test_bnb_builds_no_multigraph_where_the_input_degrees_settle(monkeypatch, reference_search):
+    built = []
+    real = Multigraph.from_labeled
+
+    def spy(g):
+        built.append(g)
+        return real(g)
+
+    monkeypatch.setattr(Multigraph, "from_labeled", spy)
+
+    def builds(g):
+        built.clear()
+        return tau_bnb(g), len(built)
+
+    tree = build_graph(range(7), [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
+    for g in (tree, cycle_graph(8), complete_graph(4)):
+        assert builds(g)[1] == 0
+    # random graphs as the solve benchmark draws them, G(10, 16)
+    rng = random.Random(2808)
+    pairs = list(itertools.combinations(range(10), 2))
+    settled = 0
+    for _ in range(300):
+        g = build_graph(range(10), rng.sample(pairs, 16))
+        cert, count = builds(g)
+        settles = input_bound(g) >= len(_greedy_fvs(g))
+        assert count == (0 if settles else 1)
+        settled += settles
+        assert cert == reference_search(g, 300)
+    # 175 settle on the input's degrees
+    assert 150 < settled < 300
 
 
 def test_bnb_seed_is_minimalized():
@@ -510,6 +565,41 @@ def test_lower_bound_below_tau_on_families(family, builder):
         for n in range(0 if family in ("s", "hat") else 1, 5):
             if expected_order(family, p, n) <= 16:
                 assert_bound_below_tau(builder(p, n))
+
+
+def assert_input_bound_settles_soundly(g):
+    """The input's density bound is at most tau(g), and where it reaches
+    the greedy's size one node proves that size optimal."""
+    brute = tau_bruteforce(g)
+    bound = input_bound(g)
+    assert bound <= brute.tau
+    if bound >= len(_greedy_fvs(g)):
+        cert = tau_bnb(g, budget=1)
+        assert cert.optimal and cert.tau == brute.tau
+    return bound >= len(_greedy_fvs(g))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 14),
+    st.sampled_from((0.1, 0.2, 0.35, 0.5, 0.7, 0.9)),
+    st.integers(0, 2**32 - 1),
+)
+def test_input_bound_below_tau_on_random_graphs(order, prob, seed):
+    assert_input_bound_settles_soundly(random_graph(random.Random(seed), order, prob))
+
+
+def test_input_bound_below_tau_on_families():
+    # the family instances of the solver cross-check in the acceptance tests
+    settled = instances = 0
+    for family, builder in _BUILDERS.items():
+        for p in range(2, 10):
+            for n in range(0 if family == "hat" else 1, 6):
+                if expected_order(family, p, n) <= 20:
+                    settled += assert_input_bound_settles_soundly(builder(p, n))
+                    instances += 1
+    # 25 of the 54 settle
+    assert 0 < settled < instances
 
 
 @pytest.mark.parametrize("p,n", [(4, 1), (4, 2), (4, 3), (5, 2), (6, 2), (7, 2)])

@@ -1,10 +1,10 @@
 """Exact feedback vertex number, two independent ways.
 
-tau_bruteforce enumerates deletion sets and induced forests by
-increasing size, whichever side has fewer subsets next, and is the
-ground-truth oracle for small graphs; a deletion set whose degree sum
-leaves more edges than a forest on the rest can hold is skipped before
-its union-find.  tau_bnb is a branch-and-bound search over a multigraph,
+tau_bruteforce, the ground-truth oracle for small graphs, searches the
+deletion sets of each size in turn depth first, keeping a union-find of
+the kept vertices that it undoes on backtrack, and tries no deletion
+after which the largest degrees could not remove enough edges for a
+forest.  tau_bnb is a branch-and-bound search over a multigraph,
 parallel edges but never a loop, that supports the classic reductions:
 
   * vertices of degree <= 1 are irrelevant and vanish
@@ -58,7 +58,6 @@ re-verified against the input graph before being returned.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -132,17 +131,17 @@ def _root(parent, x):
 
 
 def tau_bruteforce(g: LabeledGraph, cap: int = 22) -> FvsCertificate:
-    """Exact feedback number by subset enumeration from both sides.
+    """Exact feedback number by a depth-first search over deletion sets.
 
-    Each step tries whichever side has fewer subsets at its next size:
-    the deletion sets of size lo in increasing lo, the first that leaves a
-    forest being the answer, or the induced forests of size n - hi + 1 in
-    decreasing hi, where finding none proves tau = hi.  A deletion set
-    whose degree sum is below m - max(n - lo - 1, 0), m the edge count,
-    keeps more edges than a forest on the rest can hold and is skipped
-    before its union-find.  Forests are searched by growing acyclic sets,
-    so a set with a cycle is never extended.  The witness is the first
-    deletion set of size tau in lexicographic order either way.
+    For k = 0, 1, ... the search decides the vertices in index order,
+    deleting each before keeping it, so the first k-set it completes is
+    the least in lexicographic order and is the witness.  The kept
+    vertices form a union-find: keeping v links the roots of its earlier
+    kept neighbours to v, and a branch ends where two of them share a
+    root.  A deletion is not tried when the edges removed so far, plus
+    the largest degrees, one per deletion still to make, fall short of
+    m - max(n - k - 1, 0), m the edge count: the rest would keep more
+    edges than a forest on n - k vertices can hold.
 
     Exponential; refuses graphs above cap vertices (use tau_bnb there).
     """
@@ -151,55 +150,56 @@ def tau_bruteforce(g: LabeledGraph, cap: int = 22) -> FvsCertificate:
         raise ValueError(
             f"{n} vertices exceeds the brute-force cap of {cap}; use tau_bnb"
         )
-    labels = g.vertices()
-    edges = [(u, v) for u, nbrs in enumerate(g._nbrs) for v in nbrs if u < v]
-    deg = list(map(len, g._nbrs))
-    everyone = frozenset(range(n))
+    nbrs = g._nbrs
+    deg = list(map(len, nbrs))
+    bits = [sum(map((1).__lshift__, row)) for row in nbrs]
+    top = list(itertools.accumulate(sorted(deg, reverse=True), initial=0))
+    # a link is undone on backtrack, so roots are found without halving
+    parent = list(range(n))
 
-    def acyclic_without(removed) -> bool:
-        parent = list(range(n))
-        for u, v in edges:
-            if u in removed or v in removed:
-                continue
-            ru, rv = _root(parent, u), _root(parent, v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
-
-    def forest_of(size) -> bool:
-        # some set of size vertices induces a forest: depth first over sets
-        # grown in index order, each dropped as soon as it holds a cycle; a
-        # stack, not a call to itself, so no reference cycle is left behind
-        stack = [(v,) for v in range(n - size, -1, -1)]
-        while stack:
-            kept = stack.pop()
-            if acyclic_without(everyone.difference(kept)):
-                if len(kept) == size:
-                    return True
-                stack.extend(kept + (v,) for v in range(n - size + len(kept), kept[-1], -1))
-        return False
-
-    # lo <= tau <= hi: every deletion set of size < lo leaves a cycle, and
-    # a forest of n - hi vertices exists, as any two vertices are one
-    lo, hi = 0, max(n - 2, 0)
-    while True:
-        size = n - hi + 1
-        if lo == hi or math.comb(n, lo) <= math.comb(n, size):
-            # deleting combo keeps at least m - (its degree sum) edges, and
-            # a forest on n - lo vertices has at most max(n - lo - 1, 0);
-            # the max keeps n = 0 from skipping its one empty set forever
-            need = len(edges) - max(n - lo - 1, 0)
-            for combo, degs in zip(
-                itertools.combinations(range(n), lo), itertools.combinations(deg, lo)
-            ):
-                if sum(degs) >= need and acyclic_without(set(combo)):
-                    return FvsCertificate(lo, tuple(labels[i] for i in combo), True)
-            lo += 1
-        elif forest_of(size):
-            hi -= 1
+    def search(v, left, removed, gone):
+        # gone masks the deletions before v, removed counts the edges they
+        # meet; only deletions recurse.  Returns a completed gone, or None
+        linked = []
+        for w in range(v, n):
+            if left:
+                cut = removed + deg[w] - (bits[w] & gone).bit_count()
+                if cut + top[left - 1] >= need:
+                    found = search(w + 1, left - 1, cut, gone | 1 << w)
+                    if found is not None:
+                        return found
+                if left == n - w:
+                    break
+            roots = []
+            for u in nbrs[w]:
+                if u > w:
+                    break
+                if not gone >> u & 1:
+                    while parent[u] != u:
+                        u = parent[u]
+                    roots.append(u)
+            if len(roots) > 1 and len(set(roots)) < len(roots):
+                break
+            for r in roots:
+                parent[r] = w
+            linked += roots
         else:
-            lo = hi
+            return gone
+        for r in linked:
+            parent[r] = r
+        return None
+
+    try:
+        # max(): n = 0 needs no edge removed; k = n - 2 always keeps a forest
+        for k in range(n + 1):
+            need = g.size - max(n - k - 1, 0)
+            if top[k] >= need:
+                gone = search(0, k, 0, 0)
+                if gone is not None:
+                    labels = g.vertices()
+                    return FvsCertificate(k, tuple(labels[v] for v in range(n) if gone >> v & 1), True)
+    finally:
+        del search  # it refers to itself: break the cycle
 
 
 class _BudgetExhausted(Exception):
@@ -660,7 +660,7 @@ def tau_bnb(
     if _density_bound(g.order, g.size, sorted(map(len, g._nbrs), reverse=True)) < best.tau:
         if seed is None:
             best.spare = lambda: _minimalize(g, range(g.order))
-        mg, _ = Multigraph.from_labeled(g)
+        mg = Multigraph.from_labeled(g)
         try:
             _search(mg, mg.live_vertices(), [], frozenset(), best, _Ticker(budget))
         except _BudgetExhausted:

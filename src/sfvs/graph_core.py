@@ -461,8 +461,7 @@ class Multigraph:
 
     @classmethod
     def from_labeled(cls, g: LabeledGraph):
-        """Build a Multigraph plus the index -> label table, indices in
-        label order."""
+        """The Multigraph of g, on g's indices."""
         mg = cls.__new__(cls)
         mg.adj = [dict.fromkeys(nbrs, 1) for nbrs in g._nbrs]
         mg.alive = [True] * g.order
@@ -473,7 +472,7 @@ class Multigraph:
         mg.bits = [sum(map(power.__getitem__, nbrs)) for nbrs in g._nbrs]
         mg.size = g.size
         mg.dirty = 0
-        return mg, g.vertices()
+        return mg
 
     def add_edge(self, u: int, v: int, mult: int = 1):
         if u == v:

@@ -22,7 +22,7 @@ from sfvs.addressing import (
     word_labels,
     word_separator,
 )
-from sfvs.exact_fvs import FvsCertificate, _Best, _BudgetExhausted, _Ticker
+from sfvs.exact_fvs import FvsCertificate, _Best, _BudgetExhausted, _root, _Ticker
 from sfvs.generators import (
     _hat_tables,
     expected_order,
@@ -158,14 +158,13 @@ class _RecountingMultigraph:
 
     @classmethod
     def from_labeled(cls, g: LabeledGraph):
-        """Build a Multigraph plus the index -> label table, indices in
-        label order."""
+        """Build a Multigraph, indices in label order."""
         labels = sorted(g.vertices())
         index = {v: i for i, v in enumerate(labels)}
         mg = cls(len(labels))
         for u, v in g.edges():
             mg.add_edge(index[u], index[v])
-        return mg, labels
+        return mg
 
     def add_edge(self, u: int, v: int, mult: int = 1):
         if u == v:
@@ -477,7 +476,8 @@ def _search(mg: _RecountingMultigraph, chosen, forbidden, best, ticker):
 
 
 def _reference_tau(g, budget, seed=None) -> FvsCertificate:
-    mg, labels = _RecountingMultigraph.from_labeled(g)
+    mg = _RecountingMultigraph.from_labeled(g)
+    labels = sorted(g.vertices())
     if seed is None:
         incumbent = _greedy_fvs(mg)
     else:
@@ -1199,6 +1199,85 @@ def _bruteforce_by_size(g, cap: int = 22) -> FvsCertificate:
 def reference_bruteforce():
     """Reference tau_bruteforce(g, cap) enumerating deletion sets only."""
     return _bruteforce_by_size
+
+
+def _bruteforce_two_sided(g: LabeledGraph, cap: int = 22) -> FvsCertificate:
+    """tau_bruteforce before its depth-first search: subset enumeration
+    from both sides.
+
+    Each step tries whichever side has fewer subsets at its next size:
+    the deletion sets of size lo in increasing lo, the first that leaves a
+    forest being the answer, or the induced forests of size n - hi + 1 in
+    decreasing hi, where finding none proves tau = hi.  A deletion set
+    whose degree sum is below m - max(n - lo - 1, 0), m the edge count,
+    keeps more edges than a forest on the rest can hold and is skipped
+    before its union-find.  Forests are searched by growing acyclic sets,
+    so a set with a cycle is never extended.  The witness is the first
+    deletion set of size tau in lexicographic order either way.
+
+    Exponential; refuses graphs above cap vertices (use tau_bnb there).
+    """
+    n = g.order
+    if n > cap:
+        raise ValueError(
+            f"{n} vertices exceeds the brute-force cap of {cap}; use tau_bnb"
+        )
+    labels = g.vertices()
+    edges = [(u, v) for u, nbrs in enumerate(g._nbrs) for v in nbrs if u < v]
+    deg = list(map(len, g._nbrs))
+    everyone = frozenset(range(n))
+
+    def acyclic_without(removed) -> bool:
+        parent = list(range(n))
+        for u, v in edges:
+            if u in removed or v in removed:
+                continue
+            ru, rv = _root(parent, u), _root(parent, v)
+            if ru == rv:
+                return False
+            parent[ru] = rv
+        return True
+
+    def forest_of(size) -> bool:
+        # some set of size vertices induces a forest: depth first over sets
+        # grown in index order, each dropped as soon as it holds a cycle; a
+        # stack, not a call to itself, so no reference cycle is left behind
+        stack = [(v,) for v in range(n - size, -1, -1)]
+        while stack:
+            kept = stack.pop()
+            if acyclic_without(everyone.difference(kept)):
+                if len(kept) == size:
+                    return True
+                stack.extend(kept + (v,) for v in range(n - size + len(kept), kept[-1], -1))
+        return False
+
+    # lo <= tau <= hi: every deletion set of size < lo leaves a cycle, and
+    # a forest of n - hi vertices exists, as any two vertices are one
+    lo, hi = 0, max(n - 2, 0)
+    while True:
+        size = n - hi + 1
+        if lo == hi or math.comb(n, lo) <= math.comb(n, size):
+            # deleting combo keeps at least m - (its degree sum) edges, and
+            # a forest on n - lo vertices has at most max(n - lo - 1, 0);
+            # the max keeps n = 0 from skipping its one empty set forever
+            need = len(edges) - max(n - lo - 1, 0)
+            for combo, degs in zip(
+                itertools.combinations(range(n), lo), itertools.combinations(deg, lo)
+            ):
+                if sum(degs) >= need and acyclic_without(set(combo)):
+                    return FvsCertificate(lo, tuple(labels[i] for i in combo), True)
+            lo += 1
+        elif forest_of(size):
+            hi -= 1
+        else:
+            lo = hi
+
+
+@pytest.fixture
+def reference_two_sided_bruteforce():
+    """Reference tau_bruteforce(g, cap) scanning deletion sets and induced
+    forests, whichever side has fewer subsets next."""
+    return _bruteforce_two_sided
 
 
 def _verify_certificate(g: LabeledGraph, cert: FvsCertificate) -> bool:

@@ -6,7 +6,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sfvs import exact_fvs
 from sfvs.exact_fvs import (
@@ -151,6 +151,14 @@ def test_bruteforce_cap():
     assert cert.tau == 1
 
 
+def test_bruteforce_recurses_only_to_delete():
+    # far above the default cap a cycle still needs one deletion, so the
+    # search stays within the recursion limit that one call per vertex
+    # would pass
+    cert = tau_bruteforce(cycle_graph(3000), cap=3000)
+    assert cert == FvsCertificate(1, ("0",), True)
+
+
 def test_bruteforce_witness_is_sorted_labels():
     cert = tau_bruteforce(complete_graph(4))
     assert cert.witness == tuple(sorted(cert.witness))
@@ -169,8 +177,8 @@ def test_bruteforce_matches_reference_on_random_graphs(reference_bruteforce):
     [("s", sierpinski), ("plus", sierpinski_plus), ("pp", sierpinski_plusplus), ("hat", triangle)],
 )
 def test_bruteforce_matches_reference_on_families(reference_bruteforce, family, builder):
-    # dense instances: the degree-sum test rejects about half of the
-    # deletion sets tried here before their union-find
+    # dense instances: 21,000 of the 31,000 or so keeps tried here end on
+    # a cycle, and the edge count skips 7,500 deletions
     for p in range(2, 17):
         for n in range(0 if family in ("s", "hat") else 1, 5):
             if expected_order(family, p, n) <= 16:
@@ -179,8 +187,9 @@ def test_bruteforce_matches_reference_on_families(reference_bruteforce, family, 
 
 
 def test_bruteforce_closes_dense_graphs_at_its_cap():
-    # no induced forest of 3 vertices settles K_22 after about 3,500
-    # subsets; deletion sets alone took most of a minute
+    # the edge count skips k <= 10 at the root, and a third kept vertex
+    # closes a triangle: about 5,800 calls settle K_22, where a scan of
+    # deletion sets alone took most of a minute
     g = complete_graph(22)
     assert tau_bruteforce(g) == FvsCertificate(20, tuple(sorted(g.vertices())[:20]), True)
     g = sierpinski_plusplus(21, 1)
@@ -188,8 +197,57 @@ def test_bruteforce_closes_dense_graphs_at_its_cap():
     assert cert.tau == 20 and verify_certificate(g, cert)
 
 
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    # sampled, not st.integers, whose draws favour order 0
+    st.sampled_from(range(21)),
+    st.sampled_from((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)),
+    st.integers(0, 2**32 - 1),
+)
+def test_bruteforce_matches_the_two_sided_scan_on_random_graphs(
+    reference_two_sided_bruteforce, order, prob, seed
+):
+    g = random_graph(random.Random(seed), order, prob)
+    assert tau_bruteforce(g) == reference_two_sided_bruteforce(g)
+
+
+def test_bruteforce_matches_the_two_sided_scan_on_families(reference_two_sided_bruteforce):
+    # up to 20 vertices: the scan takes about a second on pp(4,2)
+    instances = 0
+    for family, builder in _BUILDERS.items():
+        for p in range(2, 21):
+            for n in range(0 if family in ("s", "hat") else 1, 5):
+                if expected_order(family, p, n) <= 20:
+                    g = builder(p, n)
+                    assert tau_bruteforce(g) == reference_two_sided_bruteforce(g), (family, p, n)
+                    instances += 1
+    assert instances == 115
+
+
+def test_bruteforce_meets_the_hat_closed_form_up_to_its_cap():
+    # every vertex of S(p, n) keeps at most two of its p edges in an
+    # induced forest of its line graph hat(p, n), and some forest meets
+    # that; hat(p, 0) is K_p
+    closed = []
+    for p in range(2, 23):
+        for n in range(5):
+            if expected_order("hat", p, n) <= 22:
+                want = -(-p**n * (p - 2) // 2) if n else p - 2
+                assert tau_bruteforce(triangle(p, n)).tau == want, (p, n)
+                closed.append((p, n))
+    assert sorted(closed) == sorted(
+        [(p, 0) for p in range(2, 23)]
+        + [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (5, 1), (6, 1)]
+    )
+
+
 def test_bruteforce_leaves_no_reference_cycle():
-    # K_9 (tau 7) searches the forest side as well as the deletion side;
+    # K_9 (tau 7) recurses for k = 4..7, through a search that calls itself;
     # with the collector off, anything one call leaves in a cycle would
     # still be there for gc.collect to find
     g = complete_graph(9)
@@ -539,7 +597,7 @@ def assert_bound_below_tau(g):
     """The bound of g, and of g after the reductions plus the vertices
     they force, is at most tau(g)."""
     tau = tau_bruteforce(g).tau
-    mg, _ = Multigraph.from_labeled(g)
+    mg = Multigraph.from_labeled(g)
     live = mg.live_vertices()
     assert _lower_bound(mg, live, len(live) + 1) <= tau
     chosen = []
@@ -559,11 +617,11 @@ def test_lower_bound_below_tau_on_random_graphs():
     [("s", sierpinski), ("plus", sierpinski_plus), ("pp", sierpinski_plusplus), ("hat", triangle)],
 )
 def test_lower_bound_below_tau_on_families(family, builder):
-    # up to 16 vertices: brute force still takes about 9 s on hat(6,1),
-    # which has 21
-    for p in range(2, 17):
+    # up to the brute-force cap of 22 vertices, hat(6,1) and pp(4,2)
+    # included
+    for p in range(2, 23):
         for n in range(0 if family in ("s", "hat") else 1, 5):
-            if expected_order(family, p, n) <= 16:
+            if expected_order(family, p, n) <= 22:
                 assert_bound_below_tau(builder(p, n))
 
 
@@ -605,7 +663,7 @@ def test_input_bound_below_tau_on_families():
 @pytest.mark.parametrize("p,n", [(4, 1), (4, 2), (4, 3), (5, 2), (6, 2), (7, 2)])
 def test_lower_bound_at_the_root_of_hat(p, n):
     # p^n cliques K_p, and every vertex lies in at most two of them
-    mg, _ = Multigraph.from_labeled(triangle(p, n))
+    mg = Multigraph.from_labeled(triangle(p, n))
     live = mg.live_vertices()
     assert _lower_bound(mg, live, len(live) + 1) == -(-p**n * (p - 2) // 2)
 
@@ -617,7 +675,8 @@ def assert_incumbent_matches_reference(g, reference, rng):
     """_greedy_fvs and _minimalize (of every vertex and of a shuffled
     superset of the incumbent) return the reference lists, and each is a
     feedback vertex set none of whose vertices can be dropped."""
-    mg, labels = Multigraph.from_labeled(g)
+    mg = Multigraph.from_labeled(g)
+    labels = g.vertices()
     incumbent = _greedy_fvs(g)
     assert incumbent == reference.greedy_fvs(mg)
     everything = list(range(len(labels)))
@@ -761,7 +820,7 @@ def pack_against_scratch(monkeypatch):
 def test_root_pack_logs_every_mask(builder, p, n, cap):
     # a pack with no parent's log still logs each clique's mask, so its
     # children replay from the masks without recomputing them
-    mg, _ = Multigraph.from_labeled(builder(p, n))
+    mg = Multigraph.from_labeled(builder(p, n))
     log = [], [], {}
     _pack_cliques(mg, mg.live_vertices(), cap, None, log)
     assert log[0] and log[1] == list(map(_mask, log[0]))
@@ -812,7 +871,7 @@ def random_multigraph(rng, order, edge_prob):
     """A loop-free multigraph as the search meets one: a random simple
     graph, then parallel and new edges on distinct live pairs and
     removed vertices."""
-    mg, _ = Multigraph.from_labeled(random_graph(rng, order, edge_prob))
+    mg = Multigraph.from_labeled(random_graph(rng, order, edge_prob))
     for _ in range(rng.randint(0, 2 * order)):
         live = mg.live_vertices()
         if len(live) < 2:

@@ -723,6 +723,15 @@ def test_cli_tau_brute(capsys):
     assert capsys.readouterr().out.startswith("tau=3 optimal=true")
 
 
+def test_cli_tau_brute_closes_hat_at_the_cap(capsys):
+    # hat(6,1) has 21 vertices, one under the brute-force cap
+    assert main(["tau", "--method", "brute", "--family", "hat", "-p", "6", "-n", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("tau=12 optimal=true witness=")
+    witness = tuple(re.split(r",(?![^{]*\})", out.strip().split("witness=")[1]))
+    assert verify_certificate(triangle(6, 1), FvsCertificate(12, witness, True))
+
+
 def test_cli_verify_table(capsys):
     assert main(["verify", "--suite", "thm2.4", "-p", "3", "-n", "1:2"]) == 0
     out = capsys.readouterr().out

@@ -182,8 +182,8 @@ def format_vertex(v, p: int) -> str:
         return f"^{v.k}"
     if isinstance(v, Contracted):
         i, j = v.pair
-        if j >= p:
-            raise ValueError(f"symbol {j} out of range for p={p}")
+        if i < 0 or j >= p:
+            raise ValueError(f"symbol {i if i < 0 else j} out of range for p={p}")
         return f"{format_word(v.prefix, p)}:{{{i},{j}}}"
     raise TypeError(f"not a vertex: {v!r}")
 

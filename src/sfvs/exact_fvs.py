@@ -63,12 +63,13 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .addressing import _decimal
-from .graph_core import LabeledGraph, Multigraph, _components, _cycle
+from .graph_core import GraphError, LabeledGraph, _components, _cycle
 
 __all__ = [
     "BUDGET_ENV_VAR",
     "DEFAULT_BUDGET",
     "FvsCertificate",
+    "Multigraph",
     "resolve_budget",
     "tau_bnb",
     "tau_bruteforce",
@@ -234,6 +235,113 @@ class _Best:
         if len(chosen) < self.tau:
             self.tau = len(chosen)
             self.witness = tuple(sorted(chosen))
+
+
+class Multigraph:
+    """Mutable int-indexed multigraph, the search's scratch graph.
+
+    adj[v] maps neighbor -> multiplicity; the graph holds parallel edges
+    but never a loop.  Vertices are never removed from the list, only
+    marked dead in alive.  deg[v] is kept current by add_edge and
+    remove_vertex, and so is bits[v], the int bitmask of v's neighbours
+    (0 at a dead vertex), which lets the search count common neighbours
+    with one and.  copy() duplicates all of them, and restrict(comp)
+    keeps those of comp, a union of components, with every other vertex
+    dead.
+
+    dirty serves the pack replay alone: the int mask of the vertices
+    whose closed neighbourhood, the keys of adj[v] in their order and
+    the edges among them, may differ from the graph this one was copied
+    from, on which the parent node's packs were logged.  copy() starts
+    it at 0, restrict() keeps it and the search resets it where a last
+    child takes over its node's graph.  remove_vertex(v) marks v and its
+    neighbours, and an add_edge that joins two vertices not yet adjacent
+    marks both and their common neighbours; a parallel edge marks none.
+    """
+
+    __slots__ = ("adj", "alive", "deg", "bits", "dirty")
+
+    def __init__(self, n: int):
+        self.adj = [dict() for _ in range(n)]
+        self.alive = [True] * n
+        self.deg = [0] * n
+        self.bits = [0] * n
+        self.dirty = 0
+
+    @classmethod
+    def from_labeled(cls, g: LabeledGraph):
+        """The Multigraph of g, on g's indices."""
+        mg = cls.__new__(cls)
+        mg.adj = [dict.fromkeys(nbrs, 1) for nbrs in g._nbrs]
+        mg.alive = [True] * g.order
+        mg.deg = list(map(len, g._nbrs))
+        # a row's neighbours are distinct, so summing entries of one table
+        # of powers of two gives its mask with no new shifted int each
+        power = [1 << u for u in range(g.order)]
+        mg.bits = [sum(map(power.__getitem__, nbrs)) for nbrs in g._nbrs]
+        mg.dirty = 0
+        return mg
+
+    def add_edge(self, u: int, v: int):
+        if u == v:
+            raise GraphError(f"self-loop at {u}")
+        adj_u, adj_v = self.adj[u], self.adj[v]
+        if v in adj_u:
+            adj_u[v] += 1
+            adj_v[u] += 1
+        else:
+            adj_u[v] = adj_v[u] = 1
+            bits = self.bits
+            self.dirty |= bits[u] & bits[v] | 1 << u | 1 << v
+            bits[u] |= 1 << v
+            bits[v] |= 1 << u
+        self.deg[u] += 1
+        self.deg[v] += 1
+
+    def remove_vertex(self, v: int):
+        adj, deg, bits = self.adj, self.deg, self.bits
+        nbrs = adj[v]
+        bit = 1 << v
+        self.dirty |= bits[v] | bit
+        for u, mult in nbrs.items():
+            del adj[u][v]
+            deg[u] -= mult
+            bits[u] ^= bit
+        nbrs.clear()
+        deg[v] = 0
+        bits[v] = 0
+        self.alive[v] = False
+
+    def degree(self, v: int) -> int:
+        return self.deg[v]
+
+    def live_vertices(self):
+        return [v for v in range(len(self.alive)) if self.alive[v]]
+
+    def copy(self) -> "Multigraph":
+        # __new__, as in from_labeled: __init__ would build lists only for
+        # them to be replaced
+        out = Multigraph.__new__(Multigraph)
+        out.adj = list(map(dict.copy, self.adj))
+        out.alive = list(self.alive)
+        out.deg = list(self.deg)
+        out.bits = list(self.bits)
+        out.dirty = 0
+        return out
+
+    def restrict(self, comp) -> "Multigraph":
+        """The subgraph on comp, a union of components; every other
+        vertex is dead in it."""
+        n = len(self.adj)
+        out = Multigraph(n)
+        out.alive = [False] * n
+        for v in comp:
+            out.adj[v] = self.adj[v].copy()
+            out.alive[v] = True
+            out.deg[v] = self.deg[v]
+            out.bits[v] = self.bits[v]
+        out.dirty = self.dirty
+        return out
 
 
 def _reduce(mg: Multigraph, live, forbidden, chosen):
@@ -461,8 +569,9 @@ def _lower_bound(mg: Multigraph, live, target: int, prev=(None, None), logs=None
     order = len(live)
     if order == 0:
         return 0
+    # live lists every live vertex, so its degrees count each edge twice
     degs = sorted(map(mg.deg.__getitem__, live), reverse=True)
-    best = _density_bound(order, mg.size, degs)
+    best = _density_bound(order, sum(degs) // 2, degs)
     if best >= target:
         return best
     if logs is None:

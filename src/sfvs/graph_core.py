@@ -25,11 +25,6 @@ list of neighbour indices per vertex, which _from_rows replaces by its
 sorted tuple in place, so it peaks little above the graph it returns.
 The generators compose the lists; build_graph maps arbitrary label
 pairs into them and deduplicates them.
-The int-indexed Multigraph at the bottom, the exact solver's scratch
-structure, is read straight off the neighbour tuples, holds parallel
-edges but never a loop, keeps an int neighbour bitmask per vertex beside
-its multiplicities and a mask of the vertices whose neighbourhood
-changed since it was copied, and is deliberately mutable.
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ from itertools import accumulate, compress
 __all__ = [
     "GraphError",
     "LabeledGraph",
-    "Multigraph",
     "build_graph",
     "contract_edges",
     "export_dot",
@@ -428,113 +422,3 @@ def export_dot(g: LabeledGraph, name: str = "g") -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-class Multigraph:
-    """Mutable int-indexed multigraph used by the exact solver.
-
-    adj[v] maps neighbor -> multiplicity; the graph holds parallel edges
-    but never a loop.  Vertices are never removed from the list, only
-    marked dead in alive.  deg[v] and size (the edge count) are kept
-    current by add_edge and remove_vertex, and so is bits[v], the int
-    bitmask of v's neighbours (0 at a dead vertex), which lets the
-    solver count common neighbours with one and.  copy() duplicates all
-    of them, and restrict(comp) keeps those of comp, a union of
-    components, with every other vertex dead.
-
-    dirty is the int mask of the vertices whose closed neighbourhood,
-    the keys of adj[v] in their order and the edges among them, may
-    differ from the graph this one was copied from: copy() starts it at
-    0 and restrict() keeps it.  remove_vertex(v) marks v and its
-    neighbours, and an add_edge that joins two vertices not yet adjacent
-    marks both and their common neighbours; a parallel edge marks none.
-    """
-
-    __slots__ = ("adj", "alive", "deg", "bits", "size", "dirty")
-
-    def __init__(self, n: int):
-        self.adj = [dict() for _ in range(n)]
-        self.alive = [True] * n
-        self.deg = [0] * n
-        self.bits = [0] * n
-        self.size = 0
-        self.dirty = 0
-
-    @classmethod
-    def from_labeled(cls, g: LabeledGraph):
-        """The Multigraph of g, on g's indices."""
-        mg = cls.__new__(cls)
-        mg.adj = [dict.fromkeys(nbrs, 1) for nbrs in g._nbrs]
-        mg.alive = [True] * g.order
-        mg.deg = list(map(len, g._nbrs))
-        # a row's neighbours are distinct, so summing entries of one table
-        # of powers of two gives its mask with no new shifted int each
-        power = [1 << u for u in range(g.order)]
-        mg.bits = [sum(map(power.__getitem__, nbrs)) for nbrs in g._nbrs]
-        mg.size = g.size
-        mg.dirty = 0
-        return mg
-
-    def add_edge(self, u: int, v: int, mult: int = 1):
-        if u == v:
-            raise GraphError(f"self-loop at {u}")
-        adj_u, adj_v = self.adj[u], self.adj[v]
-        if v in adj_u:
-            adj_u[v] += mult
-            adj_v[u] += mult
-        else:
-            adj_u[v] = adj_v[u] = mult
-            bits = self.bits
-            self.dirty |= bits[u] & bits[v] | 1 << u | 1 << v
-            bits[u] |= 1 << v
-            bits[v] |= 1 << u
-        self.deg[u] += mult
-        self.deg[v] += mult
-        self.size += mult
-
-    def remove_vertex(self, v: int):
-        adj, deg, bits = self.adj, self.deg, self.bits
-        nbrs = adj[v]
-        self.size -= deg[v]
-        bit = 1 << v
-        self.dirty |= bits[v] | bit
-        for u, mult in nbrs.items():
-            del adj[u][v]
-            deg[u] -= mult
-            bits[u] ^= bit
-        nbrs.clear()
-        deg[v] = 0
-        bits[v] = 0
-        self.alive[v] = False
-
-    def degree(self, v: int) -> int:
-        return self.deg[v]
-
-    def live_vertices(self):
-        return [v for v in range(len(self.alive)) if self.alive[v]]
-
-    def copy(self) -> "Multigraph":
-        # __new__, as in from_labeled: __init__ would build lists only for
-        # them to be replaced
-        out = Multigraph.__new__(Multigraph)
-        out.adj = list(map(dict.copy, self.adj))
-        out.alive = list(self.alive)
-        out.deg = list(self.deg)
-        out.bits = list(self.bits)
-        out.size = self.size
-        out.dirty = 0
-        return out
-
-    def restrict(self, comp) -> "Multigraph":
-        """The subgraph on comp, a union of components; every other
-        vertex is dead in it."""
-        n = len(self.adj)
-        out = Multigraph(n)
-        out.alive = [False] * n
-        for v in comp:
-            out.adj[v] = self.adj[v].copy()
-            out.alive[v] = True
-            out.deg[v] = self.deg[v]
-            out.bits[v] = self.bits[v]
-        out.size = sum(out.deg) // 2
-        out.dirty = self.dirty
-        return out

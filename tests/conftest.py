@@ -22,7 +22,7 @@ from sfvs.addressing import (
     word_labels,
     word_separator,
 )
-from sfvs.exact_fvs import FvsCertificate, _Best, _BudgetExhausted, _root, _Ticker
+from sfvs.exact_fvs import FvsCertificate, Multigraph, _Best, _BudgetExhausted, _root, _Ticker
 from sfvs.generators import (
     _hat_tables,
     expected_order,
@@ -35,7 +35,6 @@ from sfvs.generators import (
 from sfvs.graph_core import (
     GraphError,
     LabeledGraph,
-    Multigraph,
     _from_rows,
     _label_index,
     build_graph,
@@ -541,7 +540,7 @@ def _guarded_lower_bound(mg: Multigraph, live, target: int) -> int:
     if order == 0:
         return 0
     degs = sorted(map(mg.deg.__getitem__, live), reverse=True)
-    best = _density_bound(order, mg.size, degs)
+    best = _density_bound(order, sum(mg.deg) // 2, degs)
     if best >= target:
         return best
     packed, used = _guarded_pack_cliques(mg, live, 1)

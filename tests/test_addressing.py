@@ -112,6 +112,7 @@ def test_format_vertex(vertex, p, label):
         (Hat(3), ValueError, "symbol 3 out of range for p=3"),
         (Contracted((), (0, 3)), ValueError, "symbol 3 out of range for p=3"),
         (object(), TypeError, "not a vertex"),
+        (Contracted((), (-1, 2)), ValueError, "symbol -1 out of range for p=3"),
     ],
 )
 def test_format_vertex_rejects(vertex, error, message):

@@ -13,6 +13,7 @@ from sfvs.exact_fvs import (
     BUDGET_ENV_VAR,
     DEFAULT_BUDGET,
     FvsCertificate,
+    Multigraph,
     _branch_vertex,
     _degrees_within,
     _density_bound,
@@ -38,7 +39,6 @@ from sfvs.generators import (
 )
 from sfvs.graph_core import (
     GraphError,
-    Multigraph,
     _components,
     build_graph,
     find_cycle,
@@ -639,7 +639,8 @@ def assert_input_bound_settles_soundly(g):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
-    st.integers(0, 14),
+    # sampled, not st.integers, whose draws favour order 0
+    st.sampled_from(range(15)),
     st.sampled_from((0.1, 0.2, 0.35, 0.5, 0.7, 0.9)),
     st.integers(0, 2**32 - 1),
 )
@@ -860,10 +861,10 @@ def test_grow_clique_does_not_count_a_loop():
     mg = Multigraph(4)
     for u, v in [(0, 3), (0, 1), (0, 2), (1, 2), (1, 3)]:
         mg.add_edge(u, v)
-    before = [dict(d) for d in mg.adj], list(mg.deg), mg.size
+    before = [dict(d) for d in mg.adj], list(mg.deg), sum(mg.deg) // 2
     with pytest.raises(GraphError, match="self-loop at 3"):
         mg.add_edge(3, 3)
-    assert ([dict(d) for d in mg.adj], list(mg.deg), mg.size) == before
+    assert ([dict(d) for d in mg.adj], list(mg.deg), sum(mg.deg) // 2) == before
     assert _grow_clique(mg, 0) == [0, 1, 3]
 
 
@@ -880,7 +881,9 @@ def random_multigraph(rng, order, edge_prob):
         if rng.random() < 0.15:
             mg.remove_vertex(u)
         elif mg.adj[u] and rng.random() < 0.5:
-            mg.add_edge(u, rng.choice(list(mg.adj[u])), rng.randint(1, 2))
+            v = rng.choice(list(mg.adj[u]))
+            for _ in range(rng.randint(1, 2)):
+                mg.add_edge(u, v)
         else:
             mg.add_edge(u, rng.choice([v for v in live if v != u]))
     return mg
@@ -916,9 +919,9 @@ def test_search_never_adds_a_loop(monkeypatch):
     added = []
     real = Multigraph.add_edge
 
-    def spy(mg, u, v, mult=1):
+    def spy(mg, u, v):
         added.append((u, v))
-        return real(mg, u, v, mult)
+        return real(mg, u, v)
 
     monkeypatch.setattr(Multigraph, "add_edge", spy)
     rng = random.Random(31)

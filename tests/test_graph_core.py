@@ -1,15 +1,18 @@
+import ast
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from sfvs import exact_fvs, graph_core
+from sfvs.exact_fvs import Multigraph
 from sfvs.generators import expected_order
 from sfvs.graph_core import (
     GraphError,
     LabeledGraph,
-    Multigraph,
     _components,
     _label_index,
     _path_orders,
@@ -216,12 +219,12 @@ def test_multigraph_round_trip_and_degrees():
     g = cycle_graph(3)
     mg = Multigraph.from_labeled(g)
     assert g.vertices() == ["0", "1", "2"]
-    assert mg.size == 3
+    assert sum(mg.deg) // 2 == 3
     assert [mg.degree(v) for v in mg.live_vertices()] == [2, 2, 2]
 
     mg.add_edge(0, 1)
     assert mg.degree(0) == 3
-    assert mg.size == 4
+    assert sum(mg.deg) // 2 == 4
 
     before = _snapshot(mg)
     with pytest.raises(GraphError, match="self-loop at 2"):
@@ -252,7 +255,7 @@ def _recount(mg):
 
 
 def _snapshot(mg):
-    return [dict(d) for d in mg.adj], list(mg.alive), list(mg.deg), list(mg.bits), mg.size
+    return [dict(d) for d in mg.adj], list(mg.alive), list(mg.deg), list(mg.bits), sum(mg.deg) // 2
 
 
 def assert_masks_current(mg):
@@ -265,7 +268,7 @@ def assert_counts_current(mg):
     deg, size = _recount(mg)
     assert mg.deg == deg
     assert [mg.degree(v) for v in range(len(deg))] == deg
-    assert mg.size == size
+    assert sum(mg.deg) // 2 == size
     assert_masks_current(mg)
 
 
@@ -294,10 +297,12 @@ def test_multigraph_counts_stay_current(n, steps):
         if op == "add" and u == v:
             before = _snapshot(mg)
             with pytest.raises(GraphError):
-                mg.add_edge(u, v, mult)
+                for _ in range(mult):
+                    mg.add_edge(u, v)
             assert _snapshot(mg) == before
         elif op == "add":
-            mg.add_edge(u, v, mult)
+            for _ in range(mult):
+                mg.add_edge(u, v)
         elif op == "remove":
             mg.remove_vertex(u)
         elif op == "copy":
@@ -322,7 +327,8 @@ def _random_multigraph(rng, n):
     mg = Multigraph(n)
     for _ in range(rng.randrange(2 * n)):
         u, v = rng.sample(range(n), 2)
-        mg.add_edge(u, v, rng.randint(1, 3))
+        for _ in range(rng.randint(1, 3)):
+            mg.add_edge(u, v)
     for v in rng.sample(range(n), rng.randrange(n // 2)):
         mg.remove_vertex(v)
     return mg
@@ -375,7 +381,9 @@ def test_multigraph_masks_stay_current():
             if step < 0.15:
                 mg.remove_vertex(u)
             elif step < 0.45 and mg.adj[u]:
-                mg.add_edge(u, rng.choice(list(mg.adj[u])), rng.randint(1, 2))
+                v = rng.choice(list(mg.adj[u]))
+                for _ in range(rng.randint(1, 2)):
+                    mg.add_edge(u, v)
             elif step < 0.85:
                 mg.add_edge(u, rng.choice([v for v in live if v != u]))
             elif step < 0.92:
@@ -443,7 +451,7 @@ def _assert_same_core(g, ref, core, subsets):
     want, want_labels = core.from_labeled(ref)
     assert g.vertices() == want_labels
     assert [list(d.items()) for d in mg.adj] == [list(d.items()) for d in want.adj]
-    assert (mg.deg, mg.size, mg.alive) == (want.deg, want.size, want.alive)
+    assert (mg.deg, sum(mg.deg) // 2, mg.alive) == (want.deg, sum(want.deg) // 2, want.alive)
     for subset in subsets:
         outcomes = []
         for graph, forest, cycle in (
@@ -674,3 +682,50 @@ def test_structure_reports_match_the_reference_walks(p, reference_mark_walks):
         forest = forest_triangle(p, n, graph=g)
         paths = tuple(sorted(_same_paths(g, forest, reference_mark_walks).items()))
         assert rep == StructureReport(p, n, len(forest), paths, paths, ())
+
+
+def _sibling_imports(path):
+    """The sibling modules a module's source imports, at any depth."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+
+
+def test_module_layers_are_pinned():
+    # the layer graph README and ROADMAP describe: the graph core and
+    # addressing import no sibling, the constructions build on them, the
+    # solver reads the graph core alone, and only the CLI imports them all
+    package = Path(graph_core.__file__).parent
+    layers = {
+        path.stem: _sibling_imports(path)
+        for path in package.glob("*.py")
+        if not path.stem.startswith("__")
+    }
+    assert layers == {
+        "addressing": set(),
+        "graph_core": set(),
+        "generators": {"addressing", "graph_core"},
+        "pairable_forest": {"addressing"},
+        "triangle_forest": {"addressing", "generators", "graph_core"},
+        "exact_fvs": {"addressing", "graph_core"},
+        "verify_cli": {
+            "addressing",
+            "exact_fvs",
+            "generators",
+            "graph_core",
+            "pairable_forest",
+            "triangle_forest",
+        },
+    }
+    # the solver's scratch multigraph lives beside the search; the graph
+    # core defines the labeled graph and its error alone
+    assert "Multigraph" in exact_fvs.__all__
+    assert exact_fvs.Multigraph.__module__ == "sfvs.exact_fvs"
+    assert "Multigraph" not in graph_core.__all__
+    assert not hasattr(graph_core, "Multigraph")
+    tree = ast.parse(Path(graph_core.__file__).read_text(encoding="utf-8"))
+    classes = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert classes == {"GraphError", "LabeledGraph"}

@@ -252,6 +252,20 @@ def hat_labels(p: int, n: int) -> list:
     return hat_rank_labels(p, n, range(p + p * (p**n - 1) // 2))
 
 
+def _hat_post_labels(p: int, n: int) -> list:
+    """The labels of hat_labels in the order generators.triangle builds
+    the quotient in: the prefixes in post-order (each symbol i followed
+    by the prefixes one level down, then ""), each with its pairs, then
+    the corners.  Sorted label order for p <= 10, where ':' sorts after
+    every digit and '^' after ':'."""
+    sep = word_separator(p)
+    pairs = [f":{{{i},{j}}}" for i, j in itertools.combinations(range(p), 2)]
+    prefixes = []
+    for _ in range(n):
+        prefixes = [f"{i}{sep}{q}" if q else str(i) for i in range(p) for q in prefixes] + [""]
+    return [q + s for q in prefixes for s in pairs] + [f"^{k}" for k in range(p)]
+
+
 def _parse_pair(text: str, p: int, offset: int) -> tuple:
     if not text.startswith("{"):
         raise ParseError("expected '{' to open a symbol pair", offset)

@@ -14,28 +14,32 @@ All four are defined over the alphabet P = {0, ..., p-1}:
 Every family is self-similar, and each is built that way: level m of
 the base family is p copies of level m - 1 joined by one bridge per pair
 of copies, and level m of the quotient is p copies of level m - 1 glued
-at their corners.  A level is one row of neighbour indices per vertex, a
-word standing for its base-p rank: the copies' rows mapped through one
-injective table each, plus the joins.  Copies share at most a corner, so
-the rows hold no loop or repeat and graph_core._from_rows needs no check;
-the top tables also map each rank to its label's sorted position.
-triangle never builds the level n+1 parent.  nonclique_edges lists the
-matching that the definition contracts, so graph_core.contract_edges on
-sierpinski(p, n+1) gives the reference graph.
+at their corners.  A level is one flat list of fixed-width neighbour
+rows in the order its labels are generated, which is sorted label order,
+the graph's own numbering, up to p = 10 (pp: 9).  Each copy is one map
+of the level below through an injective table, the few rows a join
+changes are replaced, and every row stays sorted as it is composed.
+The top level streams each copy into row tuples over the positions of
+graph_core._label_index, so the rows store the label map's own ints.
+For labels that do not come sorted, _canonical_rows moves each row to
+its label's position and sorts it.  triangle never builds the level n+1
+parent.  nonclique_edges lists the matching that the definition
+contracts, so graph_core.contract_edges on sierpinski(p, n+1) gives the
+reference graph.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .addressing import (
     APEX_LABEL,
+    _hat_post_labels,
     copy_labels,
-    hat_labels,
     word_labels,
     word_separator,
 )
-from .graph_core import GraphError, LabeledGraph, _from_rows, _label_index
+from .graph_core import GraphError, LabeledGraph, _label_index
 
 __all__ = [
     "expected_order",
@@ -70,36 +74,46 @@ def _one(p: int, m: int) -> int:
     return sum(p**k for k in range(m))
 
 
-def _compose(rows, tables, order: int) -> list:
-    """Rows over range(order) of one copy of rows per table, mapping v to
-    table[v]; copies that share a vertex add their rows to it."""
-    out = [[] for _ in range(order)]
-    for table in tables:
-        get = table.__getitem__
-        for v, row in zip(table, rows):
-            out[v] += map(get, row)
-    return out
-
-
-def _join(rows, pairs) -> list:
-    """rows with the edges of pairs added."""
-    for u, v in pairs:
-        rows[u].append(v)
-        rows[v].append(u)
+def _stacked(below, tables, fixed, width: int, top: bool) -> list:
+    """One copy of the flat width-wide rows below per table, the rows of
+    fixed (by index) in place of theirs: a flat list, or at the top level
+    row tuples, each copy streamed into them."""
+    if not top:
+        flat = [*chain.from_iterable(map(t.__getitem__, below) for t in tables)]
+        for r, row in fixed.items():
+            flat[r * width : (r + 1) * width] = row
+        return flat
+    rows = [*chain.from_iterable(zip(*[map(t.__getitem__, below)] * width) for t in tables)]
+    for r, row in fixed.items():
+        rows[r] = tuple(row)
     return rows
 
 
-def _base_rows(p: int, n: int, pos, copies: int) -> list:
-    """Rows of the level-n base graph, rank r at index pos[r] (lower levels
-    on plain ranks): copy i of level m - 1 shifted by i * p^(m-1), bridges
-    i.j^(m-1) -- j.i^(m-1) for i < j; copies = p + 1 adds pp's extra copy."""
-    rows = [[]]  # level 0: the empty word
-    for m in range(1, n + 1):
-        q, one = p ** (m - 1), _one(p, m - 1)
-        at = pos if m == n else list(range(p * q))
-        tables = [at[i * q : (i + 1) * q] for i in range(copies if m == n else p)]
-        bridges = ((at[i * q + j * one], at[j * q + i * one]) for i, j in combinations(range(p), 2))
-        rows = _join(_compose(rows, tables, len(at)), bridges)
+def _word_rows(p: int, n: int, pos, tails, copies: int) -> list:
+    """The level-n >= 1 base graph's sorted rows as tuples over pos in
+    rank order, extreme i^n's ending in tails[i]; copies = p + 1 adds pp's
+    extra copy of level n - 1 (one vertex joined to all of K_p at n = 1),
+    its other extremes left to the caller.  A row of level m holds the
+    clique and the bridge, or an extreme i^m itself in slot i."""
+    if n == 1:  # K_p, and pp's one-vertex copy joined to all of it
+        rows = [tuple(pos[:i] + pos[i + 1 : p] + tails[i]) for i in range(p)]
+        return rows + [tuple(pos[:p])] * (copies - p)
+    rows = list(range(p)) * p  # level 1: K_p
+    for m in range(1, n):
+        q, one, top = p**m, _one(p, m), m == n - 1
+        at = pos if top else list(range(p * q))
+        tables = [at[i * q : (i + 1) * q] for i in range(copies if top else p)]
+        joins = {}
+        for i, j in product(range(p), repeat=2):
+            # copy i's extreme j^m gives slot j up to the bridge to copy
+            # j's extreme i^m, which sorts first for j < i, last for j > i
+            row = list(map(tables[i].__getitem__, rows[j * one * p : (j * one + 1) * p]))
+            rest, bridge = row[:j] + row[j + 1 :], [at[j * q + i * one]]
+            if j != i:
+                joins[i * q + j * one] = bridge + rest if j < i else rest + bridge
+            elif top:
+                joins[i * q + j * one] = rest + tails[i]
+        rows = _stacked(rows, tables, joins, p, top)
     return rows
 
 
@@ -119,30 +133,75 @@ def _hat_tables(p: int, m: int) -> list:
     ]
 
 
-def _hat_rows(p: int, n: int, pos) -> list:
-    """Rows of the level-n quotient, hat_labels rank r at index pos[r]
-    (lower levels on plain ranks): K_p, then one copy per _hat_tables table."""
-    rows = [[j for j in range(p) if j != k] for k in range(p)]
-    for m in range(1, n):
-        rows = _compose(rows, _hat_tables(p, m), expected_order("hat", p, m))
-    tables = _hat_tables(p, n) if n else [range(p)]
-    return _compose(rows, [list(map(pos.__getitem__, t)) for t in tables], len(pos))
+def _quotient_rows(p: int, n: int, pos) -> list:
+    """The level-n quotient's sorted rows as tuples over pos, in build
+    order (_hat_post_labels).  Level m keeps its contracted vertices' rows
+    as one flat list of width 2(p - 1) and its corners' rows apart.  Copy
+    i maps contracted c to i * inner + c, corner j to :{i,j} and corner i
+    to ^i, the largest index, which so moves last in the rows that held
+    corner i; the top pairs' rows are sorted as they are made."""
+    at = pos if n == 0 else range(p)
+    rows, corners, w = [], [[at[j] for j in range(p) if j != k] for k in range(p)], 2 * (p - 1)
+    for m in range(1, n + 1):
+        at = pos if m == n else list(range(expected_order("hat", p, m)))
+        inner = len(rows) // w
+        pair = dict(zip(combinations(range(p), 2), at[p * inner :]))
+        tables = [
+            at[i * inner : (i + 1) * inner]
+            + [pair[min(i, j), max(i, j)] if j != i else at[i - p] for j in range(p)]
+            for i in range(p)
+        ]
+        moved = {}
+        for i, table in enumerate(tables):
+            for c in corners[i] if inner else ():
+                row = list(map(table.__getitem__, rows[c * w : (c + 1) * w]))
+                row.remove(table[inner + i])
+                moved[i * inner + c] = row + [table[inner + i]]
+        tops = [sorted([*map(tables[a].__getitem__, corners[b]),
+                        *map(tables[b].__getitem__, corners[a])]) for a, b in pair]
+        corners = [list(map(t.__getitem__, c)) for t, c in zip(tables, corners)]
+        rows = _stacked(rows, tables, moved, w, m == n)
+        rows += map(tuple, tops) if m == n else chain.from_iterable(tops)
+    rows += map(tuple, corners)
+    return rows
+
+
+def _canonical_rows(pos, rows) -> list:
+    """rows, in the generated labels' order, each sorted and moved to its
+    label's position: the one per-row sort, for labels that do not come
+    sorted (p >= 11, and pp at p = 10)."""
+    for r, row in enumerate(rows):
+        rows[r] = tuple(sorted(row))
+    out = [None] * len(rows)
+    for k, row in zip(pos, rows):
+        out[k] = row
+    return out
+
+
+def _graph(names, labels, rank, pos, rows) -> LabeledGraph:
+    """The graph of rows composed over pos in the order of labels."""
+    if names != labels:
+        rows = _canonical_rows(pos, rows)
+    return LabeledGraph(names, rank, rows, sum(map(len, rows)) // 2)
 
 
 def sierpinski(p: int, n: int) -> LabeledGraph:
     """The base graph on p^n words."""
     _check_family("s", p, n)
-    names, rank, pos = _label_index(word_labels(p, n))
-    return _from_rows(names, rank, _base_rows(p, n, pos, p))
+    labels = word_labels(p, n)
+    names, rank, pos = _label_index(labels)
+    rows = _word_rows(p, n, pos, [[]] * p, p) if n else [()]
+    return _graph(names, labels, rank, pos, rows)
 
 
 def sierpinski_plus(p: int, n: int) -> LabeledGraph:
     """Base graph plus an apex adjacent to the p extreme vertices."""
     _check_family("plus", p, n)
-    names, rank, pos = _label_index(word_labels(p, n) + [APEX_LABEL])
-    apex, one = pos[p**n], _one(p, n)
-    rows = _join(_base_rows(p, n, pos, p), ((apex, pos[i * one]) for i in range(p)))
-    return _from_rows(names, rank, rows)
+    labels = word_labels(p, n) + [APEX_LABEL]
+    names, rank, pos = _label_index(labels)
+    rows = _word_rows(p, n, pos, [[pos[p**n]]] * p, p)
+    rows.append(tuple(pos[i * _one(p, n)] for i in range(p)))
+    return _graph(names, labels, rank, pos, rows)
 
 
 def sierpinski_plusplus(p: int, n: int) -> LabeledGraph:
@@ -152,11 +211,13 @@ def sierpinski_plusplus(p: int, n: int) -> LabeledGraph:
     the host extreme i^n, so every host extreme gets one new neighbor.
     """
     _check_family("pp", p, n)
-    names, rank, pos = _label_index(word_labels(p, n) + copy_labels(p, n - 1))
-    off, one, one_below = p**n, _one(p, n), _one(p, n - 1)
-    extremes = ((pos[off + i * one_below], pos[i * one]) for i in range(p))
-    rows = _join(_base_rows(p, n, pos, p + 1), extremes)
-    return _from_rows(names, rank, rows)
+    labels = word_labels(p, n) + copy_labels(p, n - 1)
+    names, rank, pos = _label_index(labels)
+    extremes = [(i * _one(p, n), p**n + i * _one(p, n - 1)) for i in range(p)]
+    rows = _word_rows(p, n, pos, [[pos[x]] for _, x in extremes], p + 1)
+    for i, (host, x) in enumerate(extremes if n > 1 else ()):
+        rows[x] = (pos[host],) + rows[x][:i] + rows[x][i + 1 :]
+    return _graph(names, labels, rank, pos, rows)
 
 
 def nonclique_edges(p: int, m: int):
@@ -197,8 +258,9 @@ def triangle(p: int, n: int) -> LabeledGraph:
     vertex :{i,j} otherwise.
     """
     _check_family("hat", p, n)
-    names, rank, pos = _label_index(hat_labels(p, n))
-    g = _from_rows(names, rank, _hat_rows(p, n, pos))
+    labels = _hat_post_labels(p, n)
+    names, rank, pos = _label_index(labels)
+    g = _graph(names, labels, rank, pos, _quotient_rows(p, n, pos))
     if g.size != expected_size("hat", p, n):
         raise GraphError(
             f"closed-form edges of the quotient number {g.size}, "

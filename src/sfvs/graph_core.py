@@ -20,11 +20,12 @@ graph's order, then runs a cycle search; _path_orders checks a linear
 forest in one depth-first walk, which finds a non-tree edge, counts
 each vertex's marked neighbours and sizes each component in one pass
 over the neighbour rows, running the cycle search only to name the
-cycle it found.  A build takes the label index of _label_index and one
-list of neighbour indices per vertex, which _from_rows replaces by its
-sorted tuple in place, so it peaks little above the graph it returns.
-The generators compose the lists; build_graph maps arbitrary label
-pairs into them and deduplicates them.
+cycle it found.  A build takes the label index of _label_index, whose
+positions come off the label map itself when the labels come sorted.
+build_graph maps arbitrary label pairs into one deduplicated list of
+neighbour indices per vertex, which _from_rows replaces by its sorted
+tuple in place, so it peaks little above the graph it returns; the
+generators compose the sorted tuples themselves.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class LabeledGraph:
     __slots__ = ("_labels", "_index", "_nbrs", "_size")
 
     def __init__(self, labels, index, nbrs, size):
-        # internal: use build_graph or _from_rows
+        # internal: use build_graph, _from_rows or a family generator
         self._labels = labels
         self._index = index
         self._nbrs = nbrs
@@ -141,13 +142,14 @@ class LabeledGraph:
 
 
 def _label_index(labels):
-    """Sorted labels, label -> index map, and each given label's index."""
+    """Sorted labels, label -> index map, and each given label's index,
+    read off the map without a lookup when the labels come sorted."""
     names = sorted(labels)
     rank = dict(zip(names, range(len(names))))
     if len(rank) < len(names):
         repeated = next(a for a, b in zip(names, names[1:]) if a == b)
         raise GraphError(f"repeated vertex label {repeated!r}")
-    return names, rank, [rank[v] for v in labels]
+    return names, rank, list(rank.values()) if names == labels else [rank[v] for v in labels]
 
 
 def _from_rows(names, rank, rows) -> LabeledGraph:

@@ -14,12 +14,12 @@ joining two even corners removed to break the resulting cycles.
 
 Both are computed as sets of vertex indices in addressing.hat_labels
 order, carried one level up through the quotient's per-copy index tables
-(the tables generators.triangle builds with), and only the kept indices
-are formatted, by addressing.hat_rank_labels.  The linear forest is then
-checked in one walk over the graph's indices, graph_core._path_orders,
-which finds any cycle, checks every induced degree and returns the
-orders of the paths that structure_report compares with the prediction;
-no induced subgraph is built.
+(generators._hat_tables), and only the kept indices are formatted, by
+addressing.hat_rank_labels.  The linear forest is then checked in one
+walk over the graph's indices, graph_core._path_orders, which finds any
+cycle, checks every induced degree and returns the orders of the paths
+that structure_report compares with the prediction; no induced subgraph
+is built.
 """
 
 from __future__ import annotations

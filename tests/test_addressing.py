@@ -13,6 +13,7 @@ from sfvs.addressing import (
     Hat,
     ParseError,
     Prefixed,
+    _hat_post_labels,
     copy_labels,
     format_vertex,
     format_word,
@@ -266,6 +267,15 @@ def test_hat_rank_labels_match_format_vertex(p, n):
     assert hat_labels(p, n) == full
     for ranks in (range(len(full)), sample, sorted(set(sample)), []):
         assert hat_rank_labels(p, n, ranks) == [full[r] for r in ranks]
+
+
+@pytest.mark.parametrize(
+    "p,n", [(p, n) for p in range(1, 13) for n in range(5) if p**n <= 5000]
+)
+def test_hat_post_labels_are_sorted_hat_labels_below_eleven_symbols(p, n):
+    got = _hat_post_labels(p, n)
+    assert sorted(got) == sorted(hat_labels(p, n)) and len(set(got)) == len(got)
+    assert (got == sorted(got)) == (p <= 10)
 
 
 def test_rank_labels_reject_bad_arguments():

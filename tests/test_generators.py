@@ -264,6 +264,77 @@ def test_build_peaks_near_the_memory_it_keeps(family, p, n):
     assert peak <= 2.5 * held, (held, peak)
 
 
+@pytest.mark.parametrize("family,p,n", [("s", 9, 5), ("hat", 6, 5)])
+def test_build_streams_its_top_level(family, p, n):
+    # the top level goes straight into row tuples: a flat list of every
+    # top-level entry would lift the peak to about 1.45 times what the
+    # graph keeps (1.15 and 1.16 measured with streaming)
+    tracemalloc.start()
+    try:
+        g = _BUILDERS[family](p, n)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.order == expected_order(family, p, n)
+    assert peak <= 1.3 * held, (held, peak)
+
+
+@pytest.fixture
+def canonical_calls(monkeypatch):
+    """The row lists that generators._canonical_rows was handed."""
+    calls = []
+    real = generators._canonical_rows
+
+    def spy(pos, rows):
+        calls.append(rows)
+        return real(pos, rows)
+
+    monkeypatch.setattr(generators, "_canonical_rows", spy)
+    return calls
+
+
+@pytest.mark.parametrize("family", ["s", "plus", "pp", "hat"])
+def test_builds_compose_in_label_order(family, canonical_calls):
+    # the benchmark's alphabets build without the per-row sort: the
+    # generated labels come in sorted order
+    top = 10 if family == "hat" else 9
+    for p in range(2 if family == "hat" else 1, top + 1):
+        for n in range(0 if family in ("s", "hat") else 1, 4):
+            g = _BUILDERS[family](p, n)
+            assert not canonical_calls, (family, p, n)
+            assert g._labels == sorted(g._labels)
+
+
+@pytest.mark.parametrize("family,p", [("s", 11), ("plus", 11), ("pp", 10), ("pp", 11), ("hat", 11)])
+def test_unsorted_labels_take_the_canonical_step(family, p, canonical_calls, reference_edge_builders):
+    g = _BUILDERS[family](p, 2)
+    assert len(canonical_calls) == 1
+    want = reference_edge_builders[family](p, 2)
+    assert g._labels == want._labels and g._nbrs == want._nbrs
+
+
+@pytest.mark.parametrize(
+    "family,p,n",
+    [("s", 4, 5), ("plus", 4, 5), ("pp", 4, 5), ("hat", 4, 4), ("s", 11, 3), ("hat", 11, 2)],
+)
+def test_rows_share_the_index_ints(family, p, n):
+    # every stored neighbour index is the int object of the label map,
+    # so the rows add no int of their own
+    g = _BUILDERS[family](p, n)
+    ints = list(g._index.values())
+    assert g.order > 256  # past CPython's cached small ints
+    assert all(v is ints[v] for row in g._nbrs for v in row)
+
+
+@pytest.mark.parametrize("family,p,n", [("s", 9, 5), ("hat", 3, 8)])
+def test_certify_graphs_match_the_edge_stream_reference(family, p, n, reference_edge_builders):
+    # the two certify set-up graphs that _composed_grid leaves out
+    g, want = _BUILDERS[family](p, n), reference_edge_builders[family](p, n)
+    assert g._labels == want._labels
+    assert g._index == want._index
+    assert g._nbrs == want._nbrs
+
+
 def _composed_grid():
     # every family at p 1..12 x n 0..5 up to 40,000 vertices, hat(6,5)
     # and s(9,4) among them

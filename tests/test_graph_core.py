@@ -85,6 +85,16 @@ def test_label_index_rejects_a_repeated_label():
     assert str(exc.value) == "repeated vertex label 'a'"
 
 
+def test_label_index_positions_are_the_map_ints():
+    # sorted labels take their positions off the map without a lookup;
+    # either way each position is the map's own int object
+    ordered = [f"{k:03d}" for k in range(300)]
+    for labels in (ordered, ordered[::-1], ordered[1:] + ordered[:1]):
+        names, rank, pos = _label_index(labels)
+        assert names == ordered
+        assert all(i is rank[v] for v, i in zip(labels, pos))
+
+
 # the fixture holds only a function, so sharing it across examples is safe
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(

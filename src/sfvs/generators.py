@@ -96,23 +96,25 @@ def _word_rows(p: int, n: int, pos, tails, copies: int) -> list:
     its other extremes left to the caller.  A row of level m holds the
     clique and the bridge, or an extreme i^m itself in slot i."""
     if n == 1:  # K_p, and pp's one-vertex copy joined to all of it
-        rows = [tuple(pos[:i] + pos[i + 1 : p] + tails[i]) for i in range(p)]
+        rows = [tuple(pos[:i] + pos[i + 1 : p]) + tails[i] for i in range(p)]
         return rows + [tuple(pos[:p])] * (copies - p)
     rows = list(range(p)) * p  # level 1: K_p
     for m in range(1, n):
         q, one, top = p**m, _one(p, m), m == n - 1
         at = pos if top else list(range(p * q))
         tables = [at[i * q : (i + 1) * q] for i in range(copies if top else p)]
+        ends = [rows[j * one * p : (j * one + 1) * p] for j in range(p)]
+        for j, end in enumerate(ends):
+            del end[j]  # extreme j^m's self slot
         joins = {}
         for i, j in product(range(p), repeat=2):
-            # copy i's extreme j^m gives slot j up to the bridge to copy
-            # j's extreme i^m, which sorts first for j < i, last for j > i
-            row = list(map(tables[i].__getitem__, rows[j * one * p : (j * one + 1) * p]))
-            rest, bridge = row[:j] + row[j + 1 :], [at[j * q + i * one]]
+            # copy i's extreme j^m is bridged to copy j's extreme i^m,
+            # which sorts first for j < i and last for j > i
+            part, bridge = map(tables[i].__getitem__, ends[j]), at[j * q + i * one]
             if j != i:
-                joins[i * q + j * one] = bridge + rest if j < i else rest + bridge
+                joins[i * q + j * one] = (bridge, *part) if j < i else (*part, bridge)
             elif top:
-                joins[i * q + j * one] = rest + tails[i]
+                joins[i * q + j * one] = (*part, *tails[i])
         rows = _stacked(rows, tables, joins, p, top)
     return rows
 
@@ -138,27 +140,28 @@ def _quotient_rows(p: int, n: int, pos) -> list:
     order (_hat_post_labels).  Level m keeps its contracted vertices' rows
     as one flat list of width 2(p - 1) and its corners' rows apart.  Copy
     i maps contracted c to i * inner + c, corner j to :{i,j} and corner i
-    to ^i, the largest index, which so moves last in the rows that held
-    corner i; the top pairs' rows are sorted as they are made."""
+    to ^i, the largest index, so a row stays sorted where corner i came
+    last in it; the top pairs' rows are sorted as they are made."""
     at = pos if n == 0 else range(p)
     rows, corners, w = [], [[at[j] for j in range(p) if j != k] for k in range(p)], 2 * (p - 1)
+    pairs = list(combinations(range(p), 2))
     for m in range(1, n + 1):
         at = pos if m == n else list(range(expected_order("hat", p, m)))
         inner = len(rows) // w
-        pair = dict(zip(combinations(range(p), 2), at[p * inner :]))
-        tables = [
-            at[i * inner : (i + 1) * inner]
-            + [pair[min(i, j), max(i, j)] if j != i else at[i - p] for j in range(p)]
-            for i in range(p)
-        ]
+        images = [[at[i - p]] * p for i in range(p)]  # corner j's in copy i
+        for (i, j), v in zip(pairs, at[p * inner :]):
+            images[i][j] = images[j][i] = v
+        tables = [at[i * inner : (i + 1) * inner] + images[i] for i in range(p)]
         moved = {}
         for i, table in enumerate(tables):
-            for c in corners[i] if inner else ():
-                row = list(map(table.__getitem__, rows[c * w : (c + 1) * w]))
+            # corner i comes last in every row holding it but level 1's
+            # :{i,j} for j > i, which holds corner j after it
+            for c in corners[i] if m == 2 else ():
+                row = [*map(table.__getitem__, rows[c * w : (c + 1) * w])]
                 row.remove(table[inner + i])
                 moved[i * inner + c] = row + [table[inner + i]]
-        tops = [sorted([*map(tables[a].__getitem__, corners[b]),
-                        *map(tables[b].__getitem__, corners[a])]) for a, b in pair]
+        tops = [sorted([*map(tables[i].__getitem__, corners[j]),
+                        *map(tables[j].__getitem__, corners[i])]) for i, j in pairs]
         corners = [list(map(t.__getitem__, c)) for t, c in zip(tables, corners)]
         rows = _stacked(rows, tables, moved, w, m == n)
         rows += map(tuple, tops) if m == n else chain.from_iterable(tops)
@@ -190,7 +193,7 @@ def sierpinski(p: int, n: int) -> LabeledGraph:
     _check_family("s", p, n)
     labels = word_labels(p, n)
     names, rank, pos = _label_index(labels)
-    rows = _word_rows(p, n, pos, [[]] * p, p) if n else [()]
+    rows = _word_rows(p, n, pos, [()] * p, p) if n else [()]
     return _graph(names, labels, rank, pos, rows)
 
 
@@ -199,8 +202,8 @@ def sierpinski_plus(p: int, n: int) -> LabeledGraph:
     _check_family("plus", p, n)
     labels = word_labels(p, n) + [APEX_LABEL]
     names, rank, pos = _label_index(labels)
-    rows = _word_rows(p, n, pos, [[pos[p**n]]] * p, p)
-    rows.append(tuple(pos[i * _one(p, n)] for i in range(p)))
+    rows = _word_rows(p, n, pos, [(pos[p**n],)] * p, p)
+    rows.append(tuple(pos[: p**n : _one(p, n)]))  # the extremes i^n
     return _graph(names, labels, rank, pos, rows)
 
 
@@ -213,8 +216,9 @@ def sierpinski_plusplus(p: int, n: int) -> LabeledGraph:
     _check_family("pp", p, n)
     labels = word_labels(p, n) + copy_labels(p, n - 1)
     names, rank, pos = _label_index(labels)
-    extremes = [(i * _one(p, n), p**n + i * _one(p, n - 1)) for i in range(p)]
-    rows = _word_rows(p, n, pos, [[pos[x]] for _, x in extremes], p + 1)
+    one, one_below = _one(p, n), _one(p, n - 1)
+    extremes = [(i * one, p**n + i * one_below) for i in range(p)]
+    rows = _word_rows(p, n, pos, [(pos[x],) for _, x in extremes], p + 1)
     for i, (host, x) in enumerate(extremes if n > 1 else ()):
         rows[x] = (pos[host],) + rows[x][:i] + rows[x][i + 1 :]
     return _graph(names, labels, rank, pos, rows)

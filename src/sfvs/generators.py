@@ -148,7 +148,7 @@ def _quotient_rows(p: int, n: int, pos) -> list:
     for m in range(1, n + 1):
         at = pos if m == n else list(range(expected_order("hat", p, m)))
         inner = len(rows) // w
-        images = [[at[i - p]] * p for i in range(p)]  # corner j's in copy i
+        images = [[at[i - p]] * p for i in range(p)]  # [i][j]: where copy i puts corner j
         for (i, j), v in zip(pairs, at[p * inner :]):
             images[i][j] = images[j][i] = v
         tables = [at[i * inner : (i + 1) * inner] + images[i] for i in range(p)]

@@ -305,8 +305,12 @@ def test_builds_compose_in_label_order(family, canonical_calls):
             assert g._labels == sorted(g._labels)
 
 
-@pytest.mark.parametrize("family,p", [("s", 11), ("plus", 11), ("pp", 10), ("pp", 11), ("hat", 11)])
-def test_unsorted_labels_take_the_canonical_step(family, p, canonical_calls, reference_edge_builders):
+@pytest.mark.parametrize(
+    "family,p", [("s", 11), ("plus", 11), ("pp", 10), ("pp", 11), ("hat", 11)]
+)
+def test_unsorted_labels_take_the_canonical_step(
+    family, p, canonical_calls, reference_edge_builders
+):
     g = _BUILDERS[family](p, 2)
     assert len(canonical_calls) == 1
     want = reference_edge_builders[family](p, 2)

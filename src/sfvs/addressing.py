@@ -12,7 +12,8 @@ label grammar, with P = {0, ..., p-1}:
   * contracted vertices  "prefix:{i,j}" with i < j, e.g. "0:{1,2}"; the
                          prefix may be empty (":{1,2}")
 
-Symbols are written as ASCII decimals without leading zeros.
+Symbols are written as ASCII decimals without leading zeros.  The bulk
+formatters list labels in build order, hat_labels the quotient's one.
 
 parse_vertex(format_vertex(v, p), family, p, n) == v for every valid vertex,
 and malformed labels raise ParseError naming the offending position.
@@ -221,13 +222,13 @@ def rank_labels(p: int, n: int, ranks, copy: bool = False) -> list:
     return [heads[r // p] + lasts[r % p] for r in ranks]
 
 
-def hat_rank_labels(p: int, n: int, ranks) -> list:
-    """The labels of the quotient's vertices at level n with the given
-    ranks (their positions in hat_labels order), in the order given.
-    Rank r < p is the corner ^r.  The contracted vertices come grouped by
-    prefix, the prefixes in pre-order ("", then each symbol i followed by
-    the prefixes one level down), so rank r >= p is prefix (r-p) // C(p,2)
-    with pair (r-p) % C(p,2).  Formats the (p^n-1)/(p-1) prefixes once."""
+def hat_labels(p: int, n: int) -> list:
+    """Labels of the quotient graph at level n, in the order
+    generators.triangle builds it: every prefix:{i,j} grouped by prefix,
+    the prefixes in post-order (each symbol i followed by the prefixes one
+    level down, then ""), each with its pairs in (i, j) order, then the
+    corners ^0..^(p-1).  Sorted label order for p <= 10, where ':' sorts
+    after every digit and '^' after ':'."""
     _check_p(p)
     if n < 0:
         raise ValueError(f"level must be nonnegative, got {n}")
@@ -235,35 +236,14 @@ def hat_rank_labels(p: int, n: int, ranks) -> list:
     pairs = [f":{{{i},{j}}}" for i, j in itertools.combinations(range(p), 2)]
     prefixes = []
     for _ in range(n):
-        prefixes = [""] + [f"{i}{sep}{q}" if q else str(i) for i in range(p) for q in prefixes]
-    width = len(pairs) or 1  # p = 1 has no pairs: its one vertex is ^0
-    return [
-        f"^{r}" if r < p else prefixes[(r - p) // width] + pairs[(r - p) % width]
-        for r in ranks
-    ]
-
-
-def hat_labels(p: int, n: int) -> list:
-    """Labels of the quotient graph at level n: the corners ^0..^(p-1),
-    then every prefix:{i,j} ordered by (prefix, i, j) as integer tuples."""
-    if n < 0:
-        raise ValueError(f"level must be nonnegative, got {n}")
-    # p corners and C(p,2) pairs under each of (p^n-1)/(p-1) prefixes
-    return hat_rank_labels(p, n, range(p + p * (p**n - 1) // 2))
-
-
-def _hat_post_labels(p: int, n: int) -> list:
-    """The labels of hat_labels in the order generators.triangle builds
-    the quotient in: the prefixes in post-order (each symbol i followed
-    by the prefixes one level down, then ""), each with its pairs, then
-    the corners.  Sorted label order for p <= 10, where ':' sorts after
-    every digit and '^' after ':'."""
-    sep = word_separator(p)
-    pairs = [f":{{{i},{j}}}" for i, j in itertools.combinations(range(p), 2)]
-    prefixes = []
-    for _ in range(n):
         prefixes = [f"{i}{sep}{q}" if q else str(i) for i in range(p) for q in prefixes] + [""]
     return [q + s for q in prefixes for s in pairs] + [f"^{k}" for k in range(p)]
+
+
+def hat_rank_labels(p: int, n: int, ranks) -> list:
+    """The labels of the quotient's vertices at level n with the given
+    ranks (their positions in hat_labels order), in the order given."""
+    return list(map(hat_labels(p, n).__getitem__, ranks))
 
 
 def _parse_pair(text: str, p: int, offset: int) -> tuple:

@@ -17,8 +17,9 @@ of copies, and level m of the quotient is p copies of level m - 1 glued
 at their corners.  A level is one flat list of fixed-width neighbour
 rows in the order its labels are generated, which is sorted label order,
 the graph's own numbering, up to p = 10 (pp: 9).  Each copy is one map
-of the level below through an injective table, the few rows a join
-changes are replaced, and every row stays sorted as it is composed.
+of the level below through an injective table (the quotient's from
+_hat_tables, in the hat_labels order triangle_forest counts in), the few
+rows a join changes are replaced, and every row stays sorted.
 The top level streams each copy into row tuples over the positions of
 graph_core._label_index, so the rows store the label map's own ints.
 For labels that do not come sorted, _canonical_rows moves each row to
@@ -34,8 +35,8 @@ from itertools import chain, combinations, product
 
 from .addressing import (
     APEX_LABEL,
-    _hat_post_labels,
     copy_labels,
+    hat_labels,
     word_labels,
     word_separator,
 )
@@ -119,47 +120,43 @@ def _word_rows(p: int, n: int, pos, tails, copies: int) -> list:
     return rows
 
 
-def _hat_tables(p: int, m: int) -> list:
+def _hat_tables(p: int, m: int, at=None) -> list:
     """The p copies of the level m - 1 quotient inside level m, as tables
-    from level m - 1 to level m indices (both in hat_labels order): copy i
-    maps corner j to ^i when j = i and to :{i,j} otherwise, and its
-    vertex s:{a,b} to i.s:{a,b}.  So tables[i][j] is the index of :{i,j}
-    at every level m >= 1."""
-    pair = {q: p + k for k, q in enumerate(combinations(range(p), 2))}
-    inner = len(pair) * _one(p, m - 1)  # contracted vertices at level m - 1
-    start = p + len(pair)
-    return [
-        [pair[min(i, j), max(i, j)] if j != i else i for j in range(p)]
-        + list(range(start + i * inner, start + (i + 1) * inner))
-        for i in range(p)
-    ]
+    from level m - 1 to level m indices (both in hat_labels order), each
+    index looked up in at when given: copy i maps contracted c, s:{a,b},
+    to i * inner + c, i.s:{a,b}, corner j to :{i,j} and corner i to ^i.
+    The corners come last, so tables[i][j - p] is the index of :{i,j}
+    (^i for j = i) at every level m >= 1."""
+    pairs = list(combinations(range(p), 2))
+    inner = p * (p ** (m - 1) - 1) // 2  # contracted vertices at level m - 1
+    if at is None:
+        at = list(range(p * inner + len(pairs) + p))
+    images = [[at[i - p]] * p for i in range(p)]  # [i][j]: where copy i puts corner j
+    for (i, j), v in zip(pairs, at[p * inner :]):
+        images[i][j] = images[j][i] = v
+    return [at[i * inner : (i + 1) * inner] + images[i] for i in range(p)]
 
 
 def _quotient_rows(p: int, n: int, pos) -> list:
-    """The level-n quotient's sorted rows as tuples over pos, in build
-    order (_hat_post_labels).  Level m keeps its contracted vertices' rows
-    as one flat list of width 2(p - 1) and its corners' rows apart.  Copy
-    i maps contracted c to i * inner + c, corner j to :{i,j} and corner i
-    to ^i, the largest index, so a row stays sorted where corner i came
-    last in it; the top pairs' rows are sorted as they are made."""
+    """The level-n quotient's sorted rows as tuples over pos, in hat_labels
+    order, copied through _hat_tables.  Level m keeps its contracted
+    vertices' rows as one flat list of width 2(p - 1) and its corners'
+    rows apart.  Copy i's corner i, ^i, is the largest index, so a row
+    stays sorted where corner i came last in it; top pairs sort as made."""
     at = pos if n == 0 else range(p)
     rows, corners, w = [], [[at[j] for j in range(p) if j != k] for k in range(p)], 2 * (p - 1)
     pairs = list(combinations(range(p), 2))
     for m in range(1, n + 1):
-        at = pos if m == n else list(range(expected_order("hat", p, m)))
         inner = len(rows) // w
-        images = [[at[i - p]] * p for i in range(p)]  # [i][j]: where copy i puts corner j
-        for (i, j), v in zip(pairs, at[p * inner :]):
-            images[i][j] = images[j][i] = v
-        tables = [at[i * inner : (i + 1) * inner] + images[i] for i in range(p)]
+        tables = _hat_tables(p, m, pos if m == n else None)
         moved = {}
         for i, table in enumerate(tables):
             # corner i comes last in every row holding it but level 1's
             # :{i,j} for j > i, which holds corner j after it
             for c in corners[i] if m == 2 else ():
                 row = [*map(table.__getitem__, rows[c * w : (c + 1) * w])]
-                row.remove(table[inner + i])
-                moved[i * inner + c] = row + [table[inner + i]]
+                row.remove(table[i - p])
+                moved[i * inner + c] = row + [table[i - p]]
         tops = [sorted([*map(tables[i].__getitem__, corners[j]),
                         *map(tables[j].__getitem__, corners[i])]) for i, j in pairs]
         corners = [list(map(t.__getitem__, c)) for t, c in zip(tables, corners)]
@@ -262,7 +259,7 @@ def triangle(p: int, n: int) -> LabeledGraph:
     vertex :{i,j} otherwise.
     """
     _check_family("hat", p, n)
-    labels = _hat_post_labels(p, n)
+    labels = hat_labels(p, n)
     names, rank, pos = _label_index(labels)
     g = _graph(names, labels, rank, pos, _quotient_rows(p, n, pos))
     if g.size != expected_size("hat", p, n):

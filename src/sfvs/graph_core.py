@@ -20,12 +20,13 @@ graph's order, then runs a cycle search; _path_orders checks a linear
 forest in one depth-first walk, which finds a non-tree edge, counts
 each vertex's marked neighbours and sizes each component in one pass
 over the neighbour rows, running the cycle search only to name the
-cycle it found.  A build takes the label index of _label_index, whose
-positions come off the label map itself when the labels come sorted.
-build_graph maps arbitrary label pairs into one deduplicated list of
-neighbour indices per vertex, which _from_rows replaces by its sorted
-tuple in place, so it peaks little above the graph it returns; the
-generators compose the sorted tuples themselves.
+cycle it found.  A generator takes the label index of _label_index,
+whose positions come off the label map itself when the labels come
+sorted.  build_graph ranks its sorted labels and maps arbitrary label
+pairs into one deduplicated list of neighbour indices per vertex, which
+_from_rows replaces by its sorted tuple in place, so it peaks little
+above the graph it returns; the generators compose the sorted tuples
+themselves.
 """
 
 from __future__ import annotations
@@ -165,7 +166,8 @@ def build_graph(vertices, edges) -> LabeledGraph:
     """Construct a LabeledGraph.  Labels are coerced with str() and
     duplicate vertices and edges collapse; loops and edges touching
     undeclared vertices are rejected."""
-    names, rank, _ = _label_index(set(map(str, vertices)))
+    names = sorted(set(map(str, vertices)))
+    rank = dict(zip(names, range(len(names))))
     rows = [[] for _ in names]
     for u, v in edges:
         u, v = str(u), str(v)

@@ -13,8 +13,9 @@ subtriangle pair, glued copies one level up, with the top-level vertices
 joining two even corners removed to break the resulting cycles.
 
 Both are computed as sets of vertex indices in addressing.hat_labels
-order, carried one level up through the quotient's per-copy index tables
-(generators._hat_tables), and only the kept indices are formatted, by
+order, the build's own, carried one level up through the quotient's
+per-copy index tables (generators._hat_tables), which are their only way
+to a corner; only the kept indices are formatted, by
 addressing.hat_rank_labels.  The linear forest is then checked in one
 walk over the graph's indices, graph_core._path_orders, which finds any
 cycle, checks every induced degree and returns the orders of the paths
@@ -84,7 +85,7 @@ def _corner_path(s: int, p: int) -> set:
     # level-2 indices: in subtriangles s and s+1, both corners and every
     # pair :{i,i+1 mod p} but :{s,s+1}
     one, two = _hat_tables(p, 1), _hat_tables(p, 2)
-    base = [s, s + 1] + [one[i][(i + 1) % p] for i in range(p) if i != s]
+    base = [one[s][s], one[s + 1][s + 1]] + [one[i][(i + 1) % p] for i in range(p) if i != s]
     return {two[j][u] for j in (s, s + 1) for u in base}
 
 
@@ -103,7 +104,7 @@ def _tail_path(p: int) -> set:
     # level-2 indices: in subtriangle p-1, its corner and the pairs
     # :{i,i+1} for i < p-1
     one, two = _hat_tables(p, 1), _hat_tables(p, 2)
-    return {two[p - 1][u] for u in [p - 1] + [one[i][i + 1] for i in range(p - 1)]}
+    return {two[p - 1][u] for u in [one[p - 1][p - 1]] + [one[i][i + 1] for i in range(p - 1)]}
 
 
 def tail_path_base(p: int) -> set:
@@ -128,7 +129,7 @@ def _linear_forest(p: int, n: int) -> set:
         level |= _tail_path(p)
     for m in range(3, n + 1):
         tables = _hat_tables(p, m)
-        removed = {tables[s1][s2] for s1, s2 in combinations(_even_starts(p), 2)}
+        removed = {tables[s1][s2 - p] for s1, s2 in combinations(_even_starts(p), 2)}
         level = {t[u] for t in tables for u in level} - removed
     return level
 

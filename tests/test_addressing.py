@@ -13,7 +13,6 @@ from sfvs.addressing import (
     Hat,
     ParseError,
     Prefixed,
-    _hat_post_labels,
     copy_labels,
     format_vertex,
     format_word,
@@ -218,6 +217,20 @@ def test_prefix_triangle_corner_rules(reference_forests):
         prefix_triangle(0, (0, 1))
 
 
+def _hat_build_order(p: int, n: int) -> list:
+    """Every quotient vertex at level n in build order: the contracted
+    vertices by prefix padded to length n with a symbol past p - 1, so
+    that a prefix follows its extensions (post-order), then by pair; then
+    the corners."""
+    pairs = list(itertools.combinations(range(p), 2))
+    prefixes = (s for m in range(n) for s in itertools.product(range(p), repeat=m))
+    contracted = sorted(
+        (Contracted(s, q) for s in prefixes for q in pairs),
+        key=lambda v: (v.prefix + (p,) * (n - len(v.prefix)), v.pair),
+    )
+    return contracted + [Hat(k) for k in range(p)]
+
+
 @pytest.mark.parametrize("p", [2, 3, 4, 11, 12])
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_bulk_formatters_match_format_vertex(p, n):
@@ -230,10 +243,8 @@ def test_bulk_formatters_match_format_vertex(p, n):
     assert labels == [format_vertex(Prefixed(w), p) for w in words]
     assert [parse_vertex(label, "pp", p, n + 1) for label in labels] == list(map(Prefixed, words))
 
-    # corners, then the contracted vertices ordered by (prefix, pair)
-    pairs = list(itertools.combinations(range(p), 2))
-    prefixes = (s for m in range(n) for s in itertools.product(range(p), repeat=m))
-    vertices = [Hat(k) for k in range(p)] + sorted(Contracted(s, q) for s in prefixes for q in pairs)
+    # the build order: the contracted vertices in post-order, then the corners
+    vertices = _hat_build_order(p, n)
     labels = hat_labels(p, n)
     assert labels == [format_vertex(v, p) for v in vertices]
     assert [parse_vertex(label, "hat", p, n) for label in labels] == vertices
@@ -258,10 +269,7 @@ def test_rank_labels_match_the_bulk_lists(p, n):
 def test_hat_rank_labels_match_format_vertex(p, n):
     # the reference formats every (prefix, pair) vertex one at a time;
     # p = 1 has the corner only, and p >= 11 the comma separator
-    pairs = list(itertools.combinations(range(p), 2))
-    prefixes = (s for m in range(n) for s in itertools.product(range(p), repeat=m))
-    vertices = [Hat(k) for k in range(p)] + sorted(Contracted(s, q) for s in prefixes for q in pairs)
-    full = [format_vertex(v, p) for v in vertices]
+    full = [format_vertex(v, p) for v in _hat_build_order(p, n)]
     rng = random.Random(p * 10 + n)
     sample = [rng.randrange(len(full)) for _ in range(50)]
     assert hat_labels(p, n) == full
@@ -273,8 +281,11 @@ def test_hat_rank_labels_match_format_vertex(p, n):
     "p,n", [(p, n) for p in range(1, 13) for n in range(5) if p**n <= 5000]
 )
 def test_hat_post_labels_are_sorted_hat_labels_below_eleven_symbols(p, n):
-    got = _hat_post_labels(p, n)
-    assert sorted(got) == sorted(hat_labels(p, n)) and len(set(got)) == len(got)
+    # hat_labels, its prefixes in post-order, lists every quotient vertex
+    # once, in sorted order exactly when p <= 10
+    got = hat_labels(p, n)
+    every = [format_vertex(v, p) for v in _hat_build_order(p, n)]
+    assert sorted(got) == sorted(every) and len(set(got)) == len(got)
     assert (got == sorted(got)) == (p <= 10)
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 
 from sfvs import generators
-from sfvs.addressing import FAMILIES
+from sfvs.addressing import FAMILIES, hat_labels, word_separator
 from sfvs.graph_core import GraphError, is_forest, relabel
 from sfvs.generators import (
     expected_order,
@@ -152,6 +152,38 @@ def test_contracted_family_level_one():
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_direct_edge_families_match_contraction(p, n, contracted_triangle):
     assert triangle(p, n) == contracted_triangle(p, n)
+
+
+@pytest.mark.parametrize("p", range(2, 11))
+@pytest.mark.parametrize("n", range(4))
+def test_quotient_vertices_come_in_hat_labels_order(p, n):
+    # one numbering of the quotient: the build's, the labels' and the
+    # constructions' index k are the same vertex
+    assert triangle(p, n).vertices() == hat_labels(p, n)
+
+
+def _copy_rule(label: str, i: int, p: int) -> str:
+    """Copy i's image of a level m - 1 quotient label, by the definition:
+    s:{a,b} becomes i.s:{a,b}, corner j the shared :{i,j}, corner i ^i."""
+    if label.startswith("^"):
+        j = int(label[1:])
+        return f"^{i}" if j == i else f":{{{min(i, j)},{max(i, j)}}}"
+    return f"{i}{label}" if label.startswith(":") else f"{i}{word_separator(p)}{label}"
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+@pytest.mark.parametrize("m", range(1, 5))
+def test_hat_tables_copy_each_label_by_the_rule(p, m):
+    below, here = hat_labels(p, m - 1), hat_labels(p, m)
+    tables = generators._hat_tables(p, m)
+    assert len(tables) == p
+    for i, table in enumerate(tables):
+        assert len(table) == len(below)
+        assert [here[k] for k in table] == [_copy_rule(v, i, p) for v in below]
+    # the glued copies cover level m
+    assert {k for table in tables for k in table} == set(range(len(here)))
+    at = [3 * k + 1 for k in range(len(here))]
+    assert generators._hat_tables(p, m, at) == [[at[k] for k in t] for t in tables]
 
 
 def test_triangle_checks_its_edge_count(monkeypatch):

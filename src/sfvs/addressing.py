@@ -222,13 +222,9 @@ def rank_labels(p: int, n: int, ranks, copy: bool = False) -> list:
     return [heads[r // p] + lasts[r % p] for r in ranks]
 
 
-def hat_labels(p: int, n: int) -> list:
-    """Labels of the quotient graph at level n, in the order
-    generators.triangle builds it: every prefix:{i,j} grouped by prefix,
-    the prefixes in post-order (each symbol i followed by the prefixes one
-    level down, then ""), each with its pairs in (i, j) order, then the
-    corners ^0..^(p-1).  Sorted label order for p <= 10, where ':' sorts
-    after every digit and '^' after ':'."""
+def _hat_parts(p: int, n: int):
+    """The prefixes in post-order, the pair suffixes and the corners of
+    the quotient's labels at level n (see hat_labels)."""
     _check_p(p)
     if n < 0:
         raise ValueError(f"level must be nonnegative, got {n}")
@@ -237,13 +233,29 @@ def hat_labels(p: int, n: int) -> list:
     prefixes = []
     for _ in range(n):
         prefixes = [f"{i}{sep}{q}" if q else str(i) for i in range(p) for q in prefixes] + [""]
-    return [q + s for q in prefixes for s in pairs] + [f"^{k}" for k in range(p)]
+    return prefixes, pairs, [f"^{k}" for k in range(p)]
+
+
+def hat_labels(p: int, n: int) -> list:
+    """Labels of the quotient graph at level n, in the order
+    generators.triangle builds it: every prefix:{i,j} grouped by prefix,
+    the prefixes in post-order (each symbol i followed by the prefixes one
+    level down, then ""), each with its pairs in (i, j) order, then the
+    corners ^0..^(p-1).  Sorted label order for p <= 10, where ':' sorts
+    after every digit and '^' after ':'."""
+    prefixes, pairs, corners = _hat_parts(p, n)
+    return [q + s for q in prefixes for s in pairs] + corners
 
 
 def hat_rank_labels(p: int, n: int, ranks) -> list:
     """The labels of the quotient's vertices at level n with the given
-    ranks (their positions in hat_labels order), in the order given."""
-    return list(map(hat_labels(p, n).__getitem__, ranks))
+    ranks (their positions in hat_labels order), in the order given.
+    Equal to looking the ranks up in hat_labels, but formats only the
+    prefixes and appends each pair."""
+    prefixes, pairs, corners = _hat_parts(p, n)
+    k = len(pairs)
+    cut = len(prefixes) * k
+    return [prefixes[r // k] + pairs[r % k] if r < cut else corners[r - cut] for r in ranks]
 
 
 def _parse_pair(text: str, p: int, offset: int) -> tuple:

@@ -52,7 +52,8 @@ bound on the input's degrees that reaches the starting incumbent proves
 it optimal before any multigraph is built.  A search that runs out of
 budget still returns its incumbent, flagged non-optimal.  A seed is
 checked by the union-find that minimalizes it, and every certificate is
-re-verified against the input graph before being returned.
+re-verified against the input graph before being returned, by the one
+depth-first walk behind every forest check (graph_core._walk).
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .addressing import _decimal
-from .graph_core import GraphError, LabeledGraph, _components, _cycle
+from .graph_core import GraphError, LabeledGraph, _components, _walk
 
 __all__ = [
     "BUDGET_ENV_VAR",
@@ -120,7 +121,7 @@ def verify_certificate(g: LabeledGraph, cert: FvsCertificate) -> bool:
         rest[i] = 0
     if rest.count(0) != cert.tau:  # a repeated label
         return False
-    return _cycle(g, list(itertools.compress(range(g.order), rest)), rest) is None
+    return _walk(g, list(itertools.compress(range(g.order), rest)), rest)[0] is None
 
 
 def _root(parent, x):
@@ -169,8 +170,6 @@ def tau_bruteforce(g: LabeledGraph, cap: int = 22) -> FvsCertificate:
                     found = search(w + 1, left - 1, cut, gone | 1 << w)
                     if found is not None:
                         return found
-                if left == n - w:
-                    break
             roots = []
             for u in nbrs[w]:
                 if u > w:
@@ -466,12 +465,10 @@ def _greedy_fvs(g: LabeledGraph) -> list:
 
 def _density_bound(order: int, edge_count: int, degs_desc) -> int:
     """Least t for which deleting even the t busiest vertices could leave
-    few enough edges for a forest."""
+    few enough edges for a forest (t <= order: degs_desc sums to 2 * edge_count)."""
     t = 0
     prefix = 0
     while edge_count - prefix > max(order - t - 1, 0):
-        if t >= order:
-            return order
         prefix += degs_desc[t]
         t += 1
     return t

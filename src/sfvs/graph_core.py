@@ -8,25 +8,23 @@ sorted labels, the label -> index map, one sorted tuple of neighbour
 indices per vertex and the edge count; it is hashable-free but
 equality-comparable.  Its methods speak labels and map indices to labels
 on the way out, while is_forest, find_cycle, induced() and components()
-run on the indices; the cycle and component searches are private cores
-over (ascending indices, bytearray mark) that callers holding indices
-use directly, the component search over any neighbour table and mark,
-the solver's multigraph and its alive list included.  Every walk over a
-mark (these two searches, the linear-forest walk and induced()) tests
-mark[v] inline for each neighbour: most neighbour lists are short, and
-a filter or map object per vertex costs more than the test.  Two
-functions check a construction's forest: _forest_positions checks the
-graph's order, then runs a cycle search; _path_orders checks a linear
-forest in one depth-first walk, which finds a non-tree edge, counts
-each vertex's marked neighbours and sizes each component in one pass
-over the neighbour rows, running the cycle search only to name the
-cycle it found.  A generator takes the label index of _label_index,
-whose positions come off the label map itself when the labels come
-sorted.  build_graph ranks its sorted labels and maps arbitrary label
-pairs into one deduplicated list of neighbour indices per vertex, which
-_from_rows replaces by its sorted tuple in place, so it peaks little
-above the graph it returns; the generators compose the sorted tuples
-themselves.
+run on the indices.  Two private cores over (ascending indices,
+bytearray mark) serve callers holding indices: the component search,
+over any neighbour table and mark, the solver's multigraph included; and
+_walk, the one depth-first walk behind every acyclicity check, which in
+one pass stops at the first non-tree edge and names its cycle, sizes
+each component and finds the least vertex of marked degree above 2.
+find_cycle, is_forest and the solver's certificate check read its cycle;
+_forest_paths, the one check of a construction's forest, checks the
+graph's order, raises on the cycle and returns the rest.  Every walk
+over a mark tests mark[v] inline for each neighbour: most neighbour
+lists are short, and a filter or map object per vertex costs more.  A
+generator takes the label index of _label_index, whose positions come
+off the label map itself when the labels come sorted.  build_graph ranks
+its sorted labels and maps arbitrary label pairs into one deduplicated
+list of neighbour indices per vertex, which _from_rows replaces by its
+sorted tuple in place, so it peaks little above the graph it returns;
+the generators compose the sorted tuples themselves.
 """
 
 from __future__ import annotations
@@ -207,54 +205,12 @@ def _subset_positions(g: LabeledGraph, subset):
     return list(compress(range(n), mark)), mark
 
 
-def _cycle(g: LabeledGraph, keep, mark):
-    """find_cycle on indices: keep lists the marked vertices in ascending
-    order and mark is a bytearray over all of g."""
-    nbrs = g._nbrs
-    parent = [-1] * len(nbrs)
-    for start in keep:
-        if parent[start] >= 0:
-            continue
-        parent[start] = start
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            from_v = parent[u]
-            for v in nbrs[u]:
-                if not mark[v] or v == from_v:
-                    continue
-                if parent[v] >= 0:
-                    # non-tree edge; join the two ancestries at their
-                    # lowest common vertex
-                    up_u = [u]
-                    while parent[up_u[-1]] != up_u[-1]:
-                        up_u.append(parent[up_u[-1]])
-                    up_v = [v]
-                    while parent[up_v[-1]] != up_v[-1]:
-                        up_v.append(parent[up_v[-1]])
-                    i, j = len(up_u) - 1, len(up_v) - 1
-                    while i > 0 and j > 0 and up_u[i - 1] == up_v[j - 1]:
-                        i -= 1
-                        j -= 1
-                    cycle = up_u[: i + 1] + up_v[:j][::-1] + [u]
-                    assert len(cycle) >= 4
-                    return list(map(g._labels.__getitem__, cycle))
-                parent[v] = u
-                stack.append(v)
-    return None
-
-
-def _path_orders(g: LabeledGraph, subset, order: int):
-    """The certificate check of a linear forest in one depth-first walk
-    over the subset: g has the construction's order, the subset induces
-    no cycle and each of its vertices has at most two neighbours in it.
-    Returns the order of each component (a path), in order of least
-    index.  A GraphError names the order, else the cycle _cycle finds
-    when the walk meets a non-tree edge, else the least vertex of
-    induced degree above 2."""
-    if g.order != order:
-        raise GraphError(f"graph has order {g.order}, expected {order}")
-    keep, mark = _subset_positions(g, subset)
+def _walk(g: LabeledGraph, keep, mark):
+    """One depth-first walk over the marked vertices (keep ascending, mark
+    a bytearray over g).  Returns the cycle closed by the first non-tree
+    edge as labels [v0, ..., v0], or None; each component's order, by
+    least index; and the least label with over two marked neighbours, or
+    None.  The walk stops at a cycle, leaving the other two partial."""
     nbrs = g._nbrs
     parent = [-1] * len(nbrs)
     over = len(nbrs)
@@ -277,13 +233,25 @@ def _path_orders(g: LabeledGraph, subset, order: int):
                         parent[v] = u
                         stack.append(v)
                     elif v != from_v:
-                        raise GraphError(f"construction induced a cycle: {_cycle(g, keep, mark)}")
+                        # non-tree edge; join the two ancestries at their
+                        # lowest common vertex
+                        up_u = [u]
+                        while parent[up_u[-1]] != up_u[-1]:
+                            up_u.append(parent[up_u[-1]])
+                        up_v = [v]
+                        while parent[up_v[-1]] != up_v[-1]:
+                            up_v.append(parent[up_v[-1]])
+                        i, j = len(up_u) - 1, len(up_v) - 1
+                        while i > 0 and j > 0 and up_u[i - 1] == up_v[j - 1]:
+                            i -= 1
+                            j -= 1
+                        cycle = up_u[: i + 1] + up_v[:j][::-1] + [u]
+                        assert len(cycle) >= 4
+                        return list(map(g._labels.__getitem__, cycle)), orders, None
             if degree > 2 and u < over:
                 over = u
         orders.append(size)
-    if over < len(nbrs):
-        raise GraphError(f"construction is not a linear forest at {g._labels[over]!r}")
-    return orders
+    return None, orders, g._labels[over] if over < len(nbrs) else None
 
 
 def _components(nbrs, keep, mark):
@@ -309,18 +277,17 @@ def _components(nbrs, keep, mark):
     return out
 
 
-def _forest_positions(g: LabeledGraph, subset, order: int):
+def _forest_paths(g: LabeledGraph, subset, order: int):
     """The certificate check of a construction's forest: g has the
     construction's order and subset induces no cycle in it, or a
-    GraphError names the order or the cycle.  Returns the subset's
-    indices in ascending order and a bytearray marking them."""
+    GraphError names the order or the cycle.  Returns _walk's component
+    orders and label of degree above 2 (None in a linear forest)."""
     if g.order != order:
         raise GraphError(f"graph has order {g.order}, expected {order}")
-    keep, mark = _subset_positions(g, subset)
-    cycle = _cycle(g, keep, mark)
+    cycle, orders, over = _walk(g, *_subset_positions(g, subset))
     if cycle is not None:
         raise GraphError(f"construction induced a cycle: {cycle}")
-    return keep, mark
+    return orders, over
 
 
 def find_cycle(g: LabeledGraph, subset=None):
@@ -328,7 +295,7 @@ def find_cycle(g: LabeledGraph, subset=None):
     [v0, v1, ..., v0], or None if the subgraph is a forest.  One
     depth-first pass over the subset, stopping at the first non-tree
     edge."""
-    return _cycle(g, *_subset_positions(g, subset))
+    return _walk(g, *_subset_positions(g, subset))[0]
 
 
 def is_forest(g: LabeledGraph, subset=None) -> bool:

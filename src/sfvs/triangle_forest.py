@@ -16,11 +16,10 @@ Both are computed as sets of vertex indices in addressing.hat_labels
 order, the build's own, carried one level up through the quotient's
 per-copy index tables (generators._hat_tables), which are their only way
 to a corner; only the kept indices are formatted, by
-addressing.hat_rank_labels.  The linear forest is then checked in one
-walk over the graph's indices, graph_core._path_orders, which finds any
-cycle, checks every induced degree and returns the orders of the paths
-that structure_report compares with the prediction; no induced subgraph
-is built.
+addressing.hat_rank_labels.  The linear forest is checked as every
+construction is, by graph_core._forest_paths: one walk over the graph's
+indices finds any cycle, any vertex of induced degree above 2 and the
+path orders that structure_report compares with the prediction.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from itertools import combinations
 
 from .addressing import hat_rank_labels
 from .generators import _hat_tables, expected_order
-from .graph_core import LabeledGraph, _path_orders
+from .graph_core import GraphError, LabeledGraph, _forest_paths
 
 __all__ = [
     "StructureReport",
@@ -166,14 +165,17 @@ def forest_order_bound(p: int, n: int) -> int:
 
 def _checked_forest(p: int, n: int, graph: LabeledGraph):
     """The labels of the large-alphabet linear forest and the orders of
-    its paths, checked against the graph by _path_orders (order, then
+    its paths, checked against the graph by _forest_paths (order, then
     cycle, then induced degree); any failure raises GraphError."""
     if p < 4:
         raise ValueError(f"need at least 4 symbols, got {p}")
     if n < 2:
         raise ValueError(f"level must be at least 2, got {n}")
     labels = _labels(_linear_forest(p, n), p, n)
-    return labels, _path_orders(graph, labels, expected_order("hat", p, n))
+    orders, over = _forest_paths(graph, labels, expected_order("hat", p, n))
+    if over is not None:
+        raise GraphError(f"construction is not a linear forest at {over!r}")
+    return labels, orders
 
 
 def forest_triangle(p: int, n: int, graph: LabeledGraph) -> set:

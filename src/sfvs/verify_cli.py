@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 from .addressing import FAMILIES, _decimal
 from .exact_fvs import resolve_budget, tau_bnb, tau_bruteforce
 from .generators import _FAMILY_TABLE, expected_order, expected_size
-from .graph_core import GraphError, _forest_positions, export_dot, export_edgelist
+from .graph_core import GraphError, _forest_paths, export_dot, export_edgelist
 from .pairable_forest import (
     forest_plus,
     forest_plusplus,
@@ -138,7 +138,7 @@ def _forest(family, p, n, g):
         forest = set(g.vertices()) - fvs_triangle3(n)
     else:
         return forest_triangle(p, n, graph=g)  # checked against g too
-    _forest_positions(g, forest, expected_order(family, p, n))
+    _forest_paths(g, forest, expected_order(family, p, n))
     return forest
 
 

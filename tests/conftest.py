@@ -872,7 +872,7 @@ def _filter_linear_degrees(g: LabeledGraph, keep, mark):
 @pytest.fixture
 def reference_mark_walks():
     """Reference walks over (ascending indices, bytearray mark): cycle is
-    graph_core._cycle, induced_rows the neighbour rows of
+    the cycle of graph_core._walk, induced_rows the neighbour rows of
     LabeledGraph.induced, and linear_degrees the induced-degree check of
     triangle_forest._checked_forest (raises GraphError)."""
     return SimpleNamespace(

@@ -277,6 +277,18 @@ def test_hat_rank_labels_match_format_vertex(p, n):
         assert hat_rank_labels(p, n, ranks) == [full[r] for r in ranks]
 
 
+@pytest.mark.parametrize("p,n", [(p, n) for p in range(1, 13) for n in range(5)])
+def test_hat_rank_labels_are_a_lookup_into_hat_labels(p, n):
+    # the rank formatter builds only the prefixes; every rank in order,
+    # the corners included, then scrambled samples with repeats
+    full = hat_labels(p, n)
+    rng = random.Random(p * 100 + n)
+    assert hat_rank_labels(p, n, range(len(full))) == full
+    for size in (1, 7, 200):
+        ranks = [rng.randrange(len(full)) for _ in range(size)]
+        assert hat_rank_labels(p, n, ranks) == [full[r] for r in ranks]
+
+
 @pytest.mark.parametrize(
     "p,n", [(p, n) for p in range(1, 13) for n in range(5) if p**n <= 5000]
 )

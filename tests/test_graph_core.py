@@ -14,8 +14,8 @@ from sfvs.graph_core import (
     GraphError,
     LabeledGraph,
     _components,
+    _forest_paths,
     _label_index,
-    _path_orders,
     _subset_positions,
     build_graph,
     contract_edges,
@@ -627,6 +627,15 @@ def _outcome(check, *args):
         return str(exc)
 
 
+def _path_orders(g, subset, order):
+    """The linear-forest check: the construction check, then the raise of
+    triangle_forest._checked_forest on a vertex of degree above 2."""
+    orders, over = _forest_paths(g, subset, order)
+    if over is not None:
+        raise GraphError(f"construction is not a linear forest at {over!r}")
+    return orders
+
+
 def _same_paths(g, subset, ref, order=None):
     order = g.order if order is None else order
     want = _outcome(_reference_path_orders, g, subset, order, ref)
@@ -650,6 +659,8 @@ def test_path_walk_matches_the_reference_on_random_graphs(reference_mark_walks):
             edges = [e for e in edges if rng.random() < 0.8]
         g = build_graph(labels, edges)
         subset = rng.sample(g.vertices(), rng.randint(0, k))
+        keep, mark = _subset_positions(g, subset)
+        assert find_cycle(g, subset) == reference_mark_walks.cycle(g, keep, mark)
         out = _same_paths(g, subset, reference_mark_walks)
         if isinstance(out, str):
             kinds["cycle" if "cycle" in out else "degree"] += 1

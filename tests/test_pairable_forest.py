@@ -189,17 +189,17 @@ def test_extra_copy_forest_two_symbols():
 
 
 def test_extra_copy_forest_two_symbols_is_checked(monkeypatch):
-    # one cycle search, as at p >= 3, and the same failures
+    # one forest walk, as at p >= 3, and the same failures
     from sfvs import graph_core
 
     calls = []
-    real = graph_core._cycle
+    real = graph_core._walk
 
     def spy(g, keep, mark):
         calls.append(len(keep))
         return real(g, keep, mark)
 
-    monkeypatch.setattr(graph_core, "_cycle", spy)
+    monkeypatch.setattr(graph_core, "_walk", spy)
     g = sierpinski_plusplus(2, 3)
     forest = verify_cli._forest("pp", 2, 3, g)
     assert forest == forest_plusplus(2, 3)

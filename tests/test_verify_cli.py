@@ -992,25 +992,20 @@ def test_cli_tau_searches_unseeded_without_a_construction(monkeypatch, capsys):
     ],
 )
 def test_each_forest_is_checked_once(monkeypatch, capsys, argv, passes):
-    # one cycle search (or, for the linear forest, one walk) for the
-    # construction's forest, and one more for the solver's certificate
-    # when the command solves
-    from sfvs import exact_fvs, graph_core, triangle_forest
+    # one forest walk for the construction's forest, the linear forest
+    # included, and one more for the solver's certificate when the
+    # command solves
+    from sfvs import exact_fvs, graph_core
 
     calls = []
-    real_cycle, real_walk = graph_core._cycle, graph_core._path_orders
+    real_walk = graph_core._walk
 
-    def cycle_spy(g, keep, mark):
+    def walk_spy(g, keep, mark):
         calls.append(len(keep))
-        return real_cycle(g, keep, mark)
-
-    def walk_spy(g, subset, order):
-        calls.append(len(subset))
-        return real_walk(g, subset, order)
+        return real_walk(g, keep, mark)
 
     for module in (graph_core, exact_fvs):
-        monkeypatch.setattr(module, "_cycle", cycle_spy)
-    monkeypatch.setattr(triangle_forest, "_path_orders", walk_spy)
+        monkeypatch.setattr(module, "_walk", walk_spy)
     assert main(argv) == 0
     assert "✗" not in capsys.readouterr().out
     assert len(calls) == passes

@@ -205,11 +205,27 @@ def copy_labels(p: int, n: int) -> list:
     return [f"{p}:{word_separator(p).join(w)}" for w in words]
 
 
+def _one(p: int, m: int) -> int:
+    """Rank of the word 1^m, so that i * _one(p, m) is the rank of i^m."""
+    return sum(p**k for k in range(m))
+
+
+def _checked_ranks(ranks, count: int) -> list:
+    """The ranks as a list, checked once to lie in [0, count)."""
+    ranks = list(ranks)
+    if ranks:
+        low, high = min(ranks), max(ranks)
+        if low < 0 or high >= count:
+            raise ValueError(f"rank {low if low < 0 else high} out of range for {count} labels")
+    return ranks
+
+
 def rank_labels(p: int, n: int, ranks, copy: bool = False) -> list:
     """The labels of the words of length n >= 1 with the given ranks, in
     the order given; with copy set, their extra-copy labels "p:word".
     Equal to looking the ranks up in word_labels / copy_labels, but
-    formats only the p^(n-1) heads and appends each last symbol."""
+    formats only the p^(n-1) heads and appends each last symbol.  A rank
+    outside [0, p^n) is a ValueError."""
     _check_p(p)
     if n < 1:
         raise ValueError(f"level must be at least 1, got {n}")
@@ -219,6 +235,7 @@ def rank_labels(p: int, n: int, ranks, copy: bool = False) -> list:
         heads = word_labels(p, n - 1) if n > 1 else [""]
     sep = word_separator(p) if n > 1 else ""
     lasts = [f"{sep}{k}" for k in range(p)]
+    ranks = _checked_ranks(ranks, len(heads) * p)
     return [heads[r // p] + lasts[r % p] for r in ranks]
 
 
@@ -251,10 +268,12 @@ def hat_rank_labels(p: int, n: int, ranks) -> list:
     """The labels of the quotient's vertices at level n with the given
     ranks (their positions in hat_labels order), in the order given.
     Equal to looking the ranks up in hat_labels, but formats only the
-    prefixes and appends each pair."""
+    prefixes and appends each pair.  A rank outside the list is a
+    ValueError."""
     prefixes, pairs, corners = _hat_parts(p, n)
     k = len(pairs)
     cut = len(prefixes) * k
+    ranks = _checked_ranks(ranks, cut + len(corners))
     return [prefixes[r // k] + pairs[r % k] if r < cut else corners[r - cut] for r in ranks]
 
 

@@ -154,7 +154,7 @@ def tau_bruteforce(g: LabeledGraph, cap: int = 22) -> FvsCertificate:
         )
     nbrs = g._nbrs
     deg = list(map(len, nbrs))
-    bits = [sum(map((1).__lshift__, row)) for row in nbrs]
+    bits = list(map(_mask, nbrs))
     top = list(itertools.accumulate(sorted(deg, reverse=True), initial=0))
     # a link is undone on backtrack, so roots are found without halving
     parent = list(range(n))
@@ -274,10 +274,7 @@ class Multigraph:
         mg.adj = [dict.fromkeys(nbrs, 1) for nbrs in g._nbrs]
         mg.alive = [True] * g.order
         mg.deg = list(map(len, g._nbrs))
-        # a row's neighbours are distinct, so summing entries of one table
-        # of powers of two gives its mask with no new shifted int each
-        power = [1 << u for u in range(g.order)]
-        mg.bits = [sum(map(power.__getitem__, nbrs)) for nbrs in g._nbrs]
+        mg.bits = list(map(_mask, g._nbrs))
         mg.dirty = 0
         return mg
 
@@ -475,6 +472,7 @@ def _density_bound(order: int, edge_count: int, degs_desc) -> int:
 
 
 def _mask(vertices) -> int:
+    """The bitmask of a set of indices, the one way such a mask is built."""
     mask = 0
     for u in vertices:
         mask |= 1 << u
@@ -626,9 +624,7 @@ def _grow_clique(mg: Multigraph, v, used=(), avoid=()) -> list:
     the first candidate with the top score is taken."""
     adj, bits = mg.adj, mg.bits
     cand = [u for u in adj[v] if u not in used and u not in avoid]
-    cand_mask = 0
-    for u in cand:
-        cand_mask |= 1 << u
+    cand_mask = _mask(cand)
     clique = [v]
     while len(cand) >= 2:
         best_u = None

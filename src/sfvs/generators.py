@@ -35,6 +35,7 @@ from itertools import chain, combinations, product
 
 from .addressing import (
     APEX_LABEL,
+    _one,
     copy_labels,
     hat_labels,
     word_labels,
@@ -68,11 +69,6 @@ def _check_family(family: str, p: int, n: int) -> None:
     _check_params(p, n, n_min)
     if p < p_min:  # only the quotient needs more than one symbol
         raise ValueError(f"the quotient family needs at least {p_min} symbols, got {p}")
-
-
-def _one(p: int, m: int) -> int:
-    """Rank of the word 1^m, so that i * _one(p, m) is the rank of i^m."""
-    return sum(p**k for k in range(m))
 
 
 def _stacked(below, tables, fixed, width: int, top: bool) -> list:
@@ -127,12 +123,11 @@ def _hat_tables(p: int, m: int, at=None) -> list:
     to i * inner + c, i.s:{a,b}, corner j to :{i,j} and corner i to ^i.
     The corners come last, so tables[i][j - p] is the index of :{i,j}
     (^i for j = i) at every level m >= 1."""
-    pairs = list(combinations(range(p), 2))
     inner = p * (p ** (m - 1) - 1) // 2  # contracted vertices at level m - 1
     if at is None:
-        at = list(range(p * inner + len(pairs) + p))
+        at = list(range(p * inner + p * (p - 1) // 2 + p))
     images = [[at[i - p]] * p for i in range(p)]  # [i][j]: where copy i puts corner j
-    for (i, j), v in zip(pairs, at[p * inner :]):
+    for (i, j), v in zip(combinations(range(p), 2), at[p * inner :]):
         images[i][j] = images[j][i] = v
     return [at[i * inner : (i + 1) * inner] + images[i] for i in range(p)]
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from .addressing import (
     APEX_LABEL,
     EMPTY_WORD_LABEL,
+    _one,
     copy_labels,
     format_word,
     parse_word,
@@ -221,8 +222,8 @@ def forest_plus(p: int, n: int) -> set:
     if n == 1:
         raise ValueError("no level-1 construction: the apex graph is complete")
     ranks = _closed_ranks(1, 2, p, n)
-    ones = (p**n - 1) // (p - 1)  # the rank of 1^n
-    ranks[ranks.index(ones)] = ones - 1  # the rank of 1^(n-1).0
+    one = _one(p, n)
+    ranks[ranks.index(one)] = one - 1  # the rank of 1^(n-1).0
     forest = set(rank_labels(p, n, ranks))
     forest.add(APEX_LABEL)
     return forest

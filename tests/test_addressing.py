@@ -263,6 +263,23 @@ def test_rank_labels_match_the_bulk_lists(p, n):
             assert rank_labels(p, n, ranks, copy=copy) == [full[r] for r in ranks]
 
 
+@pytest.mark.parametrize("p,n", [(1, 2), (2, 1), (3, 2), (11, 2)])
+def test_rank_formatters_reject_ranks_out_of_range(p, n):
+    # a negative rank would index from the end and a rank past the end
+    # raise IndexError; each is named, also among good ranks and from an
+    # iterator, which is read once.  The last hat rank is a corner
+    for full, labels in (
+        (word_labels(p, n), lambda ranks: rank_labels(p, n, ranks)),
+        (copy_labels(p, n), lambda ranks: rank_labels(p, n, ranks, copy=True)),
+        (hat_labels(p, n), lambda ranks: hat_rank_labels(p, n, ranks)),
+    ):
+        count = len(full)
+        assert labels(iter([count - 1, 0])) == [full[-1], full[0]]
+        for bad in (-1, count):
+            with pytest.raises(ValueError, match=f"rank {bad} out of range for {count} labels"):
+                labels(iter([0, bad, count - 1]))
+
+
 @pytest.mark.parametrize(
     "p,n", [(p, n) for p in range(1, 13) for n in range(5) if p**n <= 5000]
 )

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -415,6 +416,21 @@ def test_multigraph_masks_stay_current():
             assert_dirty_covers(mg, views)
             marked += mg.dirty.bit_count()
     assert marked > 1000
+
+
+def test_multigraph_build_peaks_near_the_memory_it_keeps():
+    # each mask is built on its own: a table of every power of two below
+    # the order would lift the peak to about 1.6 times what the search
+    # graph keeps on s(6,5) (1.00 measured without it)
+    g = _BUILDERS["s"](6, 5)
+    tracemalloc.start()
+    try:
+        mg = Multigraph.from_labeled(g)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(mg.bits) == g.order
+    assert peak <= 1.1 * held, (held, peak)
 
 
 def test_multigraph_components_match_the_reference(reference_multigraph_components):

@@ -745,8 +745,8 @@ def tau_bnb(
     is returned with optimal False.
     """
     budget = resolve_budget(budget)
-    index = g._index
     if seed is not None:
+        index = g._index
         seed_labels = sorted({str(v) for v in seed})
         for v in seed_labels:
             if v not in index:

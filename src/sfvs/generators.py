@@ -21,16 +21,20 @@ of the level below through an injective table (the quotient's from
 _hat_tables, in the hat_labels order triangle_forest counts in), the few
 rows a join changes are replaced, and every row stays sorted.
 The top level streams each copy into row tuples over the positions of
-graph_core._label_index, so the rows store the label map's own ints.
+graph_core._label_index, so the rows store the label map's own ints;
+for sorted labels that map is built only on the graph's first lookup.
 For labels that do not come sorted, _canonical_rows moves each row to
-its label's position and sorts it.  triangle never builds the level n+1
-parent.  nonclique_edges lists the matching that the definition
-contracts, so graph_core.contract_edges on sierpinski(p, n+1) gives the
-reference graph.
+its label's position and sorts it.  The cyclic collector is paused
+while a builder runs.  triangle never builds the level n+1 parent.
+nonclique_edges lists the matching that the definition contracts, so
+graph_core.contract_edges on sierpinski(p, n+1) gives the reference
+graph.
 """
 
 from __future__ import annotations
 
+import gc
+from functools import wraps
 from itertools import chain, combinations, product
 
 from .addressing import (
@@ -69,6 +73,25 @@ def _check_family(family: str, p: int, n: int) -> None:
     _check_params(p, n, n_min)
     if p < p_min:  # only the quotient needs more than one symbol
         raise ValueError(f"the quotient family needs at least {p_min} symbols, got {p}")
+
+
+def _collector_paused(build):
+    """build with CPython's cyclic collector paused while it runs, and
+    left as the caller had it afterwards.  A build allocates one tuple
+    per row and one list per level and creates no reference cycle, so a
+    collection during it frees nothing and only walks the rows made."""
+
+    @wraps(build)
+    def paused(p: int, n: int) -> LabeledGraph:
+        if not gc.isenabled():
+            return build(p, n)
+        gc.disable()
+        try:
+            return build(p, n)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def _stacked(below, tables, fixed, width: int, top: bool) -> list:
@@ -180,6 +203,7 @@ def _graph(names, labels, rank, pos, rows) -> LabeledGraph:
     return LabeledGraph(names, rank, rows, sum(map(len, rows)) // 2)
 
 
+@_collector_paused
 def sierpinski(p: int, n: int) -> LabeledGraph:
     """The base graph on p^n words."""
     _check_family("s", p, n)
@@ -189,6 +213,7 @@ def sierpinski(p: int, n: int) -> LabeledGraph:
     return _graph(names, labels, rank, pos, rows)
 
 
+@_collector_paused
 def sierpinski_plus(p: int, n: int) -> LabeledGraph:
     """Base graph plus an apex adjacent to the p extreme vertices."""
     _check_family("plus", p, n)
@@ -199,6 +224,7 @@ def sierpinski_plus(p: int, n: int) -> LabeledGraph:
     return _graph(names, labels, rank, pos, rows)
 
 
+@_collector_paused
 def sierpinski_plusplus(p: int, n: int) -> LabeledGraph:
     """Base graph with an extra copy one level smaller glued on.
 
@@ -243,6 +269,7 @@ def nonclique_edges(p: int, m: int):
     return out
 
 
+@_collector_paused
 def triangle(p: int, n: int) -> LabeledGraph:
     """Quotient of the level n+1 base graph under contraction of every
     non-clique edge, with the surviving extremes i^(n+1) named as corners

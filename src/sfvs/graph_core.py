@@ -4,8 +4,9 @@ search for a cycle that finds none), edge contraction, relabeling, and a
 flat-file edge list format.
 
 LabeledGraph numbers its vertices in sorted label order and stores the
-sorted labels, the label -> index map, one sorted tuple of neighbour
-indices per vertex and the edge count; it is hashable-free but
+sorted labels, the label -> index map (built on the first lookup when a
+generator's labels came sorted), one sorted tuple of neighbour indices
+per vertex and the edge count; it is hashable-free but
 equality-comparable.  Its methods speak labels and map indices to labels
 on the way out, while is_forest, find_cycle, induced() and components()
 run on the indices.  Two private cores over (ascending indices,
@@ -19,17 +20,19 @@ _forest_paths, the one check of a construction's forest, checks the
 graph's order, raises on the cycle and returns the rest.  Every walk
 over a mark tests mark[v] inline for each neighbour: most neighbour
 lists are short, and a filter or map object per vertex costs more.  A
-generator takes the label index of _label_index, whose positions come
-off the label map itself when the labels come sorted.  build_graph ranks
-its sorted labels and maps arbitrary label pairs into one deduplicated
-list of neighbour indices per vertex, which _from_rows replaces by its
-sorted tuple in place, so it peaks little above the graph it returns;
-the generators compose the sorted tuples themselves.
+generator takes the label index of _label_index, which for labels that
+come sorted is the position list alone, the map left to LabeledGraph's
+first lookup.  build_graph ranks its sorted labels and maps arbitrary
+label pairs into one deduplicated list of neighbour indices per vertex,
+which _from_rows replaces by its sorted tuple in place, so it peaks
+little above the graph it returns; the generators compose the sorted
+tuples themselves.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, compress
+from operator import eq
 
 __all__ = [
     "GraphError",
@@ -54,16 +57,27 @@ class LabeledGraph:
 
     Vertex k is the k-th label in sorted order; _index maps a label back
     to k, and _nbrs[k] is the sorted tuple of k's neighbour indices.
+    index is that map, or the list of positions 0..N-1 from _label_index
+    when the labels came sorted: the map is then built on its first read,
+    over the list's own ints, so a build whose graph is only counted
+    never makes it.
     """
 
-    __slots__ = ("_labels", "_index", "_nbrs", "_size")
+    __slots__ = ("_labels", "_map", "_nbrs", "_size")
 
     def __init__(self, labels, index, nbrs, size):
         # internal: use build_graph, _from_rows or a family generator
         self._labels = labels
-        self._index = index
+        self._map = index
         self._nbrs = nbrs
         self._size = size
+
+    @property
+    def _index(self) -> dict:
+        index = self._map
+        if type(index) is list:
+            index = self._map = dict(zip(self._labels, index))
+        return index
 
     @property
     def order(self) -> int:
@@ -141,14 +155,19 @@ class LabeledGraph:
 
 
 def _label_index(labels):
-    """Sorted labels, label -> index map, and each given label's index,
-    read off the map without a lookup when the labels come sorted."""
+    """Sorted labels, the label -> index map and each given label's index.
+    Repeat-free labels that come sorted take the indices 0..N-1 and, for
+    the map, that same position list, which LabeledGraph turns into the
+    dict on its first lookup."""
     names = sorted(labels)
+    if names == labels and not any(map(eq, names, names[1:])):
+        pos = list(range(len(names)))
+        return names, pos, pos
     rank = dict(zip(names, range(len(names))))
     if len(rank) < len(names):
         repeated = next(a for a, b in zip(names, names[1:]) if a == b)
         raise GraphError(f"repeated vertex label {repeated!r}")
-    return names, rank, list(rank.values()) if names == labels else [rank[v] for v in labels]
+    return names, rank, [rank[v] for v in labels]
 
 
 def _from_rows(names, rank, rows) -> LabeledGraph:

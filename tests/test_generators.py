@@ -1,10 +1,13 @@
+import gc
+import inspect
 import tracemalloc
+from types import FunctionType
 
 import pytest
 
 from sfvs import generators
 from sfvs.addressing import FAMILIES, hat_labels, word_separator
-from sfvs.graph_core import GraphError, is_forest, relabel
+from sfvs.graph_core import GraphError, find_cycle, is_forest, relabel
 from sfvs.generators import (
     expected_order,
     expected_size,
@@ -309,6 +312,89 @@ def test_build_streams_its_top_level(family, p, n):
         tracemalloc.stop()
     assert g.order == expected_order(family, p, n)
     assert peak <= 1.3 * held, (held, peak)
+
+
+@pytest.mark.parametrize("build", [sierpinski, triangle])
+def test_builds_run_no_collection(build):
+    # a build makes no reference cycle, so the collector is paused for it
+    started = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(hook)
+    try:
+        g = build(6, 5)
+    finally:
+        gc.callbacks.remove(hook)
+    assert g.order > 7000
+    assert started == []
+
+
+def test_builders_restore_the_collector_state(monkeypatch):
+    # paused inside the build, then as the caller had it: enabled after a
+    # build, still disabled when the caller disabled it, and enabled after
+    # a builder raises
+    during = []
+    check = generators._check_family
+
+    def spy(*args):
+        during.append(gc.isenabled())
+        return check(*args)
+
+    monkeypatch.setattr(generators, "_check_family", spy)
+    assert gc.isenabled()
+    sierpinski(3, 2)
+    assert during == [False] and gc.isenabled()
+    gc.disable()
+    try:
+        sierpinski_plus(3, 2)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    with pytest.raises(ValueError):
+        triangle(1, 2)
+    assert during == [False, False, False] and gc.isenabled()
+
+
+@pytest.mark.parametrize("build", [sierpinski, sierpinski_plus, sierpinski_plusplus, triangle])
+def test_paused_builders_keep_their_face(build):
+    # the tracer wraps a function whose __module__ is its module's, and
+    # help() and inspect read the name, docstring and signature
+    inner = build.__wrapped__
+    assert isinstance(build, FunctionType)
+    assert build.__module__ == inner.__module__ == generators.__name__
+    assert build.__name__ == inner.__name__ and build.__qualname__ == inner.__qualname__
+    assert build.__doc__ == inner.__doc__ and build.__doc__
+    assert inspect.signature(build) == inspect.signature(inner)
+    own = inspect.signature(build, follow_wrapped=False)
+    assert str(own) == "(p: 'int', n: 'int') -> 'LabeledGraph'"
+
+
+def _holds_a_dict(g) -> bool:
+    return any(isinstance(x, dict) for x in gc.get_referents(g))
+
+
+@pytest.mark.parametrize(
+    "lookup",
+    [
+        lambda g: g._labels[-1] in g,
+        lambda g: g.neighbors(g._labels[0]),
+        lambda g: find_cycle(g, g._labels[:2]),
+    ],
+    ids=["in", "neighbors", "find_cycle"],
+)
+@pytest.mark.parametrize(
+    "family,p,n", [("s", 10, 2), ("plus", 4, 3), ("pp", 9, 2), ("hat", 10, 2), ("s", 1, 0)]
+)
+def test_sorted_label_builds_map_labels_on_the_first_lookup(family, p, n, lookup):
+    g = _BUILDERS[family](p, n)
+    assert not _holds_a_dict(g)
+    lookup(g)
+    assert _holds_a_dict(g)
+    assert g._index == dict(zip(g._labels, range(g.order)))
 
 
 @pytest.fixture

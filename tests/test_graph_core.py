@@ -86,14 +86,24 @@ def test_label_index_rejects_a_repeated_label():
     assert str(exc.value) == "repeated vertex label 'a'"
 
 
+def test_label_index_rejects_a_repeated_sorted_label():
+    # sorted labels skip the map, but not the repeat check
+    with pytest.raises(GraphError) as exc:
+        _label_index(["a", "a", "b"])
+    assert str(exc.value) == "repeated vertex label 'a'"
+
+
 def test_label_index_positions_are_the_map_ints():
-    # sorted labels take their positions off the map without a lookup;
-    # either way each position is the map's own int object
+    # sorted labels take their positions without a lookup, and the graph
+    # builds its map over them; either way each position is the int
+    # object of the graph's map
     ordered = [f"{k:03d}" for k in range(300)]
     for labels in (ordered, ordered[::-1], ordered[1:] + ordered[:1]):
         names, rank, pos = _label_index(labels)
+        g = LabeledGraph(names, rank, [()] * len(names), 0)
         assert names == ordered
-        assert all(i is rank[v] for v, i in zip(labels, pos))
+        assert g._index == dict(zip(ordered, range(300)))
+        assert all(i is g._index[v] for v, i in zip(labels, pos))
 
 
 # the fixture holds only a function, so sharing it across examples is safe
